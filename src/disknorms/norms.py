@@ -1,8 +1,11 @@
 """Norm catalog, extremal families, mode analysis, counterexamples.
 
-The catalog in ``closed_form_norm`` is the package's ground truth for what
-is actually known about the five disk operators: each entry is either an
-exact operator norm or an explicit upper bound, and the result says which.
+The catalog is the package's ground truth for what is actually known about
+the five disk operators: one table ``_EXACT`` of exact norms at endpoint
+exponents, and for every other exponent one ``_INTERIOR`` rule per
+(operator, target) -- a closed p-to-sup form, a Riesz-Thorin interpolation
+between table entries (an explicit upper bound), or a refusal.
+``closed_form_norm`` and ``riesz_thorin_bound`` both read the table.
 Queries outside the catalog raise ``UnsupportedQueryError`` rather than
 guessing; in particular the p-to-p norm of the Cauchy transform away from
 p in {1, 2, infinity} is an open problem and only its interpolation bounds
@@ -29,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -145,36 +147,149 @@ class ModeReduction:
         return self.coefficient * complex(z) ** (self.d - 1)
 
 
-@lru_cache(maxsize=1)
-def _catalan_series():
-    return catalan_constant(1e-15)
+# ---------------------------------------------------------------------------
+# the catalog: one table of exact entries, one interior entry per query kind
+
+_CATALAN = catalan_constant(1e-15)
+
+# (value, error_estimate) of the exact constants shared by several entries;
+# _KERNEL_MASS is (1+2*Catalan)/pi, the sup over the disk of the
+# |w|-weighted kernel mass
+_TWO = (2.0, 0.0)
+_TWO_OVER_J0 = (2.0 / bessel_j0_smallest_zero(), 8.0 * _EPS)
+_FOUR_OVER_PI = (4.0 / math.pi, 2.0 * _EPS)
+_KERNEL_MASS = ((1.0 + 2.0 * _CATALAN.value) / math.pi,
+                (2.0 * _CATALAN.tail_bound + 4.0 * _EPS) / math.pi)
+
+# (operator, target) -> {exponent: (value, error_estimate, provenance)}
+_EXACT = {
+    (Operator.CAUCHY, Target.SAME_P): {
+        1.0: (*_TWO, "exact L1 norm 2"),
+        2.0: (*_TWO_OVER_J0, "exact L2 norm 2/j0 via the smallest positive zero of the "
+                             "order-zero Bessel function"),
+        _INF: (*_TWO, "exact sup norm 2; coincides with the sup-to-sup kernel-mass value"),
+    },
+    (Operator.J0, Target.SAME_P): {
+        _INF: (*_FOUR_OVER_PI, "exact sup norm 4/pi (sup-to-sup kernel mass at the boundary)"),
+    },
+    (Operator.J0_STAR, Target.SAME_P): {
+        1.0: (*_FOUR_OVER_PI, "exact L1 norm 4/pi, dual to the companion operator's sup norm"),
+        2.0: (math.sqrt(0.5), _EPS,
+              "exact L2 norm sqrt(1/2): best angular-mode constant 1/(d(d+1)) at d=1"),
+        _INF: (*_KERNEL_MASS, "exact sup norm (1+2*Catalan)/pi"),
+    },
+    (Operator.C_DELTA, Target.SAME_P): {
+        1.0: (*_TWO, "attained endpoint norm 2 of the combined Dirichlet transform"),
+        2.0: (*_TWO_OVER_J0, "attained endpoint norm 2/j0 of the combined Dirichlet transform"),
+        _INF: (4.0 / 3.0, _EPS, "attained endpoint norm 4/3 of the combined Dirichlet transform"),
+    },
+    (Operator.CAUCHY, Target.L_INFINITY): {
+        _INF: (*_TWO, "exact sup-to-sup norm: the absolute-kernel mass peaks at the center "
+                      "with value 2"),
+    },
+    (Operator.J0, Target.L_INFINITY): {
+        _INF: (*_FOUR_OVER_PI, "exact sup-to-sup norm 4/pi, the boundary limit of the kernel mass"),
+    },
+    (Operator.J0_STAR, Target.L_INFINITY): {
+        _INF: (*_KERNEL_MASS, "exact sup-to-sup norm (1+2*Catalan)/pi, the boundary limit of "
+                              "the |w|-weighted kernel mass"),
+    },
+}
+_J0STAR_ENTRIES = _EXACT[(Operator.J0_STAR, Target.SAME_P)]
+_SPACE = {1.0: "L1", 2.0: "L2", _INF: "sup"}
 
 
-def _kernel_mass_limit() -> float:
-    """Sup over the disk of the |w|-weighted kernel mass: (1 + 2*Catalan)/pi."""
-    return (1.0 + 2.0 * _catalan_series().value) / math.pi
+def _riesz_thorin(entries: dict, p: float, p0: float, p1: float) -> float:
+    """n0^(1-theta) n1^theta with 1/p = (1-theta)/p0 + theta/p1 between two exact entries."""
+    theta = (1.0 / p0 - 1.0 / p) / (1.0 / p0 - 1.0 / p1)
+    return entries[p0][0] ** (1.0 - theta) * entries[p1][0] ** theta
 
 
-def _kernel_mass_limit_error() -> float:
-    return (2.0 * _catalan_series().tail_bound + 4.0 * _EPS) / math.pi
+def _interpolation_rule(entries: dict, text: str) -> Callable[[float], NormResult]:
+    """Upper bound at p by interpolating the two exact entries adjacent to p."""
+
+    def rule(p: float) -> NormResult:
+        p0, p1 = (1.0, 2.0) if p < 2.0 else (2.0, _INF)
+        value = _riesz_thorin(entries, p, p0, p1)
+        provenance = text.format(lo=_SPACE[p0], hi=_SPACE[p1])
+        return NormResult(value, NormKind.UPPER_BOUND, provenance, 8.0 * _EPS * value)
+
+    return rule
 
 
-def _cauchy_l2() -> float:
-    return 2.0 / bessel_j0_smallest_zero()
+_j0star_interpolation = _interpolation_rule(
+    _J0STAR_ENTRIES, "Riesz-Thorin interpolation between the exact ({lo}, {hi}) endpoint norms"
+)
 
 
-def _cauchy_interpolation_bound(p: float) -> float:
-    j0 = bessel_j0_smallest_zero()
-    if p <= 2.0:
-        return 2.0 * j0 ** (-2.0 * (1.0 - 1.0 / p))
-    return 2.0 * j0 ** (-2.0 / p)
+def _j0star_same_p(p: float) -> NormResult:
+    # the direct kernel-mass bound 4^(1/p) (1+2*Catalan)^(1-1/p) / pi is the
+    # interpolation between the exact L1 and sup entries
+    value = _j0star_interpolation(p).value
+    direct = _riesz_thorin(_J0STAR_ENTRIES, p, 1.0, _INF)
+    which = "interpolation" if value <= direct else "direct kernel-mass"
+    value = min(value, direct)
+    return NormResult(value, NormKind.UPPER_BOUND,
+                      "smaller of the interpolation bound and the direct kernel-mass bound "
+                      f"4^(1/p) (1+2*Catalan)^(1-1/p) / pi ({which} bound wins here)",
+                      8.0 * _EPS * value)
 
 
-def _cdelta_interpolation_bound(p: float) -> float:
-    j0 = bessel_j0_smallest_zero()
-    if p <= 2.0:
-        return 2.0 * j0 ** (-2.0 * (1.0 - 1.0 / p))
-    return (4.0 / 3.0) * (2.0 * j0 / 3.0) ** (-2.0 / p)
+def _cauchy_p_to_sup(p: float) -> NormResult:
+    # (2p-2)/(p-2) written so that it neither overflows nor loses its limit 2
+    value = (2.0 * (1.0 + 1.0 / (p - 2.0))) ** (1.0 - 1.0 / p)
+    return NormResult(value, NormKind.EXACT_NORM,
+                      "exact p-to-sup norm ((2p-2)/(p-2))^(1-1/p), attained in the limit "
+                      "by unit densities concentrating at the center",
+                      4.0 * _EPS * value)
+
+
+def _j0_p_to_sup(p: float) -> NormResult:
+    a = (p - 2.0) / (p - 1.0)
+    b = 1.5 - 0.5 / (p - 1.0)  # (3p-4)/(2p-2) without overflow at huge p
+    value = math.exp((1.0 - 1.0 / p) * (math.lgamma(a) - 2.0 * math.lgamma(b)))
+    return NormResult(value, NormKind.EXACT_NORM,
+                      "exact p-to-sup norm: gamma-quotient form of the boundary "
+                      "kernel-profile limit, power 1-1/p",
+                      16.0 * _EPS * value)
+
+
+def _j0star_p_to_sup(p: float) -> NormResult:
+    a_p = a_p_constant(p, 1e-12)
+    exponent = 1.0 - 1.0 / p
+    value = a_p.value**exponent
+    err = exponent * a_p.value ** (exponent - 1.0) * a_p.tail_bound + 8.0 * _EPS * value
+    return NormResult(value, NormKind.EXACT_NORM,
+                      "exact p-to-sup norm A(p)^(1-1/p) with A(p) the boundary value of "
+                      "the weighted kernel profile",
+                      err)
+
+
+_NO_P_TO_SUP = "no p-to-sup entry for operator {!r}; the catalog covers cauchy, j0 and j0star only"
+
+# (operator, target) -> the rule for every exponent without an exact entry:
+# a function of p, or the refusal message
+_INTERIOR = {
+    (Operator.CAUCHY, Target.SAME_P): _interpolation_rule(
+        _EXACT[(Operator.CAUCHY, Target.SAME_P)],
+        "interpolation upper bound between the exact {lo} and {hi} norms "
+        "(Bessel-zero endpoints); the exact p-norm is an open problem",
+    ),
+    (Operator.C_DELTA, Target.SAME_P): _interpolation_rule(
+        _EXACT[(Operator.C_DELTA, Target.SAME_P)],
+        "interpolation upper bound for the combined Dirichlet transform, "
+        "exact only at the attained endpoints p in {{1, 2, infinity}}",
+    ),
+    (Operator.J0_STAR, Target.SAME_P): _j0star_same_p,
+    (Operator.J0, Target.SAME_P): "no proven p-to-p value for the analytic-kernel operator at "
+                                  "finite p; only its sup norm 4/pi is in the catalog",
+    (Operator.BERGMAN, Target.SAME_P): "no p-to-p entry for operator 'bergman'",
+    (Operator.CAUCHY, Target.L_INFINITY): _cauchy_p_to_sup,
+    (Operator.J0, Target.L_INFINITY): _j0_p_to_sup,
+    (Operator.J0_STAR, Target.L_INFINITY): _j0star_p_to_sup,
+    (Operator.C_DELTA, Target.L_INFINITY): _NO_P_TO_SUP.format("cdelta"),
+    (Operator.BERGMAN, Target.L_INFINITY): _NO_P_TO_SUP.format("bergman"),
+}
 
 
 def riesz_thorin_bound(p: float) -> NormResult:
@@ -182,145 +297,27 @@ def riesz_thorin_bound(p: float) -> NormResult:
 
     Exact at the three endpoints (4/pi at p=1, sqrt(1/2) at p=2, the
     Catalan-constant mass at p=infinity); in between the interpolation
-    inequality only gives an upper bound.  Endpoint values are produced by
-    the same expressions the catalog uses, so equality there is bitwise.
+    inequality only gives an upper bound.  Endpoints are read from the
+    catalog table, so equality with ``closed_form_norm`` there is bitwise.
     """
     p = _check_p(p)
-    if p == 1.0:
-        return NormResult(4.0 / math.pi, NormKind.EXACT_NORM,
-                          "interpolation endpoint: exact L1 norm 4/pi", 2.0 * _EPS)
-    if p == 2.0:
-        return NormResult(math.sqrt(0.5), NormKind.EXACT_NORM,
-                          "interpolation endpoint: exact L2 norm sqrt(1/2) from the mode analysis", _EPS)
-    if p == _INF:
-        return NormResult(_kernel_mass_limit(), NormKind.EXACT_NORM,
-                          "interpolation endpoint: exact sup norm (1+2*Catalan)/pi",
-                          _kernel_mass_limit_error())
-    if p > 2.0:
-        value = 0.5 ** (1.0 / p) * _kernel_mass_limit() ** (1.0 - 2.0 / p)
-        pair = "(L2, sup)"
-    else:
-        value = 0.5 ** (1.0 - 1.0 / p) * (4.0 / math.pi) ** (2.0 / p - 1.0)
-        pair = "(L1, L2)"
-    return NormResult(value, NormKind.UPPER_BOUND,
-                      f"Riesz-Thorin interpolation between the exact {pair} endpoint norms",
-                      8.0 * _EPS * value)
+    if p in _J0STAR_ENTRIES:
+        value, error, provenance = _J0STAR_ENTRIES[p]
+        return NormResult(value, NormKind.EXACT_NORM,
+                          "interpolation endpoint: " + provenance, error)
+    return _j0star_interpolation(p)
 
 
 def closed_form_norm(query: NormQuery) -> NormResult:
     """Serve one catalog entry; raise UnsupportedQueryError outside it."""
-    op, p, target = query.operator, query.source_p, query.target
-
-    if target is Target.L_INFINITY:
-        if op is Operator.CAUCHY:
-            if p == _INF:
-                return NormResult(2.0, NormKind.EXACT_NORM,
-                                  "exact sup-to-sup norm: the absolute-kernel mass peaks at the center with value 2")
-            value = ((2.0 * p - 2.0) / (p - 2.0)) ** (1.0 - 1.0 / p)
-            return NormResult(value, NormKind.EXACT_NORM,
-                              "exact p-to-sup norm ((2p-2)/(p-2))^(1-1/p), attained in the limit "
-                              "by unit densities concentrating at the center",
-                              4.0 * _EPS * value)
-        if op is Operator.J0:
-            if p == _INF:
-                return NormResult(4.0 / math.pi, NormKind.EXACT_NORM,
-                                  "exact sup-to-sup norm 4/pi, the boundary limit of the kernel mass",
-                                  2.0 * _EPS)
-            a = (p - 2.0) / (p - 1.0)
-            b = (3.0 * p - 4.0) / (2.0 * p - 2.0)
-            value = math.exp((1.0 - 1.0 / p) * (math.lgamma(a) - 2.0 * math.lgamma(b)))
-            return NormResult(value, NormKind.EXACT_NORM,
-                              "exact p-to-sup norm: gamma-quotient form of the boundary "
-                              "kernel-profile limit, power 1-1/p",
-                              16.0 * _EPS * value)
-        if op is Operator.J0_STAR:
-            if p == _INF:
-                return NormResult(_kernel_mass_limit(), NormKind.EXACT_NORM,
-                                  "exact sup-to-sup norm (1+2*Catalan)/pi, the boundary limit of "
-                                  "the |w|-weighted kernel mass",
-                                  _kernel_mass_limit_error())
-            a_p = a_p_constant(p, 1e-12)
-            exponent = 1.0 - 1.0 / p
-            value = a_p.value**exponent
-            err = exponent * a_p.value ** (exponent - 1.0) * a_p.tail_bound + 8.0 * _EPS * value
-            return NormResult(value, NormKind.EXACT_NORM,
-                              "exact p-to-sup norm A(p)^(1-1/p) with A(p) the boundary value of "
-                              "the weighted kernel profile",
-                              err)
-        raise UnsupportedQueryError(
-            f"no p-to-sup entry for operator {op.value!r}; the catalog covers "
-            "cauchy, j0 and j0star only"
-        )
-
-    # SAME_P target
-    if op is Operator.CAUCHY:
-        if p == 1.0:
-            return NormResult(2.0, NormKind.EXACT_NORM, "exact L1 norm 2")
-        if p == 2.0:
-            return NormResult(_cauchy_l2(), NormKind.EXACT_NORM,
-                              "exact L2 norm 2/j0 via the smallest positive zero of the "
-                              "order-zero Bessel function",
-                              8.0 * _EPS)
-        if p == _INF:
-            return NormResult(2.0, NormKind.EXACT_NORM,
-                              "exact sup norm 2; coincides with the sup-to-sup kernel-mass value")
-        value = _cauchy_interpolation_bound(p)
-        return NormResult(value, NormKind.UPPER_BOUND,
-                          "interpolation upper bound between the exact L1 and L2 norms "
-                          "(Bessel-zero endpoints); the exact p-norm is an open problem",
-                          8.0 * _EPS * value)
-    if op is Operator.J0:
-        if p == _INF:
-            return NormResult(4.0 / math.pi, NormKind.EXACT_NORM,
-                              "exact sup norm 4/pi (sup-to-sup kernel mass at the boundary)",
-                              2.0 * _EPS)
-        raise UnsupportedQueryError(
-            "no proven p-to-p value for the analytic-kernel operator at finite p; "
-            "only its sup norm 4/pi is in the catalog"
-        )
-    if op is Operator.J0_STAR:
-        if p == 1.0:
-            return NormResult(4.0 / math.pi, NormKind.EXACT_NORM,
-                              "exact L1 norm 4/pi, dual to the companion operator's sup norm",
-                              2.0 * _EPS)
-        if p == 2.0:
-            return NormResult(math.sqrt(0.5), NormKind.EXACT_NORM,
-                              "exact L2 norm sqrt(1/2): best angular-mode constant 1/(d(d+1)) at d=1",
-                              _EPS)
-        if p == _INF:
-            return NormResult(_kernel_mass_limit(), NormKind.EXACT_NORM,
-                              "exact sup norm (1+2*Catalan)/pi",
-                              _kernel_mass_limit_error())
-        rt = riesz_thorin_bound(p)
-        direct = 4.0 ** (1.0 / p) * (1.0 + 2.0 * _catalan_series().value) ** (1.0 - 1.0 / p) / math.pi
-        if rt.value <= direct:
-            value, which = rt.value, "interpolation"
-        else:
-            value, which = direct, "direct kernel-mass"
-        return NormResult(value, NormKind.UPPER_BOUND,
-                          f"smaller of the interpolation bound and the direct kernel-mass bound "
-                          f"4^(1/p) (1+2*Catalan)^(1-1/p) / pi ({which} bound wins here)",
-                          8.0 * _EPS * value)
-    if op is Operator.C_DELTA:
-        if p == 1.0:
-            return NormResult(2.0, NormKind.EXACT_NORM,
-                              "attained endpoint norm 2 of the combined Dirichlet transform")
-        if p == 2.0:
-            return NormResult(_cauchy_l2(), NormKind.EXACT_NORM,
-                              "attained endpoint norm 2/j0 of the combined Dirichlet transform",
-                              8.0 * _EPS)
-        if p == _INF:
-            return NormResult(4.0 / 3.0, NormKind.EXACT_NORM,
-                              "attained endpoint norm 4/3 of the combined Dirichlet transform",
-                              _EPS)
-        value = _cdelta_interpolation_bound(p)
-        return NormResult(value, NormKind.UPPER_BOUND,
-                          "interpolation upper bound for the combined Dirichlet transform, "
-                          "exact only at the attained endpoints p in {1, 2, infinity}",
-                          8.0 * _EPS * value)
-    raise UnsupportedQueryError(
-        f"no p-to-p entry for operator {op.value!r}"
-    )
+    key, p = (query.operator, query.target), query.source_p
+    if p in _EXACT.get(key, {}):
+        value, error, provenance = _EXACT[key][p]
+        return NormResult(value, NormKind.EXACT_NORM, provenance, error)
+    interior = _INTERIOR[key]
+    if isinstance(interior, str):
+        raise UnsupportedQueryError(interior)
+    return interior(p)
 
 
 def extremal_function(op: Operator, p: float, b: complex) -> FieldFn:
@@ -567,6 +564,15 @@ _COUNTEREXAMPLES = {
 }
 
 
+def _lookup(name: str) -> tuple:
+    try:
+        return _COUNTEREXAMPLES[name]
+    except KeyError:
+        raise UnsupportedQueryError(
+            f"unknown counterexample {name!r}; choose one of {', '.join(COUNTEREXAMPLE_NAMES)}"
+        ) from None
+
+
 def counterexample(name: str) -> Tuple[FieldFn, float, str]:
     """An L^2 density whose transform is unbounded, its L^2 ceiling, and the law.
 
@@ -574,12 +580,7 @@ def counterexample(name: str) -> Tuple[FieldFn, float, str]:
     norm: the disk sits inside the radius-2 ball around the anchor and the
     ball mass of 1/(R^2 log^2(3/R)) integrates in closed form.
     """
-    try:
-        density, _, _, _, law = _COUNTEREXAMPLES[name]
-    except KeyError:
-        raise UnsupportedQueryError(
-            f"unknown counterexample {name!r}; choose one of {', '.join(COUNTEREXAMPLE_NAMES)}"
-        ) from None
+    density, _, _, _, law = _lookup(name)
     return density, _L2_CEILING, law
 
 
@@ -593,11 +594,7 @@ def divergence_ladder(
     Returns (x, values) where x is the iterated-log coordinate in which the
     divergence law is affine with unit slope.
     """
-    if name not in _COUNTEREXAMPLES:
-        raise UnsupportedQueryError(
-            f"unknown counterexample {name!r}; choose one of {', '.join(COUNTEREXAMPLE_NAMES)}"
-        )
-    _, anchor, integrand, transform, _ = _COUNTEREXAMPLES[name]
+    _, anchor, integrand, transform, _ = _lookup(name)
     values = truncated_singular_integral(integrand, anchor, list(epsilons), rule)
     x = np.asarray([transform(e) for e in epsilons])
     return x, np.asarray(values)
@@ -625,11 +622,7 @@ def counterexample_l2_mass(
     the ball lies in the disk, so the returned value is an upper estimate,
     which is the useful direction for checking the ceiling.
     """
-    if name not in _COUNTEREXAMPLES:
-        raise UnsupportedQueryError(
-            f"unknown counterexample {name!r}; choose one of {', '.join(COUNTEREXAMPLE_NAMES)}"
-        )
-    density, anchor, _, _, _ = _COUNTEREXAMPLES[name]
+    density, anchor, _, _, _ = _lookup(name)
 
     def squared(w):
         return np.abs(density(w)) ** 2

@@ -240,31 +240,19 @@ def dbar_identity_residual(
     z = complex(z)
 
     shifts = (z + h, z - h, z + 1j * h, z - 1j * h)
+    base = rule or DiskRule()
     values = []
     noise = 0.0
     for point in shifts:
+        local = rule
         if op in _SINGULAR_OPS:
-            if rule is None:
-                local = DiskRule.for_point(point, singular=True)
-            elif isinstance(rule.singularity, AnnulusExclude) or rule.singularity is None:
-                # annulus strategy re-centers itself at each shifted point
-                strategy = rule.singularity if rule.singularity is not None else None
-                local = DiskRule.for_point(
-                    point,
-                    radial_nodes=rule.radial_nodes,
-                    angular_nodes=rule.angular_nodes,
-                    singular=strategy is None,
-                )
-                if strategy is not None:
-                    local = DiskRule(local.radial_nodes, local.angular_nodes, strategy)
-            else:
-                local = DiskRule(
-                    rule.radial_nodes,
-                    max(rule.angular_nodes, required_angular_nodes(point)),
-                    Mobius(point),
-                )
-        else:
-            local = rule
+            # an annulus strategy re-centers itself at each shifted point
+            annulus = isinstance(base.singularity, AnnulusExclude)
+            local = DiskRule(
+                base.radial_nodes,
+                max(base.angular_nodes, required_angular_nodes(point)),
+                base.singularity if annulus else Mobius(point),
+            )
         result = apply(op, f, point, local)
         values.append(result.value)
         noise += result.abs_error_estimate

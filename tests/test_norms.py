@@ -1,6 +1,7 @@
 """Tests for the norm catalog, extremal families, modes and counterexamples."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +152,18 @@ class TestJ0Catalog:
             )
         r3 = closed_form_norm(NormQuery(Operator.J0, 3.0, Target.L_INFINITY))
         assert r3.value == pytest.approx(GAMMA_QUOTIENT_P3 ** (2.0 / 3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1e200, 7e307, 1e308, sys.float_info.max])
+@pytest.mark.parametrize(
+    "op,limit",
+    [(Operator.CAUCHY, 2.0), (Operator.J0, 4.0 / math.pi), (Operator.J0_STAR, KERNEL_MASS_LIMIT)],
+)
+def test_p_to_sup_at_huge_p_stays_finite_and_near_its_limit(op, limit, p):
+    r = closed_form_norm(NormQuery(op, p, Target.L_INFINITY))
+    assert math.isfinite(r.value)
+    assert r.kind is NormKind.EXACT_NORM
+    assert abs(r.value - limit) <= r.error_estimate
 
 
 class TestJ0StarCatalog:
