@@ -26,6 +26,9 @@ _J0STAR_INTERIOR = (
     "smaller of the interpolation bound and the direct kernel-mass bound "
     "4^(1/p) (1+2*Catalan)^(1-1/p) / pi (interpolation bound wins here)"
 )
+_J0STAR_P_TO_SUP = (
+    "exact p-to-sup norm A(p)^(1-1/p) with A(p) the boundary value of the weighted kernel profile"
+)
 _J0_REFUSAL = (
     "no proven p-to-p value for the analytic-kernel operator at finite p; "
     "only its sup norm 4/pi is in the catalog"
@@ -73,8 +76,11 @@ CATALOG_ROWS = [
      "exact p-to-sup norm: gamma-quotient form of the boundary kernel-profile limit, power 1-1/p"),
     ("j0", INF, "linf", "1.273239545", "4.440892099e-16", "EXACT_NORM",
      "exact sup-to-sup norm 4/pi, the boundary limit of the kernel mass"),
-    ("j0star", 3.0, "linf", "1.354396422", "3.038963623e-13", "EXACT_NORM",
-     "exact p-to-sup norm A(p)^(1-1/p) with A(p) the boundary value of the weighted kernel profile"),
+    # p = 2.01, 2.05, 2.2: A(p) from mpmath (30 digits, Thomae's form)
+    ("j0star", 2.01, "linf", "10.11607854", "9.180410493e-14", "EXACT_NORM", _J0STAR_P_TO_SUP),
+    ("j0star", 2.05, "linf", "4.647868", "4.366940368e-14", "EXACT_NORM", _J0STAR_P_TO_SUP),
+    ("j0star", 2.2, "linf", "2.469652903", "2.59396004e-14", "EXACT_NORM", _J0STAR_P_TO_SUP),
+    ("j0star", 3.0, "linf", "1.354396422", "2.230837421e-14", "EXACT_NORM", _J0STAR_P_TO_SUP),
     ("j0star", INF, "linf", "0.9014316942", "1.237026882e-14", "EXACT_NORM",
      "exact sup-to-sup norm (1+2*Catalan)/pi, the boundary limit of the |w|-weighted kernel mass"),
     ("cdelta", 3.0, "linf", None, None, None,

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,18 @@ class TestVerifyCommand:
         assert out == ""
         content = path.read_text()
         assert content.startswith("label,claimed,computed")
+
+    @pytest.mark.parametrize("module", ["disknorms", "disknorms.cli"])
+    def test_module_entry_points(self, module, tmp_path):
+        path = tmp_path / "report.csv"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "verify", "--suite", "specfun",
+             "--format", "csv", "--out", str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert path.read_text().splitlines()[0] == "label,claimed,computed,abs_err,status,citation"
 
 
 class TestTableCommand:

@@ -8,12 +8,13 @@ under test goes through the hypergeometric engine instead.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from disknorms import profiles as pf
-from disknorms.errors import DivergenceError, DomainError
+from disknorms.errors import DivergenceError, DomainError, PrecisionError
 from disknorms.specfun import catalan_constant, gauss_2f1_at_1, ln_gamma
 
 # mpmath references, 30 dps
@@ -23,6 +24,21 @@ M_1_AT_099 = 1.2368164808754954355
 N_32_AT_07 = 0.71337986451723738984  # N_q(0.7), q = 3/2
 A_AT_3 = 1.5762267609646316533
 A_AT_4 = 1.1979464800047525603
+# A(p) at p = 2 + d (the float sum), mpmath at 30 digits through Thomae's
+# form; for d >= 0.38 the defining 3F2 at 40 digits agrees to 1e-30
+A_CALIBRATION = {
+    1e-5: 100000.000016681528263600421065,
+    1e-3: 1000.00173013966227077298549565,
+    1e-2: 100.016987457800135030907677043,
+    0.05: 20.078607088089837561563045313,
+    0.12: 8.50028720237457845752949696802,
+    0.38: 3.00303400183123132727769286311,
+    1.0: 1.57622676096463165331480792003,
+    8.0: 0.962471965555397882974942297265,
+    1e3: 0.901867741341992383152478121309,
+    1e6: 0.901432129813731648027363874393,
+    math.inf: 0.901431694245428231814536439682,  # (1+2*Catalan)/pi
+}
 F1_LIMIT = {
     1.0: 0.63661977236758134308,
     1.25: 0.58156196033775471523,
@@ -227,6 +243,21 @@ def test_a_p_constant():
     assert abs(got.value - A_AT_4) <= got.tail_bound + 1e-9
     with pytest.raises(DomainError):
         pf.a_p_constant(2.0, 1e-9)
+
+
+@pytest.mark.parametrize("d", list(A_CALIBRATION), ids=str)
+def test_a_p_error_estimate_covers_frozen_reference(d):
+    got = pf.a_p_constant(2.0 + d, 1e-12)
+    ref = A_CALIBRATION[d]
+    assert abs(got.value - ref) <= got.tail_bound <= 1e-12 * max(1.0, got.value)
+
+
+def test_a_p_refuses_an_unreachable_tolerance_at_once():
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError) as exc:
+        pf.a_p_constant(3.0, 1e-17)
+    assert time.perf_counter() - start < 0.05
+    assert abs(exc.value.best.value - A_AT_3) <= exc.value.best.tail_bound
 
 
 def test_a_p_limit_is_the_catalan_constant_value():
