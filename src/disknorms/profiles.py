@@ -193,9 +193,17 @@ def _boundary_N(q: float, b: float, tol: float) -> SeriesValue:
             )
 
 
-def profile_N(
-    q: float, rho: float, tol: float, *, excess: float | None = None
-) -> SeriesValue:
+def _check_boundary(q: float, tol: float) -> None:
+    if q > Q_BLOWUP_CUTOFF:
+        raise DomainError(
+            f"q = {q:g} is too close to 2: N(1) = A(p) diverges as p -> 2+ "
+            f"(supported region is q <= {Q_BLOWUP_CUTOFF})"
+        )
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+
+
+def profile_N(q: float, rho: float, tol: float) -> SeriesValue:
     """q-energy of the conjugate-weighted kernel conj(w)/(1 - conj(w) z).
 
     The radial reduction gives 2 sum_n (Gamma(n+q/2)/(n! Gamma(q/2)))^2
@@ -210,22 +218,12 @@ def profile_N(
     series is summed exactly in numpy blocks; tail_bound adds a bracket of
     the remaining tail derived from the term ratio, the rounding of every
     summed term, and the rounding of the Gamma prefactor and of a, b, c.
-    ``excess`` passes b when the caller has it more precisely than 2 - q
-    (``a_p_constant`` computes it from p); it defaults to 2 - q.
     """
     _check_q(q)
     _check_rho(rho)
-    if q > Q_BLOWUP_CUTOFF:
-        raise DomainError(
-            f"q = {q:g} is too close to 2: N(1) = A(p) diverges as p -> 2+ "
-            f"(supported region is q <= {Q_BLOWUP_CUTOFF})"
-        )
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if excess is not None and not 0.0 < excess <= 1.0:
-        raise DomainError(f"excess 2 - q must lie in (0, 1], got {excess}")
+    _check_boundary(q, tol)
     if rho == 1.0:
-        return _boundary_N(q, 2.0 - q if excess is None else excess, tol)
+        return _boundary_N(q, 2.0 - q, tol)
     spec = HypergeometricSpec(
         (0.5 * q, 0.5 * q, 1.0 + 0.5 * q), (1.0, 2.0 + 0.5 * q), rho * rho
     )
@@ -260,7 +258,7 @@ def h_coefficient(q: float, m: int) -> float:
 def a_p_constant(p: float, tol: float) -> SeriesValue:
     """The boundary constant A(p) = N_q(1) for q conjugate to p, p > 2.
 
-    Summed by ``profile_N`` through Thomae's relation, A(p) =
+    Summed by ``profile_N``'s route at rho = 1, Thomae's relation A(p) =
     Gamma(b)/Gamma(2-q/2)^2 3F2(-q/2, 1, b; 2-q/2, 2-q/2; 1).  The blow-up
     as p -> 2+ sits in Gamma(b), so b = 2 - q = (p-2)/(p-1) is computed
     from p rather than from the rounded q: near p = 2 that keeps the
@@ -273,7 +271,8 @@ def a_p_constant(p: float, tol: float) -> SeriesValue:
         raise DomainError(f"a_p_constant requires p > 2, got {p}")
     q = _conjugate_exponent(p)
     b = 1.0 if math.isinf(p) else (p - 2.0) / (p - 1.0)
-    result = profile_N(q, 1.0, tol, excess=b)
+    _check_boundary(q, tol)
+    result = _boundary_N(q, b, tol)
     ceiling = a_p_upper_bound(p)
     if result.value - result.tail_bound > ceiling:
         raise EvaluationError(

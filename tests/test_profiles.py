@@ -8,7 +8,6 @@ under test goes through the hypergeometric engine instead.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -253,10 +252,10 @@ def test_a_p_error_estimate_covers_frozen_reference(d):
 
 
 def test_a_p_refuses_an_unreachable_tolerance_at_once():
-    start = time.perf_counter()
     with pytest.raises(PrecisionError) as exc:
         pf.a_p_constant(3.0, 1e-17)
-    assert time.perf_counter() - start < 0.05
+    # the rounding floor is known after the first block, so no second one runs
+    assert exc.value.best.terms_used == 4097
     assert abs(exc.value.best.value - A_AT_3) <= exc.value.best.tail_bound
 
 
