@@ -20,6 +20,7 @@ from disknorms.operators import (
     dbar_identity_residual,
 )
 from disknorms.quadrature import AnnulusExclude, DiskRule, Mobius
+from disknorms.verify import VerifyConfig, run_suite
 
 
 def poly_field(coeffs):
@@ -33,6 +34,33 @@ def poly_field(coeffs):
         return out
 
     return f
+
+
+def dense_pairing(f, g, nr, na):
+    """(|lhs - rhs|, |lhs|) of the duality summed over the dense kernel.
+
+    The staggered tensor rule of ``adjoint_pairing_residual`` (Gauss-Legendre
+    radii, uniform angles; nr x na inner, (nr+5) x (na+16) outer) with one
+    division 1/(1 - conj(w) z) per pair of nodes, in blocks of outer rows.
+    """
+
+    def grid(nr, na):
+        x, w = np.polynomial.legendre.leggauss(nr)
+        t = 0.5 * (x + 1.0)
+        nodes = (t[:, None] * np.exp(2j * np.pi * np.arange(na) / na)).ravel()
+        return nodes, np.repeat(w * t / na, na)
+
+    w_in, wt_in = grid(nr, na)
+    z, wt_out = grid(nr + 5, na + 16)
+    fw = wt_in * f(w_in)
+    gw = wt_in * np.conj(w_in) * g(w_in)
+    lhs = rhs = 0.0
+    for lo in range(0, z.size, 256):
+        zc = z[lo : lo + 256]
+        kern = 1.0 / (1.0 - np.conj(w_in)[None, :] * zc[:, None])
+        lhs += np.sum(wt_out[lo : lo + 256] * zc * (kern @ fw) * np.conj(g(zc)))
+        rhs += np.sum(wt_out[lo : lo + 256] * f(zc) * np.conj(kern @ gw))
+    return abs(lhs - rhs), abs(lhs)
 
 
 def cauchy_monomial(j, k, z):
@@ -271,3 +299,28 @@ class TestAdjointPairing:
     def test_rejects_singular_rule(self):
         with pytest.raises(ConfigurationError):
             adjoint_pairing_residual(lambda w: w, lambda w: w, DiskRule(32, 64, Mobius(0.1)))
+
+    @pytest.mark.parametrize("nr, na", [(8, 16), (16, 48), (32, 64), (13, 37), (48, 96)])
+    def test_matches_dense_kernel_sum(self, nr, na):
+        # (48, 96) spans several blocks of inner rings in the FFT route
+        rng = np.random.default_rng(nr * 1000 + na)
+        for _ in range(3):
+            f, g = (
+                poly_field({(a, b): complex(*rng.normal(size=2)) for a in range(5) for b in range(5 - a)})
+                for _ in range(2)
+            )
+            dense, lhs = dense_pairing(f, g, nr, na)
+            res = adjoint_pairing_residual(f, g, DiskRule(nr, na))
+            assert abs(res - dense) <= 1e-12 * (1.0 + lhs), (res, dense)
+
+    def test_fine_rule(self):
+        rng = np.random.default_rng(128)
+        f, g = (
+            poly_field({(a, b): complex(*rng.normal(size=2)) for a in range(5) for b in range(5 - a)})
+            for _ in range(2)
+        )
+        assert adjoint_pairing_residual(f, g, DiskRule(128, 256)) <= 1e-6
+
+    def test_operators_suite_with_node_override(self):
+        rows = run_suite("operators", VerifyConfig(radial_nodes=64, angular_nodes=128))
+        assert rows and all(r.status == "PASS" for r in rows), [(r.label, r.status) for r in rows]
