@@ -44,7 +44,7 @@ from .quadrature import (
     _angles,
     _eval_nodes,
     _gauss01,
-    integrate_disk,
+    _tensor_integral,
     integrate_disk_singular,
     required_angular_nodes,
 )
@@ -132,9 +132,10 @@ def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None)
 
     ``rule=None`` builds a default rule for ``z``: angular nodes scale with
     the boundary distance, and the singular operators get a Mobius strategy
-    centered at ``z``.  Explicit rules are validated instead of silently
-    upgraded; too few angular nodes or a mismatched singularity center raise
-    ``ConfigurationError``.
+    centered at ``z``.  The rule's angular count is its outermost ring's;
+    for |z| > 0.9 inner rings get their own layer's count.  Explicit rules
+    are validated instead of silently upgraded; too few angular nodes or a
+    mismatched singularity center raise ``ConfigurationError``.
     """
     op = Operator(op)
     z = _check_point(op, z)
@@ -148,7 +149,7 @@ def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None)
 
         return integrate_disk_singular(combined, z, 1.0, rule)
 
-    inner = integrate_disk(_bounded_integrand(op, f, z), rule)
+    inner = _tensor_integral(_bounded_integrand(op, f, z), rule, z)
     if op is Operator.J0:
         return Integral(z * inner.value, abs(z) * inner.abs_error_estimate)
     return inner

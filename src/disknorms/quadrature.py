@@ -5,6 +5,17 @@ uniform trapezoid in angle.  Singular integrands get one of two dedicated
 strategies: a Mobius change of variables that flattens an |w - b|^{-s}
 singularity exactly, or exclusion of a small ball around b followed by
 Richardson extrapolation in the exclusion radius.
+
+A rule sized for a point z near the boundary (``DiskRule.for_point``) has
+the angular count of its outermost ring, where the kernel's boundary layer
+is thinnest.  Inner rings get their own layer's count instead: the trapezoid
+rule on a ring of radius r aliases a Fourier mode m with weight r^|m|, so a
+ring needs only about 64/log(1/r) angles (capped by the rule's count, and
+never fewer than the default 512) to push that weight below e^-64
+(Trefethen & Weideman, SIAM Review 2014).  Rules for |z| <= 0.9 keep the
+full count on every ring.  Fields are evaluated once per block of
+consecutive rings with equal counts, at most 2^13 nodes per call, so memory
+stays bounded at any distance from the boundary.
 """
 
 from __future__ import annotations
@@ -23,6 +34,12 @@ FieldFn = Callable[[complex], complex]
 DEFAULT_RADIAL = 256
 DEFAULT_ANGULAR = 512
 _EPS = 2.220446049250313e-16
+# points within this radius have no boundary layer to resolve
+_LAYER_FREE = 0.9
+# each ring's trapezoid aliasing weight is kept below e^-_LAYER_DECAY
+_LAYER_DECAY = 64.0
+# field nodes per call of the integrand
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -76,7 +93,11 @@ class DiskRule:
         angular_nodes: int = DEFAULT_ANGULAR,
         singular: bool = False,
     ) -> "DiskRule":
-        """Rule sized for kernels evaluated at z, resolving its boundary layer."""
+        """Rule sized for kernels evaluated at z, resolving its boundary layer.
+
+        The angular count is the outermost ring's; when |z| > 0.9 the sums
+        that are given z give each inner ring its own layer's count.
+        """
         angular = max(angular_nodes, required_angular_nodes(z))
         sing = Mobius(z) if singular else None
         return cls(radial_nodes, angular, sing)
@@ -89,12 +110,31 @@ class Integral:
 
 
 def required_angular_nodes(z: complex) -> int:
-    # kernels like 1/(1 - conj(w) z) concentrate in an angular layer of
-    # width ~(1-|z|) near the boundary
+    """Angular nodes the outermost ring needs for kernels evaluated at z.
+
+    Kernels like 1/(1 - conj(w) z) concentrate in an angular layer of width
+    ~(1-|z|) near the boundary.  Inner rings of radius r need fewer: they
+    get their own layer's count, see ``_ring_counts``.
+    """
     r = abs(z)
-    if r <= 0.9:
+    if r <= _LAYER_FREE:
         return 16
-    return max(16, int(math.ceil(64.0 / (1.0 - r))))
+    return max(16, int(math.ceil(_LAYER_DECAY / (1.0 - r))))
+
+
+def _ring_counts(r: np.ndarray, na: int, z: complex) -> np.ndarray:
+    """Angular nodes on rings of radius r, for a rule of na angles sized for z.
+
+    Ring r aliases Fourier mode m with weight r^|m| (the kernel's own modes
+    decay faster, like (r|z|)^|m|), so n >= 64/log(1/r) angles keep that
+    weight below e^-64; the count is capped by na, and never falls below
+    the default rule's.  Every ring keeps na when |z| <= 0.9.
+    """
+    if abs(z) <= _LAYER_FREE:
+        return np.full(r.size, na)
+    with np.errstate(divide="ignore"):
+        need = np.ceil(_LAYER_DECAY / np.log(1.0 / r))
+    return np.minimum(na, np.maximum(min(na, DEFAULT_ANGULAR), need)).astype(int)
 
 
 @lru_cache(maxsize=64)
@@ -103,12 +143,62 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _angles(n: int) -> np.ndarray:
-    return np.exp(2j * math.pi * np.arange(n) / n)
+def _angles(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Unit-circle trapezoid nodes lo..hi-1 of n."""
+    return np.exp(2j * math.pi * np.arange(lo, n if hi is None else hi) / n)
+
+
+def _ring_blocks(counts: np.ndarray):
+    """Blocks (rings, n, angles) of at most _BLOCK nodes covering a rule.
+
+    Consecutive rings with equal counts n share a block.  Rings with more
+    than _BLOCK angles are cut into angular chunks, taken chunk by chunk
+    across each run of equal rings so that neighbouring blocks share angles.
+    """
+    i, nr = 0, len(counts)
+    while i < nr:
+        n = int(counts[i])
+        j = i + 1
+        while j < nr and counts[j] == n:
+            j += 1
+        if n > _BLOCK:
+            for lo in range(0, n, _BLOCK):
+                for k in range(i, j):
+                    yield slice(k, k + 1), n, slice(lo, min(n, lo + _BLOCK))
+        else:
+            step = _BLOCK // n
+            for k in range(i, j, step):
+                yield slice(k, min(j, k + step)), n, slice(0, n)
+        i = j
+
+
+def _ring_means(
+    block: Callable[[slice, np.ndarray], np.ndarray], counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-ring means of block(rings, phase) and of its modulus.
+
+    phase holds the block's unit-circle nodes; block returns the integrand on
+    those rings as a (rings, angles) array.
+    """
+    sums = np.zeros(len(counts), dtype=complex)
+    mags = np.zeros(len(counts))
+    key = None
+    for rings, n, cols in _ring_blocks(counts):
+        if key != (n, cols.start):
+            key, phase = (n, cols.start), _angles(n, cols.start, cols.stop)
+        vals = block(rings, phase)
+        sums[rings] += vals.sum(axis=1)
+        mags[rings] += np.abs(vals).sum(axis=1)
+    return sums / counts, mags / counts
 
 
 def _eval_nodes(f: FieldFn, w: np.ndarray) -> np.ndarray:
-    """Evaluate f on a 1-d array of nodes, vectorized when f permits."""
+    """Evaluate f on an array of nodes, vectorized when f permits.
+
+    f sees the nodes as one flat array; the values come back in w's shape.
+    """
+    shape = w.shape
+    w = w.ravel()
     vals = None
     try:
         candidate = np.asarray(f(w))
@@ -129,20 +219,33 @@ def _eval_nodes(f: FieldFn, w: np.ndarray) -> np.ndarray:
     if bad.any():
         i = int(np.argmax(bad))
         raise EvaluationError(f"integrand not finite at node {complex(w[i]):.8g}")
-    return vals
+    return vals.reshape(shape)
 
 
-def _tensor_sum(f: FieldFn, nr: int, na: int) -> tuple[complex, float]:
+def _tensor_sum(f: FieldFn, nr: int, na: int, z: complex) -> tuple[complex, float]:
     # int f dA = sum_i 2 w_i r_i * (mean over angles of f(r_i e^{i theta}))
     r, wr = _gauss01(nr)
-    phase = _angles(na)
+    counts = _ring_counts(r, na, z)
+
+    def block(rings, phase):
+        return _eval_nodes(f, r[rings, None] * phase)
+
+    means, abs_means = _ring_means(block, counts)
     total = 0.0 + 0.0j
     abs_total = 0.0
-    for ri, wi in zip(r, wr):
-        vals = _eval_nodes(f, ri * phase)
-        total += 2.0 * wi * ri * complex(vals.mean())
-        abs_total += 2.0 * wi * ri * float(np.abs(vals).mean())
+    for ri, wi, mean, abs_mean in zip(r, wr, means, abs_means):
+        total += 2.0 * wi * ri * complex(mean)
+        abs_total += 2.0 * wi * ri * float(abs_mean)
     return total, abs_total
+
+
+def _tensor_integral(f: FieldFn, rule: DiskRule, z: complex) -> Integral:
+    """Tensor-product integral of f with rings sized for kernels at z."""
+    nr, na = rule.radial_nodes, rule.angular_nodes
+    value, abs_value = _tensor_sum(f, nr, na, z)
+    half, _ = _tensor_sum(f, max(nr // 2, 4), max(na // 2, 8), z)
+    estimate = abs(value - half) + 8.0 * _EPS * abs_value
+    return Integral(value, estimate)
 
 
 def integrate_disk(f: FieldFn, rule: DiskRule) -> Integral:
@@ -150,19 +253,15 @@ def integrate_disk(f: FieldFn, rule: DiskRule) -> Integral:
 
     The error estimate is the difference from the same integral at half the
     node counts, plus a roundoff floor; it is meaningful for integrands the
-    rule resolves, and a loud red flag otherwise.
+    rule resolves, and a loud red flag otherwise.  Every ring carries the
+    rule's full angular count.
     """
     if rule.singularity is not None:
         raise ConfigurationError(
             "integrate_disk handles smooth integrands only; use "
             "integrate_disk_singular for rules with a singularity strategy"
         )
-    value, abs_value = _tensor_sum(f, rule.radial_nodes, rule.angular_nodes)
-    half, _ = _tensor_sum(
-        f, max(rule.radial_nodes // 2, 4), max(rule.angular_nodes // 2, 8)
-    )
-    estimate = abs(value - half) + 8.0 * _EPS * abs_value
-    return Integral(value, estimate)
+    return _tensor_integral(f, rule, 0.0)
 
 
 def _mobius_sum(
@@ -171,22 +270,29 @@ def _mobius_sum(
     # w = (b - a)/(1 - conj(b) a) sends a = 0 to the singular point; the
     # Jacobian is (1-|b|^2)^2/|1 - conj(b) a|^4.  In polar a-coordinates the
     # radial weight becomes r^{1-s}, which the substitution r = t^{1/(2-s)}
-    # turns into the constant 2/(2-s).
+    # turns into the constant 2/(2-s).  The integrand's layer sits at
+    # a = 1/conj(b), so each ring of a-radius r gets its own count just as
+    # in the tensor rule.
     beta = 1.0 / (2.0 - s)
     t, wt = _gauss01(nr)
-    phase = _angles(na)
+    r = np.array([ti**beta for ti in t])
+    r_s = np.array([ri**s for ri in r])
+    counts = _ring_counts(r, na, b)
     one_minus_b2 = 1.0 - abs(b) ** 2
-    total = 0.0 + 0.0j
-    abs_total = 0.0
-    for ti, wi in zip(t, wt):
-        ri = ti**beta
-        a = ri * phase
+
+    def block(rings, phase):
+        a = r[rings, None] * phase
         denom = 1.0 - b.conjugate() * a
         w = (b - a) / denom
         jac = one_minus_b2**2 / np.abs(denom) ** 4
-        vals = _eval_nodes(f, w) * jac * ri**s
-        total += 2.0 * beta * wi * complex(vals.mean())
-        abs_total += 2.0 * beta * wi * float(np.abs(vals).mean())
+        return _eval_nodes(f, w) * jac * r_s[rings, None]
+
+    means, abs_means = _ring_means(block, counts)
+    total = 0.0 + 0.0j
+    abs_total = 0.0
+    for wi, mean, abs_mean in zip(wt, means, abs_means):
+        total += 2.0 * beta * wi * complex(mean)
+        abs_total += 2.0 * beta * wi * float(abs_mean)
     return total, abs_total
 
 
@@ -206,16 +312,19 @@ def _annulus_sum(
     if not active.any():
         return 0.0 + 0.0j
     t, wt = _gauss01(nr)
-    total = 0.0 + 0.0j
     phase_a = phase[active]
     span_a = span[active]
-    for ti, wi in zip(t, wt):
-        rho = eps * np.exp(ti * span_a)
-        w = b + rho * phase_a
-        vals = _eval_nodes(f, w)
+
+    sums = np.zeros(nr, dtype=complex)
+    for rings, _, cols in _ring_blocks(np.full(nr, span_a.size)):
+        rho = eps * np.exp(t[rings, None] * span_a[cols])
+        vals = _eval_nodes(f, b + rho * phase_a[cols])
         if absolute:
             vals = np.abs(vals)
-        total += (2.0 / na) * wi * complex(np.sum(span_a * vals * rho * rho))
+        sums[rings] += (span_a[cols] * vals * rho * rho).sum(axis=1)
+    total = 0.0 + 0.0j
+    for wi, ring in zip(wt, sums):
+        total += (2.0 / na) * wi * complex(ring)
     return total
 
 

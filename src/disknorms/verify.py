@@ -52,6 +52,7 @@ from .quadrature import (
     AnnulusExclude,
     DiskRule,
     Mobius,
+    _gauss01,
     integrate_disk,
     integrate_disk_singular,
 )
@@ -482,9 +483,7 @@ def suite_norms(cfg: VerifyConfig) -> List[ReportRow]:
         )
 
     def radial_lp(prof: Callable, p: float) -> float:
-        t, w = np.polynomial.legendre.leggauss(400)
-        t = 0.5 * (t + 1.0)
-        w = 0.5 * w
+        t, w = _gauss01(400)
         return float(np.sum(2.0 * w * t * prof(t) ** p)) ** (1.0 / p)
 
     def monomial_lp(a: int, b: int, p: float) -> float:

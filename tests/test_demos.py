@@ -1,4 +1,4 @@
-"""Smoke test: the catalog demos run to completion as scripts."""
+"""Smoke test: every demo runs to completion as a script."""
 
 import os
 import subprocess
@@ -9,8 +9,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-
-@pytest.mark.parametrize("script", ["01_norm_catalog.py", "06_interpolation_picture.py"])
+@pytest.mark.parametrize(
+    "script",
+    [
+        "01_norm_catalog.py",
+        "02_squeeze_the_cauchy_norm.py",
+        "03_boundary_limits.py",
+        "04_mode_analysis.py",
+        "05_counterexamples.py",
+        "06_interpolation_picture.py",
+    ],
+)
 def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -324,3 +324,108 @@ class TestAdjointPairing:
     def test_operators_suite_with_node_override(self):
         rows = run_suite("operators", VerifyConfig(radial_nodes=64, angular_nodes=128))
         assert rows and all(r.status == "PASS" for r in rows), [(r.label, r.status) for r in rows]
+
+
+class CountingField:
+    """Polynomial field recording the number of nodes of every call."""
+
+    def __init__(self, coeffs):
+        self.f = poly_field(coeffs)
+        self.sizes = []
+
+    def __call__(self, w):
+        self.sizes.append(np.size(w))
+        return self.f(w)
+
+
+NEAR_RADII = (0.99, 0.999, 0.9999)
+NEAR_ANGLES = (0.7, 2.9)
+C_POLE = 0.999  # fields singular at w = 1/C_POLE, just outside the disk
+
+# Cases whose error exceeds the full-minus-half estimate with the default
+# rule.  Neither is an angular effect: bergman's error stays near 1.5e-13
+# with 384 or 512 radial nodes, above the estimate's 8 eps * (integral of
+# |integrand|) rounding floor; cdelta's falls to 1e-4 with 512 and 5e-11
+# with 1024 radial nodes, while the 256/128 difference stays below it.
+ESTIMATE_MISSES = {
+    ("bergman", 0.9999, 2.9): "rounding floor too small: error 1.6e-13, estimate 1.1e-13",
+    ("cdelta", 0.9999, 0.7): "radial layer unresolved: error 0.0295, estimate 0.0279",
+}
+
+
+def _near_cases(ops):
+    return [
+        pytest.param(
+            op, radius, angle,
+            marks=pytest.mark.xfail(strict=True, reason=ESTIMATE_MISSES[op.value, radius, angle])
+            if (op.value, radius, angle) in ESTIMATE_MISSES else (),
+        )
+        for op in ops
+        for radius in NEAR_RADII
+        for angle in NEAR_ANGLES
+    ]
+
+
+def _near_closed_form(op, z):
+    x = C_POLE * z
+    if op is Operator.J0:
+        return lambda w: 1.0 / (1.0 - C_POLE * w), -np.log(1.0 - x) / C_POLE
+    if op is Operator.J0_STAR:
+        return lambda w: w / (1.0 - C_POLE * w), (-np.log(1.0 - x) - x) / x**2
+    return lambda w: 1.0 / (1.0 - C_POLE * w), 1.0 / (1.0 - x)
+
+
+class TestNearBoundary:
+    """Default rules at |z| -> 1 against closed-form images."""
+
+    @pytest.mark.parametrize("op, radius, angle", _near_cases([Operator.J0, Operator.J0_STAR, Operator.BERGMAN]))
+    def test_bounded_images_of_boundary_singular_fields(self, op, radius, angle):
+        # j0 1/(1-cw) = -log(1-cz)/c, j0star w/(1-cw) = (-log(1-x)-x)/x^2
+        # with x = cz, bergman 1/(1-cw) = 1/(1-cz)
+        z = radius * complex(math.cos(angle), math.sin(angle))
+        f, want = _near_closed_form(op, z)
+        got = apply(op, f, z)
+        assert abs(got.value - want) <= got.abs_error_estimate, (got, want)
+
+    @pytest.mark.parametrize("op, radius, angle", _near_cases([Operator.CAUCHY, Operator.C_DELTA]))
+    def test_singular_images_of_seeded_polynomials(self, op, radius, angle):
+        # cdelta = j0star - cauchy, both from the monomial oracles
+        rng = np.random.default_rng(int(radius * 1e4) + int(10 * angle))
+        coeffs = {(a, b): complex(*rng.normal(size=2)) for a in range(5) for b in range(5 - a)}
+        z = radius * complex(math.cos(angle), math.sin(angle))
+        want = sum(c * cauchy_monomial(a, b, z) for (a, b), c in coeffs.items())
+        if op is Operator.C_DELTA:
+            want = sum(c * j0star_monomial(a, b, z) for (a, b), c in coeffs.items()) - want
+        got = apply(op, poly_field(coeffs), z)
+        assert abs(got.value - want) <= got.abs_error_estimate, (got, want)
+
+
+class TestWork:
+    """Field nodes per apply with the default rule, counted by the field."""
+
+    COEFFS = {(a, b): 1.0 + 0.5j for a in range(5) for b in range(5 - a)}
+
+    @pytest.mark.parametrize("op", list(Operator))
+    def test_full_count_away_from_the_boundary(self, op):
+        # 256 x 512 plus the 128 x 256 half rule, on every ring
+        for z in (0.0, 0.5j, -0.9):
+            f = CountingField(self.COEFFS)
+            apply(op, f, z)
+            assert sum(f.sizes) == 163_840, (op, z)
+            assert max(f.sizes) <= 8192
+
+    @pytest.mark.parametrize("op", [Operator.J0, Operator.CAUCHY])
+    def test_inner_rings_get_their_own_count(self, op):
+        # a uniform count would put 640001 angles on all 384 rings (2.05e8
+        # nodes); j0 runs the tensor rule, cauchy the Mobius rule
+        f = CountingField(self.COEFFS)
+        apply(op, f, 0.9999j)
+        assert sum(f.sizes) < 4e6
+        assert max(f.sizes) <= 8192
+
+    def test_memory_stays_bounded_at_the_margin(self):
+        # |z| = 1 - 1e-6: a uniform count would be 64,000,000 angles per ring
+        f = CountingField(self.COEFFS)
+        apply(Operator.J0, f, 1.0 - 1e-6)
+        assert max(f.sizes) <= 8192
+        assert sum(f.sizes) < 6e6

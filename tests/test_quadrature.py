@@ -10,9 +10,12 @@ import pytest
 from disknorms import profiles as pf
 from disknorms.errors import ConfigurationError, DomainError, EvaluationError
 from disknorms.quadrature import (
+    DEFAULT_ANGULAR,
     AnnulusExclude,
     DiskRule,
     Mobius,
+    _gauss01,
+    _ring_counts,
     integrate_disk,
     integrate_disk_singular,
     required_angular_nodes,
@@ -221,3 +224,70 @@ def test_truncated_boundary_center():
     vals = truncated_singular_integral(f, 1.0, [0.2, 0.1], DiskRule(64, 256))
     # excluded lens area vanishes like eps^2, so values approach 1 from below
     assert 0.9 < vals[0] < vals[1] < 1.0
+
+
+class CountingField:
+    """Wrap a field and record the number of nodes of every call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+
+    def __call__(self, w):
+        self.sizes.append(np.size(w))
+        return self.f(w)
+
+
+RING_POINTS = [0.0, 0.5, 0.9, 0.9 + 1e-12, 0.93j, -0.95, 0.99, 0.995 + 0j, 0.999j, 0.9999, 1.0 - 1e-6]
+
+
+@pytest.mark.parametrize("nr", [8, 37, 128, 256])
+def test_ring_counts_keep_every_ring_resolved(nr):
+    # Ring r aliases field modes with weight r^n and kernel modes with
+    # (r|z|)^n; no ring may alias more than with the full count na, unless
+    # its weight is already below e^-64.  Mobius rules place the rings at
+    # a-radius t^beta.
+    t, _ = _gauss01(nr)
+    for z in RING_POINTS:
+        full = DiskRule.for_point(z).angular_nodes
+        for na in {16, 100, DEFAULT_ANGULAR, required_angular_nodes(z), full // 2, full, 3 * full}:
+            for beta in (1.0, 2.0 / 3.0, 2.0):
+                r = t**beta
+                counts = _ring_counts(r, na, z)
+                assert counts.shape == r.shape
+                assert np.all(counts <= na)
+                assert np.all(counts >= min(na, DEFAULT_ANGULAR))
+                if abs(z) <= 0.9:
+                    assert np.all(counts == na), (z, na)
+                    continue
+                for x in (r, r * abs(z)):
+                    log_x = np.log(x)
+                    assert np.all(counts * log_x <= np.maximum(na * log_x, -64.0) + 1e-9), (z, na, beta)
+
+
+def test_ring_counts_shrink_inner_rings_near_the_boundary():
+    r, _ = _gauss01(256)
+    counts = _ring_counts(r, required_angular_nodes(0.995), 0.995)
+    assert counts[0] == DEFAULT_ANGULAR and counts[-1] == 12800
+    assert np.all(np.diff(counts) >= 0)
+    assert counts.sum() < 256 * 12800 / 8
+
+
+def test_integrate_disk_keeps_the_full_count_on_every_ring():
+    f = CountingField(lambda w: w * np.conj(w))
+    got = integrate_disk(f, DiskRule(16, 32))
+    assert sum(f.sizes) == 16 * 32 + 8 * 16
+    assert abs(got.value - 0.5) <= 1e-14
+
+
+def test_rings_wider_than_a_block_are_summed_in_chunks():
+    # 20000 angles per ring: each ring is split into angular chunks of at
+    # most 8192 nodes, in the tensor rule and in annulus exclusion alike
+    f = CountingField(lambda w: (w * np.conj(w)) ** 2 + w**3)
+    got = integrate_disk(f, DiskRule(8, 20000))
+    assert abs(got.value - 1.0 / 3.0) <= 1e-13
+    assert max(f.sizes) <= 8192 and sum(f.sizes) == 8 * 20000 + 4 * 10000
+    one = CountingField(lambda w: np.ones_like(w))
+    vals = truncated_singular_integral(one, 0.3, [0.1], DiskRule(16, 20000))
+    assert abs(vals[0] - 0.99) <= 1e-12
+    assert max(one.sizes) <= 8192 and sum(one.sizes) == 16 * 20000
