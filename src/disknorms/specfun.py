@@ -3,6 +3,12 @@
 Log-gamma and Pochhammer plumbing, generalized hypergeometric series with
 explicit tail bounds, the smallest Bessel J0 zero, Catalan's constant, and
 Riemann zeta.  Everything here is pure and thread-safe.
+
+Hypergeometric series below unit argument are summed in numpy blocks: the
+exact term ratio of a whole block is formed in one expression and the terms
+are its cumulative product, carried on from the block before.  The tail
+bound is built from that ratio (a geometric tail once the ratio is provably
+monotone) plus a count of every rounding behind the summed terms.
 """
 
 from __future__ import annotations
@@ -11,11 +17,26 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import ConvergenceError, DivergenceError, DomainError, PrecisionError
 
 TERM_CAP = 10_000_000
 _MIN_TERMS = 50
 _EPS = 2.220446049250313e-16
+
+# Interior series are summed in numpy blocks of 64 terms doubling to 2^14.
+# Roundings behind the bound, each counted as eps (twice the unit roundoff,
+# which also covers the higher-order terms): a term t_n carries n ratios,
+# and each ratio step costs one rounding per parameter shift (a+n, b+n), one
+# per product with x, a or b, one division and one in the cumulative
+# product, 2(p+q) + 2 in all; a term of the j-th block has also passed
+# through j products with a block's carry; numpy's pairwise sum of a block
+# of at most 2^14 terms needs at most 25 roundings (32 are counted).
+_FIRST_BLOCK = 64
+_LAST_BLOCK = 1 << 14
+_RATIO_ROUNDINGS = 2
+_SUM_ROUNDINGS = 32
 
 
 @dataclass(frozen=True)
@@ -166,48 +187,98 @@ def _sum_unit_argument(upper, lower, tol):
                 )
 
 
-def _sum_interior(upper, lower, x, tol):
-    partial = 0.0
-    abs_sum = 0.0
-    log_t = 0.0
-    sign = 1.0
-    n = 0
-    prev_abs_t = math.inf
+def _sum_blocked(upper, lower, x, tol):
+    """Sum pFq(upper; lower; x) for p <= q + 1 in numpy blocks (see hyp_pfq).
+
+    R bounds every ratio past n because, once a+n and c+n are positive,
+    each factor (a+m)/(c+m) is monotone in m and so stays below
+    max((a+n)/(c+n), 1); a lower parameter left unpaired gives 1/(c+n).
+    """
+    denominators = sorted(lower + (1.0,))
+    pairs = list(zip(sorted(upper), denominators))
+    unpaired = denominators[len(pairs):]
+    # an upper parameter -k makes t_k the last nonzero term
+    stops = [int(-a) for a in upper if a <= 0.0 and a == int(a)]
+    last = min(stops) if stops else math.inf
+    if x == 0.0 or last == 0:
+        return SeriesValue(1.0, 1, 0.0)
+    settled = max(-c for c in upper + tuple(denominators))
+    roundings = _RATIO_ROUNDINGS + 2 * (len(upper) + len(lower))
+    total = carry = 1.0  # t_0
+    n0 = 0  # index of the last summed term
+    size = _FIRST_BLOCK
+    blocks = 0
+    sum_err = 0.0  # roundings of the carries, block sums and their total
+    weighted = 0.0  # sum of n |t_n|: t_n carries n ratios
     while True:
-        t = sign * math.exp(log_t)
-        partial += t
-        abs_sum += abs(t)
-        log_r, flip = _term_ratio_log(upper, lower, n)
-        if log_r is None:
-            return SeriesValue(partial, n + 1, 4.0 * _EPS * abs_sum)
-        ratio = math.exp(log_r) * x
-        log_t += log_r + (math.log(x) if x > 0 else -math.inf)
-        sign *= flip
-        abs_t = abs(t) * ratio
-        n += 1
-        if x == 0.0:
-            return SeriesValue(partial, n, 0.0)
-        if n >= _MIN_TERMS and ratio < 1.0 and abs_t <= prev_abs_t:
-            rho = max(x, ratio)
-            tail = 2.0 * abs_t / (1.0 - rho) + 4.0 * _EPS * abs_sum
-            if tail <= tol * max(1.0, abs(partial)):
-                return SeriesValue(partial, n, tail)
-        prev_abs_t = abs_t
-        if n > TERM_CAP:
-            tail = 2.0 * abs_t / max(1.0 - x, _EPS) + 4.0 * _EPS * abs_sum
+        blocks += 1
+        n = np.arange(n0, min(n0 + size, last), dtype=float)
+        num = np.full(len(n), x)
+        for a in upper:
+            num *= a + n
+        den = n + 1.0
+        for b in lower:
+            den *= b + n
+        terms = carry * np.cumprod(num / den)  # t_{n0+1} .. t_{n0+len(n)}
+        mags = np.abs(terms)
+        total += float(terms.sum())
+        sum_err += (_SUM_ROUNDINGS + blocks) * float(mags.sum()) + abs(total)
+        weighted += float(np.dot(n + 1.0, mags))
+        n0 += len(n)
+        carry = float(terms[-1])
+        floor = _EPS * (sum_err + roundings * weighted)
+        tail = math.inf
+        if n0 == last:
+            tail = 0.0
+        elif n0 > settled:
+            # R, raised past the roundings of its own evaluation
+            ratio_sup = x
+            for a, c in pairs:
+                ratio_sup *= max((a + n0) / (c + n0), 1.0)
+            for c in unpaired:
+                ratio_sup /= c + n0
+            ratio_sup *= 1.0 + roundings * _EPS
+            if ratio_sup < 1.0:
+                tail = abs(carry) * ratio_sup / (1.0 - ratio_sup)
+                tail *= 1.0 + _EPS * (roundings * n0 + blocks + 4)
+        bound = tail + floor
+        target = tol * max(1.0, abs(total))
+        if bound <= target:
+            return SeriesValue(total, n0 + 1, bound)
+        # Every later term adds at least roundings * (n0+1) * eps times its
+        # size to the floor and at most its size to |value|, so once that
+        # rate reaches tol, or once the tail is bounded, a floor above the
+        # target can never fall below it again.
+        hopeless = floor > target and (
+            roundings * _EPS * (n0 + 1) >= tol
+            or floor > tol * max(1.0, abs(total) + tail)
+        )
+        if hopeless or not math.isfinite(floor) or n0 + 1 > TERM_CAP:
             raise PrecisionError(
-                f"tolerance {tol:g} unreachable within {TERM_CAP} terms",
-                best=SeriesValue(partial, n, tail),
+                f"tolerance {tol:g} unreachable: bound {bound:g} after "
+                f"{n0 + 1} terms, rounding floor {floor:g}",
+                best=SeriesValue(total, n0 + 1, bound),
             )
+        size = min(2 * size, _LAST_BLOCK)
 
 
 def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
     """Sum pFq(upper; lower; x) for x in [0, 1] with an honest tail bound.
 
-    Terms are accumulated through log-space Pochhammer ratios (signs tracked
-    separately).  At x = 1 with p = q + 1 the partial sums converge like
-    N^{1-s}; they are checkpointed at doubling term counts and accelerated
-    with iterated Aitken delta-squared before bounding.
+    Below unit argument (and for p < q + 1 at x = 1) the terms are built in
+    numpy blocks of 64 to 2^14 as cumulative products of the exact ratio
+    x prod(a+n) / (prod(b+n) (n+1)); signs follow from the signed factors.
+    Once n exceeds every negative parameter the ratio is bounded for good by
+    R = x prod max((a+n)/(c+n), 1), pairing the sorted upper parameters with
+    the sorted (lower..., 1), and the tail past t_n is at most |t_n| R/(1-R).
+    tail_bound adds that to a rounding floor counting every rounding of the
+    running product and of the block sums.  A tolerance that the floor alone
+    provably exceeds raises PrecisionError at once, with the partial sum as
+    ``best``.  A series with an upper parameter -k stops after k+1 terms.
+
+    At x = 1 with p = q + 1 the partial sums converge like N^{1-s}; they are
+    checkpointed at doubling term counts and accelerated with iterated
+    Aitken delta-squared before bounding.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -218,7 +289,7 @@ def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
         )
     if x == 1.0 and p == q + 1:
         return _sum_unit_argument(spec.upper, spec.lower, tol)
-    return _sum_interior(spec.upper, spec.lower, x, tol)
+    return _sum_blocked(spec.upper, spec.lower, x, tol)
 
 
 def gauss_2f1_at_1(a: float, b: float, c: float) -> float:

@@ -19,6 +19,7 @@ from disknorms.specfun import catalan_constant, gauss_2f1_at_1, ln_gamma
 # mpmath references, 30 dps
 APM_RHO1_B03 = 1.3164560621300047185  # Gamma(0.4)/Gamma(0.7)^2
 K_3_AT_03 = 3.930404762413530342
+K_INF_AT_099 = 1.3094960708589625710  # 2(1-t) 2F1(1/2,3/2;1;t), t = 0.99*0.99
 M_1_AT_099 = 1.2368164808754954355
 N_32_AT_07 = 0.71337986451723738984  # N_q(0.7), q = 3/2
 A_AT_3 = 1.5762267609646316533
@@ -37,6 +38,12 @@ A_CALIBRATION = {
     1e3: 0.901867741341992383152478121309,
     1e6: 0.901432129813731648027363874393,
     math.inf: 0.901431694245428231814536439682,  # (1+2*Catalan)/pi
+}
+# Gauss's sum Gamma(1-2 beta)/Gamma(1-beta)^2 at the float beta, 40 dps
+APM_RHO1 = {
+    0.05: 1.00444851465335997534345852427,
+    0.3: 1.31645606213000467933665868942,
+    0.45: 3.64242962912685366396669614662,
 }
 F1_LIMIT = {
     1.0: 0.63661977236758134308,
@@ -81,6 +88,28 @@ def test_angular_power_mean_boundary():
         pf.angular_power_mean(0.5, 0.0, 1e-9)
     with pytest.raises(DomainError):
         pf.angular_power_mean(1.2, 0.4, 1e-9)
+
+
+@pytest.mark.parametrize("beta", list(APM_RHO1), ids=str)
+def test_angular_power_mean_at_rho_1_is_gauss_sum_within_bound(beta):
+    got = pf.angular_power_mean(1.0, beta, 1e-12)
+    assert got.terms_used == 0  # closed form, no series
+    assert abs(got.value - APM_RHO1[beta]) <= got.tail_bound <= 1e-13 * got.value
+
+
+def test_profile_K_refuses_where_rounding_outgrows_the_tolerance():
+    # Near rho = 1 the interior series behind K needs about 1/(1-rho^2)
+    # terms, and its rounding floor grows with them past K's 1e-12
+    # tolerance; the refusal comes after a few short blocks
+    with pytest.raises(PrecisionError) as exc:
+        pf.profile_K(3.0, 1.0 - 1e-7)
+    best = exc.value.best
+    assert math.isfinite(best.value) and best.terms_used < 10_000
+    # q = 1 at 1 - 1e-5: an answer would be off by about 2e-12 relative
+    with pytest.raises(PrecisionError):
+        pf.profile_K(math.inf, 1.0 - 1e-5)
+    # the same profile still answers at 0.99 (the verify grids stop there)
+    assert pf.profile_K(math.inf, 0.99) == pytest.approx(K_INF_AT_099, rel=1e-12)
 
 
 def test_profile_K_at_center():

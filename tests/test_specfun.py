@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import disknorms.specfun as sf
 from disknorms.errors import (
@@ -30,6 +31,68 @@ F32_INTERIOR = 1.2001300859472029691  # 3F2(1/2,1/2,3/2;1,5/2;0.81)
 F32_UNITY_Q32 = 2.7583968316881053933  # 3F2(1+q/2,q/2,q/2;1,2+q/2;1), q=3/2
 F32_UNITY_Q43 = 1.9965774666745873181  # same, q=4/3
 F21_UNITY_SLOW = 3.642429629126853664  # 2F1(0.45,0.45;1;1), decay exponent 1.1
+
+# The interior series behind the profiles, at x = rho*rho (the float
+# product), mpmath 40 dps quoted to 30 digits:
+#   F: 2F1(1-q/2, 2-q/2; 1; x), M: 2F1(q/2, q/2; 2; x),
+#   N: 3F2(q/2, q/2, 1+q/2; 1, 2+q/2; x)
+SERIES_CALIBRATION = {
+    ("F", 1.0, 0.5): 1.24562061022359215485466937489,
+    ("M", 1.0, 0.5): 1.03463161844536667881096600154,
+    ("N", 1.0, 0.5): 1.04187174315196499438486496650,
+    ("F", 1.0, 0.9): 3.92592374223998590887691034167,
+    ("M", 1.0, 0.9): 1.16068000761530241277048089145,
+    ("N", 1.0, 0.9): 1.20013008594720296905624730834,
+    ("F", 1.0, 0.99): 32.9019113281145898835928484930,
+    ("M", 1.0, 0.99): 1.24930957664191455522613981133,
+    ("N", 1.0, 0.99): 1.31846210214113980708821537447,
+    ("F", 1.0, 0.999): 319.741216973774049403678525518,
+    ("M", 1.0, 0.999): 1.26942073927333707596043650639,
+    ("N", 1.0, 0.999): 1.34665342490964865651852306660,
+    ("F", 1.0, 0.9999): 3184.89581126071952975148384321,
+    ("M", 1.0, 0.9999): 1.27271170288821092422592198587,
+    ("N", 1.0, 0.9999): 1.35137941375167124922562395845,
+    ("F", 1.5, 0.5): 1.09542361454143779234151883531,
+    ("M", 1.5, 0.5): 1.08100501354207885065469887764,
+    ("N", 1.5, 0.5): 1.10460197496998227680096874577,
+    ("F", 1.5, 0.9): 1.75724382802833732385404419391,
+    ("M", 1.5, 0.9): 1.44809316548250213035428752327,
+    ("N", 1.5, 0.9): 1.61502137031503555595088392696,
+    ("F", 1.5, 0.99): 4.38723052174129525739173458147,
+    ("M", 1.5, 0.99): 1.86665057529606492425107806296,
+    ("N", 1.5, 0.99): 2.26571212882392488638757824758,
+    ("F", 1.5, 0.999): 12.6446724871044265638866146759,
+    ("M", 1.5, 0.999): 2.05650537137501294218011175728,
+    ("N", 1.5, 0.999): 2.58374228014460472069464881430,
+    ("F", 1.5, 0.9999): 38.7262760241345804974695686808,
+    ("M", 1.5, 0.9999): 2.12450470179956965228409500173,
+    ("N", 1.5, 0.9999): 2.70101646363433292742243717404,
+    ("F", 1.75, 0.5): 1.04162604035707420718600503774,
+    ("M", 1.75, 0.5): 1.11270246795405944565047692806,
+    ("N", 1.75, 0.5): 1.14980334845156691404705142190,
+    ("F", 1.75, 0.9): 1.27870792486546309921602386756,
+    ("M", 1.75, 0.9): 1.69450876721185208709178804459,
+    ("N", 1.75, 0.9): 2.00151936732493463257008247229,
+    ("F", 1.75, 0.99): 1.87376159123658829450907828344,
+    ("M", 1.75, 0.99): 2.59038291768358533841918415105,
+    ("N", 1.75, 0.99): 3.50516439217540298793086590099,
+    ("F", 1.75, 0.999): 2.93214793180341494618036904606,
+    ("M", 1.75, 0.999): 3.22172884684643524487262950819,
+    ("N", 1.75, 0.999): 4.65175112052799225957475930832,
+    ("F", 1.75, 0.9999): 4.81301017787089117433906143719,
+    ("M", 1.75, 0.9999): 3.59785824361912818107906394401,
+    ("N", 1.75, 0.9999): 5.35176644422967420419069509473,
+}
+
+
+def _profile_series(name, q, rho):
+    half = 0.5 * q
+    upper, lower = {
+        "F": ((1.0 - half, 2.0 - half), (1.0,)),
+        "M": ((half, half), (2.0,)),
+        "N": ((half, half, 1.0 + half), (1.0, 2.0 + half)),
+    }[name]
+    return sf.HypergeometricSpec(upper, lower, rho * rho)
 
 
 def test_ln_gamma_matches_factorials():
@@ -93,6 +156,87 @@ def test_hyp_pfq_zero_argument_and_terminating():
     r = sf.hyp_pfq(sf.HypergeometricSpec((-2.0, 1.0), (1.0,), 0.3), 1e-12)
     assert r.terms_used == 3
     assert r.value == pytest.approx(0.49, abs=1e-14)
+
+
+@pytest.mark.parametrize("key", list(SERIES_CALIBRATION), ids=str)
+def test_interior_tail_bound_covers_frozen_reference(key):
+    got = sf.hyp_pfq(_profile_series(*key), 1e-10)
+    ref = SERIES_CALIBRATION[key]
+    assert abs(got.value - ref) <= got.tail_bound <= 1e-10 * max(1.0, abs(ref))
+
+
+def test_interior_work_is_whole_blocks():
+    # blocks of 64, 128, ... terms after t_0: rho = 0.5 needs only the first
+    got = sf.hyp_pfq(_profile_series("N", 1.5, 0.5), 1e-12)
+    assert got.terms_used == 65
+    got = sf.hyp_pfq(_profile_series("M", 1.5, 0.9), 1e-12)
+    assert got.terms_used == 1 + 64 + 128
+    # blocks stop doubling at 2^14 terms: 64 + ... + 2^14 and one more
+    got = sf.hyp_pfq(_profile_series("M", 1.0, 0.9999), 1e-10)
+    assert got.terms_used == 1 + (2**15 - 64) + 2**14
+
+
+def test_interior_sign_changes_and_lower_order_series():
+    # 2F1(-1/2, 3/2; 1; x): t_1 < 0 and every later term keeps that sign
+    r = sf.hyp_pfq(sf.HypergeometricSpec((-0.5, 1.5), (1.0,), 0.49), 1e-13)
+    assert abs(r.value - F21_NEG_UPPER) <= r.tail_bound <= 1e-13
+    # 0F1(; 3/2; x^2/4) = sinh(x)/x; p < q + 1 also sums at x = 1
+    r = sf.hyp_pfq(sf.HypergeometricSpec((), (1.5,), 0.25), 1e-14)
+    assert abs(r.value - math.sinh(1.0)) <= r.tail_bound + 1e-16
+    r = sf.hyp_pfq(sf.HypergeometricSpec((), (1.5,), 1.0), 1e-14)
+    assert abs(r.value - math.sinh(2.0) / 2.0) <= r.tail_bound + 2e-16
+
+
+def test_interior_refuses_an_unreachable_tolerance_at_once():
+    # the rounding floor of 2F1(1/2, 3/2; 1; x) near x = 1 is about
+    # 8 eps/(1-x) relative, far above 1e-12; the refusal comes after a
+    # handful of blocks, not after TERM_CAP terms
+    spec = sf.HypergeometricSpec((0.5, 1.5), (1.0,), 1.0 - 2e-7)
+    with pytest.raises(PrecisionError) as exc:
+        sf.hyp_pfq(spec, 1e-12)
+    best = exc.value.best
+    assert best.terms_used < 10_000
+    assert math.isfinite(best.value) and best.tail_bound > 1e-12 * best.value
+
+
+def test_interior_term_cap_carries_best(monkeypatch):
+    monkeypatch.setattr(sf, "TERM_CAP", 300)
+    with pytest.raises(PrecisionError) as exc:
+        sf.hyp_pfq(sf.HypergeometricSpec((0.5, 0.5), (1.0,), 0.999), 1e-12)
+    best = exc.value.best
+    assert best.terms_used > 300
+    assert math.isfinite(best.value) and best.tail_bound > 1e-12
+
+
+# multiples of 1/64, so that c-a, c-b and a+b-c are exact floats and both
+# sides of each identity are series with exactly the stated parameters
+PARAMETER = st.integers(min_value=1, max_value=256).map(lambda k: k / 64.0)
+ARGUMENT = st.floats(min_value=0.0, max_value=0.999)
+
+
+def _series(upper, lower, x):
+    got = sf.hyp_pfq(sf.HypergeometricSpec(upper, lower, x), 1e-8)
+    return got.value, got.tail_bound
+
+
+def _product(left, right):
+    (u, du), (v, dv) = left, right
+    value = u * v
+    return value, abs(u) * dv + abs(v) * du + du * dv + 2.0 * sf._EPS * abs(value)
+
+
+def _overlap(left, right):
+    return abs(left[0] - right[0]) <= left[1] + right[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(PARAMETER, PARAMETER, PARAMETER, ARGUMENT)
+def test_interior_brackets_agree_across_identities(a, b, c, x):
+    # 2F1(a, b; b; x) = 1F0(a;; x) = (1-x)^-a
+    assert _overlap(_series((a, b), (b,), x), _series((a,), (), x))
+    # Euler: 2F1(a, b; c; x) = 1F0(a+b-c;; x) 2F1(c-a, c-b; c; x)
+    euler = _product(_series((a + b - c,), (), x), _series((c - a, c - b), (c,), x))
+    assert _overlap(_series((a, b), (c,), x), euler)
 
 
 def test_hyp_pfq_unit_argument_accelerated():
