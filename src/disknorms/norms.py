@@ -36,13 +36,14 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, UnsupportedQueryError
+from .errors import DomainError, UnsupportedQueryError
 from .operators import Operator, apply
 from .profiles import a_p_constant, profile_K, profile_M, profile_N
 from .quadrature import (
     DiskRule,
     FieldFn,
     Integral,
+    _eval_nodes,
     _gauss01,
     integrate_disk_singular,
     truncated_singular_integral,
@@ -427,18 +428,6 @@ def lower_bound_via_extremal(
     )
 
 
-def _eval_radial(f: Callable, t: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(t), dtype=complex)
-        if vals.shape != t.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.asarray([complex(f(float(x))) for x in t])
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("radial profile not finite on the quadrature grid")
-    return vals
-
-
 def mode_reduce(d: int, f_d: Callable) -> ModeReduction:
     """Reduce the operator's action on the angular mode d to one coefficient."""
     if not isinstance(d, (int, np.integer)):
@@ -447,7 +436,7 @@ def mode_reduce(d: int, f_d: Callable) -> ModeReduction:
     if d < 1:
         return ModeReduction(d, 0.0)
     t, w = _gauss01(256)
-    vals = _eval_radial(f_d, t)
+    vals = _eval_nodes(f_d, t)
     moment = complex(np.sum(w * t ** (d + 1) * vals))
     coefficient = 2.0 * moment
     if abs(coefficient.imag) <= 1e-13 * max(1.0, abs(coefficient)):

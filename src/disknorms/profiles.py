@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import DivergenceError, DomainError, EvaluationError, PrecisionError
+from .errors import DivergenceError, DomainError, EvaluationError
 from .specfun import (
-    TERM_CAP,
+    _EPS,
     HypergeometricSpec,
     SeriesValue,
     gamma_sign,
@@ -22,6 +20,7 @@ from .specfun import (
     hyp_pfq,
     ln_gamma,
     riemann_zeta,
+    _sum_unit_argument,
 )
 
 _INTERNAL_TOL = 1e-12
@@ -130,76 +129,16 @@ def profile_M(q: float, rho: float) -> float:
     return rho**q * body
 
 
-# Thomae's boundary series of N is summed in numpy blocks of this many terms.
-# Roundings behind its bound: each term passes through at most 10 in the
-# running product (8 for the ratio (n-a)(n+b)/(n+c)^2, 1 for the product, 1
-# for the block's carry) and at most 32 in numpy's pairwise block sum (it
-# needs 23 for 4096 terms); 64 relative roundings cover the Gamma prefactor
-# (math.gamma is good to 3 ulps on (0, 2]) and the roundings of a, b and c.
-_BLOCK = 4096
-_PRODUCT_ROUNDINGS = 10
-_SUM_ROUNDINGS = 32
-_PREFACTOR_ROUNDINGS = 64
-_EPS = 2.220446049250313e-16
-
-
 def _boundary_N(q: float, b: float, tol: float) -> SeriesValue:
     """N_q(1) through Thomae's relation, b = 2 - q.
 
     N_q(1) = Gamma(b)/Gamma(c)^2 3F2(-a, 1, b; c, c; 1) with a = q/2 and
-    c = a + b.  The 3F2 terms t_n have the ratio r(n) = (n-a)(n+b)/(n+c)^2,
-    keep one (negative) sign after t_0 = 1 and decay like n^-s, s = 3a + b.
-    They are built block by block as a running product.  The tail past the
-    last summed term is bracketed against g_n = Gamma(n+beta)/Gamma(n+beta+s):
-    its ratio (n+beta)/(n+beta+s) matches r(n) through the 1/n^2 term, its
-    tail from N sums exactly to g_N (N+beta+s-1)/(s-1), and t_n/g_n moves by
-    at most a factor exp(+-drift) past N, where drift bounds the summed
-    remainders |log r(n) - log(g_{n+1}/g_n)| = O(n^-3).
+    c = a + b, whose terms keep one sign after t_0 and decay like n^-(3a+b).
     """
     a = 0.5 * q
     c = a + b
-    s = 3.0 * a + b
-    beta = (a * a + 4.0 * a * b + b * b - s * s) / (2.0 * s)
-    # log(1 + x/n) terms of log r(n) - log(g_{n+1}/g_n), as (x, multiplicity)
-    shifts = ((a, 1.0), (b, 1.0), (c, 2.0), (beta, 1.0), (beta + s, 1.0))
     prefactor = math.gamma(b) / math.gamma(c) ** 2
-    total = carry = 1.0  # t_0
-    n0 = 0
-    sum_err = weighted = 0.0  # summation rounding; sum of n |t_n|
-    while True:
-        n = np.arange(n0, n0 + _BLOCK, dtype=float)
-        terms = carry * np.cumprod((n - a) * (n + b) / ((n + c) * (n + c)))
-        block = float(np.sum(terms))  # t_{n0+1} .. t_{n0+B}, all negative
-        total += block
-        sum_err += _EPS * (-_SUM_ROUNDINGS * block + abs(total))
-        weighted -= float(np.dot(n + 1.0, terms))
-        n0 += _BLOCK
-        carry = float(terms[-1])
-        big_n = n0 + 1
-        next_term = -carry * (n0 - a) * (n0 + b) / (n0 + c) ** 2
-        drift = sum(m * abs(x) ** 3 / (3.0 * (1.0 - abs(x) / big_n)) for x, m in shifts)
-        # sum of n^-3 over n >= N is below 1/(2 n0^2); the last term covers
-        # the 1/n^2 mismatch left by rounding in beta
-        drift = drift / (2.0 * n0 * n0) + 8.0 * _EPS * s * s / n0
-        slack = (_PRODUCT_ROUNDINGS * big_n + 8) * _EPS
-        mid = next_term * (big_n + beta + s - 1.0) / (s - 1.0)
-        lo = mid * math.exp(-drift) * (1.0 - slack)
-        hi = mid * math.exp(drift) * (1.0 + slack)
-        value = prefactor * (total - 0.5 * (lo + hi))
-        floor = (
-            prefactor * (sum_err + _PRODUCT_ROUNDINGS * _EPS * weighted)
-            + _PREFACTOR_ROUNDINGS * _EPS * abs(value)
-        )
-        bound = prefactor * 0.5 * (hi - lo) + floor
-        target = tol * max(1.0, abs(value))
-        if bound <= target:
-            return SeriesValue(value, big_n, bound)
-        if floor > target or big_n > TERM_CAP:
-            raise PrecisionError(
-                f"tolerance {tol:g} unreachable for N_q(1), q = {q:g} "
-                f"(best bound {bound:g} after {big_n} terms)",
-                best=SeriesValue(value, big_n, bound),
-            )
+    return _sum_unit_argument((-a, 1.0, b), (c, c), tol, prefactor)
 
 
 def _check_boundary(q: float, tol: float) -> None:
@@ -224,9 +163,9 @@ def profile_N(q: float, rho: float, tol: float) -> SeriesValue:
     like n^-(3-q).  Thomae's relation (Bailey 1935, 3.2; DLMF 16.4) turns it
     into Gamma(b)/Gamma(2-q/2)^2 3F2(-q/2, 1, b; 2-q/2, 2-q/2; 1), whose
     terms decay like n^-(2+q/2) and keep one sign after the first.  That
-    series is summed exactly in numpy blocks; tail_bound adds a bracket of
-    the remaining tail derived from the term ratio, the rounding of every
-    summed term, and the rounding of the Gamma prefactor and of a, b, c.
+    series goes through the unit-argument kernel behind ``hyp_pfq`` at
+    x = 1; tail_bound adds its Gamma-ratio bracket of the remaining tail,
+    the rounding of every summed term, and that of the prefactor and a, b, c.
     """
     _check_q(q)
     _check_rho(rho)
@@ -273,10 +212,11 @@ def a_p_constant(p: float, tol: float) -> SeriesValue:
     Gamma(b)/Gamma(2-q/2)^2 3F2(-q/2, 1, b; 2-q/2, 2-q/2; 1).  The blow-up
     as p -> 2+ sits in Gamma(b), so b = 2 - q = (p-2)/(p-1) is computed
     from p rather than from the rounded q: near p = 2 that keeps the
-    relative error of b, and of A(p), at a few ulps.  The tail_bound
-    brackets the series tail from its term ratio and adds every rounding
-    (see ``profile_N``).  Verifies the zeta-function ceiling on the way out;
-    a violation would mean the summation itself went wrong.
+    relative error of b, and of A(p), at a few ulps.  The tail_bound comes
+    from ``specfun``'s unit-argument kernel: a Gamma-ratio bracket of the
+    series tail plus every rounding (see ``profile_N``).  Verifies the
+    zeta-function ceiling on the way out; a violation would mean the
+    summation itself went wrong.
     """
     if not p > 2:
         raise DomainError(f"a_p_constant requires p > 2, got {p}")

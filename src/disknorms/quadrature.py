@@ -196,6 +196,7 @@ def _eval_nodes(f: FieldFn, w: np.ndarray) -> np.ndarray:
     """Evaluate f on an array of nodes, vectorized when f permits.
 
     f sees the nodes as one flat array; the values come back in w's shape.
+    A scalar-only f gets one node at a time, a float on a real grid.
     """
     shape = w.shape
     w = w.ravel()
@@ -210,7 +211,7 @@ def _eval_nodes(f: FieldFn, w: np.ndarray) -> np.ndarray:
         vals = np.empty(w.shape, dtype=complex)
         for i, wi in enumerate(w):
             try:
-                vals[i] = complex(f(complex(wi)))
+                vals[i] = complex(f(wi.item()))
             except Exception as exc:
                 raise EvaluationError(
                     f"integrand raised at node {complex(wi):.8g}: {exc}"

@@ -1,14 +1,16 @@
 """Scalar special functions backing the norm formulas.
 
-Log-gamma and Pochhammer plumbing, generalized hypergeometric series with
-explicit tail bounds, the smallest Bessel J0 zero, Catalan's constant, and
-Riemann zeta.  Everything here is pure and thread-safe.
+Log-gamma plumbing, generalized hypergeometric series with explicit tail
+bounds, the smallest Bessel J0 zero, Catalan's constant, and Riemann zeta.
+Everything here is pure and thread-safe.
 
-Hypergeometric series below unit argument are summed in numpy blocks: the
-exact term ratio of a whole block is formed in one expression and the terms
-are its cumulative product, carried on from the block before.  The tail
-bound is built from that ratio (a geometric tail once the ratio is provably
-monotone) plus a count of every rounding behind the summed terms.
+Hypergeometric series are summed in numpy blocks: the exact term ratio of a
+whole block is formed in one expression and the terms are its cumulative
+product, carried on from the block before.  Below unit argument the tail
+bound is a geometric tail once the ratio is provably monotone; at unit
+argument the tail is bracketed between two Gamma-ratio tails that match the
+terms through their n^-2 order.  Both add a count of every rounding behind
+the summed terms.
 """
 
 from __future__ import annotations
@@ -22,21 +24,25 @@ import numpy as np
 from .errors import ConvergenceError, DivergenceError, DomainError, PrecisionError
 
 TERM_CAP = 10_000_000
-_MIN_TERMS = 50
 _EPS = 2.220446049250313e-16
 
-# Interior series are summed in numpy blocks of 64 terms doubling to 2^14.
-# Roundings behind the bound, each counted as eps (twice the unit roundoff,
-# which also covers the higher-order terms): a term t_n carries n ratios,
-# and each ratio step costs one rounding per parameter shift (a+n, b+n), one
-# per product with x, a or b, one division and one in the cumulative
-# product, 2(p+q) + 2 in all; a term of the j-th block has also passed
-# through j products with a block's carry; numpy's pairwise sum of a block
-# of at most 2^14 terms needs at most 25 roundings (32 are counted).
+# Interior series are summed in numpy blocks of 64 terms doubling to 2^14,
+# unit-argument series in blocks of 4096.  Roundings behind the bound, each
+# counted as eps (twice the unit roundoff, which also covers the
+# higher-order terms): a term t_n carries n ratios, and each ratio step
+# costs one rounding per parameter shift (a+n, b+n), one per product with
+# x, a or b, one division and one in the cumulative product, 2(p+q) + 2 in
+# all (p counts no upper 1 that cancels the factorial); a term of the j-th
+# block has also passed through j products with a block's carry; numpy's
+# pairwise sum of a block of at most 2^14 terms needs at most 25 roundings
+# (32 are counted); 64 relative roundings cover a Gamma-ratio scale
+# (math.gamma is good to 3 ulps on (0, 2]) and the roundings of its inputs.
 _FIRST_BLOCK = 64
 _LAST_BLOCK = 1 << 14
+_UNIT_BLOCK = 4096
 _RATIO_ROUNDINGS = 2
 _SUM_ROUNDINGS = 32
+_SCALE_ROUNDINGS = 64
 
 
 @dataclass(frozen=True)
@@ -76,13 +82,6 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def pochhammer_log(q: float, n: int) -> float:
-    """log of the rising factorial (q)_n = Gamma(q+n)/Gamma(q), q > 0."""
-    if n < 0:
-        raise DomainError(f"pochhammer_log requires n >= 0, got {n}")
-    return ln_gamma(q + n) - ln_gamma(q)
-
-
 def gamma_sign(x: float) -> float:
     """Sign of Gamma(x) for non-integer x (and +1 for positive x)."""
     if x > 0:
@@ -92,101 +91,116 @@ def gamma_sign(x: float) -> float:
     return -1.0 if int(math.floor(x)) % 2 else 1.0
 
 
-def _term_ratio_log(upper, lower, n):
-    """log |t_{n+1}/t_n| at argument 1 and the sign flip, excluding x."""
-    log_r = 0.0
-    sign = 1.0
-    for a in upper:
-        v = a + n
-        if v == 0.0:
-            return None, 0.0  # series terminates
-        log_r += math.log(abs(v))
-        if v < 0:
-            sign = -sign
-    for b in lower:
-        log_r -= math.log(b + n)
-    log_r -= math.log(n + 1.0)
-    return log_r, sign
-
-
-def _aitken_diagonal(seq):
-    """Iterated Aitken delta-squared; returns the diagonal of the table."""
-    diag = [seq[-1]]
-    cur = list(seq)
-    while len(cur) >= 3:
-        nxt = []
-        for i in range(len(cur) - 2):
-            d1 = cur[i + 1] - cur[i]
-            d2 = cur[i + 2] - cur[i + 1]
-            den = d2 - d1
-            if den == 0.0:
-                nxt.append(cur[i + 2])
-            else:
-                nxt.append(cur[i + 2] - d2 * d2 / den)
-        diag.append(nxt[-1])
-        cur = nxt
-    return diag
-
-
-def _best_on_diagonal(diag):
-    """Value at the first plateau of the diagonal, plus the plateau width."""
-    if len(diag) == 1:
-        return diag[0], abs(diag[0])
-    best_i = 1
-    best_d = abs(diag[1] - diag[0])
-    for i in range(2, len(diag)):
-        d = abs(diag[i] - diag[i - 1])
-        if d < best_d:
-            best_d = d
-            best_i = i
-    return diag[best_i], best_d
-
-
-def _sum_unit_argument(upper, lower, tol):
-    # p = q+1 at x = 1: terms decay like n^{-s}, s = 1 + sum(lower) - sum(upper).
-    s_exp = 1.0 + sum(lower) - sum(upper)
-    if s_exp <= 1.0:
-        raise ConvergenceError(
-            f"pFq diverges at unit argument (decay exponent {s_exp:.6g} <= 1)"
+def _check_finite(x: float, terms: int) -> None:
+    # the summation kernels let numpy overflow quietly, then refuse here
+    if not math.isfinite(x):
+        raise PrecisionError(
+            f"series terms overflow double precision within {terms} terms"
         )
-    partial = 0.0
-    abs_sum = 0.0
-    log_t = 0.0
-    sign = 1.0
-    n = 0
-    checkpoint = 64
-    sums = []
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sum_unit_argument(upper, lower, tol, scale=1.0):
+    """scale * pFq(upper; lower; 1) for p = q + 1, bracketed (see hyp_pfq).
+
+    The terms have the ratio r(n) = prod(n+a) / prod(n+d) over the upper
+    parameters a and the denominators d (the lower parameters and the
+    factorial's 1, which an upper parameter 1 cancels) and decay like n^-s,
+    s = 1 + sum(lower) - sum(upper).  The tail past the last summed term is
+    bracketed against g_n = Gamma(n+beta)/Gamma(n+beta+s): its ratio
+    (n+beta)/(n+beta+s) matches r(n) through the 1/n^2 term, its tail from N
+    sums exactly to g_N (N+beta+s-1)/(s-1), and once N exceeds every |shift|
+    t_n/g_n moves by at most a factor exp(+-drift) past N, where drift bounds
+    the summed remainders |log r(n) - log(g_{n+1}/g_n)| = O(n^-3).
+    """
+    s = 1.0 + sum(lower) - sum(upper)
+    if s <= 1.0:
+        raise ConvergenceError(
+            f"pFq diverges at unit argument (decay exponent {s:.6g} <= 1)"
+        )
+    ups, downs = list(upper), list(lower)
+    if 1.0 in ups:
+        ups.remove(1.0)
+    else:
+        downs.insert(0, 1.0)
+    down_sq = sum(d * d for d in downs)
+    up_sq = sum(a * a for a in ups)
+    beta = (down_sq - up_sq - s * s) / (2.0 * s)
+    # log(1 + x/n) terms of log r(n) - log(g_{n+1}/g_n), as x: multiplicity
+    shifts = {}
+    for x in ups + downs + [beta, beta + s]:
+        shifts[x] = shifts.get(x, 0) + 1
+    reach = max(abs(x) for x in shifts)
+    settled = -min(ups + downs)
+    roundings = _RATIO_ROUNDINGS + 2 * (len(ups) + len(lower))
+    # Rounding in beta leaves a 1/n^2 mismatch of at most `mismatch`, which
+    # sums to mismatch/n0 past N; rounding in s tilts the decay exponent,
+    # which moves the tail by about that error over s - 1 (`tilt` roundings).
+    mismatch = (len(ups) + len(downs) + 4) * _EPS * max(s * s, down_sq + up_sq)
+    tilt = 2 * (len(upper) + len(lower) + 1) * (1.0 + sum(map(abs, upper + lower)))
+    tilt /= s - 1.0
+
+    def ratio(n):  # factors multiplied left to right, in the given order
+        num, den = n + ups[0], n + downs[0]
+        for a in ups[1:]:
+            num *= n + a
+        for d in downs[1:]:
+            den *= n + d
+        num /= den
+        return num
+
+    total = carry = 1.0  # t_0
+    n0 = 0
+    sum_err = weighted = 0.0  # summation rounding; sum of n |t_n|
     while True:
-        t = sign * math.exp(log_t)
-        partial += t
-        abs_sum += abs(t)
-        log_r, flip = _term_ratio_log(upper, lower, n)
-        if log_r is None:
-            return SeriesValue(partial, n + 1, 4.0 * _EPS * abs_sum)
-        log_t += log_r
-        sign *= flip
-        n += 1
-        if n == checkpoint:
-            sums.append(partial)
-            checkpoint *= 2
-            if len(sums) >= 4:
-                diag = _aitken_diagonal(sums)
-                value, plateau = _best_on_diagonal(diag)
-                floor = math.sqrt(n) * _EPS * abs_sum
-                bound = 4.0 * plateau + 4.0 * floor
-                if bound <= tol * max(1.0, abs(value)) and n >= _MIN_TERMS:
-                    return SeriesValue(value, n, bound)
-            if checkpoint > TERM_CAP:
-                diag = _aitken_diagonal(sums)
-                value, plateau = _best_on_diagonal(diag)
-                bound = 4.0 * plateau + 4.0 * math.sqrt(n) * _EPS * abs_sum
-                raise PrecisionError(
-                    f"tolerance {tol:g} unreachable within {TERM_CAP} terms "
-                    f"(best bound {bound:g})",
-                    best=SeriesValue(value, n, bound),
-                )
+        n = np.arange(n0, n0 + _UNIT_BLOCK, dtype=float)
+        terms = np.cumprod(ratio(n))  # t_{n0+1} .. t_{n0+B}
+        terms *= carry
+        block = float(terms.sum())
+        n += 1.0
+        if n0 + 1 > settled:  # every later ratio is positive: one sign
+            block_abs, block_n = abs(block), abs(float(np.dot(n, terms)))
+        else:
+            mags = np.abs(terms)
+            block_abs, block_n = float(mags.sum()), float(np.dot(n, mags))
+        total += block
+        sum_err += _EPS * (_SUM_ROUNDINGS * block_abs + abs(total))
+        weighted += block_n
+        _check_finite(total + weighted, n0 + _UNIT_BLOCK)
+        n0 += _UNIT_BLOCK
+        carry = float(terms[-1])
+        big_n = n0 + 1
+        value, bound, floor, drift = scale * total, math.inf, 0.0, math.inf
+        if big_n > reach:
+            # sum of n^-3 over n >= N is below 1/(2 n0^2)
+            drift = mismatch / n0 + sum(
+                m * abs(x) ** 3 / (3.0 * (1.0 - abs(x) / big_n))
+                for x, m in shifts.items()
+            ) / (2.0 * n0 * n0)
+        if drift < 1.0:  # a bracket within a factor e of its middle
+            next_term = carry * ratio(float(n0))
+            slack = max(roundings * big_n + 8, tilt) * _EPS
+            mid = next_term * (big_n + beta + s - 1.0) / (s - 1.0)
+            lo = mid * math.exp(-drift) * (1.0 - slack)
+            hi = mid * math.exp(drift) * (1.0 + slack)
+            value = scale * (total + 0.5 * (lo + hi))
+            floor = (
+                scale * (sum_err + roundings * _EPS * weighted)
+                + _SCALE_ROUNDINGS * _EPS * abs(value)
+            )
+            bound = scale * 0.5 * abs(hi - lo) + floor
+        target = tol * max(1.0, abs(value))
+        if bound <= target:
+            return SeriesValue(value, big_n, bound)
+        if floor > target or big_n > TERM_CAP:
+            raise PrecisionError(
+                f"tolerance {tol:g} unreachable at unit argument: bound "
+                f"{bound:g} after {big_n} terms, rounding floor {floor:g}",
+                best=SeriesValue(value, big_n, bound),
+            )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sum_blocked(upper, lower, x, tol):
     """Sum pFq(upper; lower; x) for p <= q + 1 in numpy blocks (see hyp_pfq).
 
@@ -224,6 +238,7 @@ def _sum_blocked(upper, lower, x, tol):
         total += float(terms.sum())
         sum_err += (_SUM_ROUNDINGS + blocks) * float(mags.sum()) + abs(total)
         weighted += float(np.dot(n + 1.0, mags))
+        _check_finite(total + weighted, n0 + len(n))
         n0 += len(n)
         carry = float(terms[-1])
         floor = _EPS * (sum_err + roundings * weighted)
@@ -275,10 +290,12 @@ def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
     running product and of the block sums.  A tolerance that the floor alone
     provably exceeds raises PrecisionError at once, with the partial sum as
     ``best``.  A series with an upper parameter -k stops after k+1 terms.
+    Terms that overflow double precision raise PrecisionError.
 
-    At x = 1 with p = q + 1 the partial sums converge like N^{1-s}; they are
-    checkpointed at doubling term counts and accelerated with iterated
-    Aitken delta-squared before bounding.
+    At x = 1 with p = q + 1 the terms decay like n^-s, s = 1 + sum(lower) -
+    sum(upper) > 1, and the tail past each block of 4096 is bracketed by the
+    summable tail of Gamma(n+beta)/Gamma(n+beta+s), which matches the terms
+    through n^-2; tail_bound is the half-width plus the rounding floor.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -287,7 +304,8 @@ def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
         raise ConvergenceError(
             f"{p}F{q} has zero radius of convergence for positive argument"
         )
-    if x == 1.0 and p == q + 1:
+    # a terminating series is a polynomial, summed to its last term below
+    if x == 1.0 and p == q + 1 and all(a > 0 or a != int(a) for a in spec.upper):
         return _sum_unit_argument(spec.upper, spec.lower, tol)
     return _sum_blocked(spec.upper, spec.lower, x, tol)
 
@@ -298,15 +316,16 @@ def gauss_2f1_at_1(a: float, b: float, c: float) -> float:
         raise DomainError(f"c = {c} is a nonpositive integer")
     if a == 0.0 or b == 0.0:
         return 1.0  # the series terminates at its first term
-    if c - a - b <= 0:
+    excess = c - (a + b)  # one rounding: near 0 the Gamma pole magnifies it
+    if excess <= 0:
         raise DivergenceError(
-            f"2F1 at unit argument diverges: c - a - b = {c - a - b:.6g} <= 0"
+            f"2F1 at unit argument diverges: c - a - b = {excess:.6g} <= 0"
         )
     for arg in (c, c - a, c - b):
         if arg <= 0:
             raise DomainError(f"Gamma argument {arg:.6g} <= 0 unsupported here")
     return math.exp(
-        ln_gamma(c) + ln_gamma(c - a - b) - ln_gamma(c - a) - ln_gamma(c - b)
+        ln_gamma(c) + ln_gamma(excess) - ln_gamma(c - a) - ln_gamma(c - b)
     )
 
 
@@ -393,12 +412,3 @@ def riemann_zeta(s: float) -> float:
     eta, _, _ = _sum_alternating(lambda k: (k + 1.0) ** (-s), 1e-14)
     return eta / (1.0 - 2.0 ** (1.0 - s))
 
-
-def gautschi_interval(q: float, n: int) -> tuple[float, float]:
-    """Bracket (lo, hi) with lo <= Gamma(n + q/2)/n! <= hi for 1 <= q <= 2."""
-    if not 1.0 <= q <= 2.0:
-        raise DomainError(f"gautschi_interval requires q in [1, 2], got {q}")
-    if n < 1:
-        raise DomainError(f"gautschi_interval requires n >= 1, got {n}")
-    e = 0.5 * q - 1.0
-    return ((n + 1.0) ** e, float(n) ** e)

@@ -388,6 +388,14 @@ class TestModes:
         z = 0.4 - 0.3j
         assert red.image(z) == pytest.approx(red.coefficient * z**2, abs=1e-15)
 
+    def test_scalar_only_profile(self):
+        # a profile written with the math module gets one real node at a time
+        red = mode_reduce(2, lambda r: math.exp(r))
+        assert isinstance(red.coefficient, float)
+        assert red.coefficient == pytest.approx(
+            mode_reduce(2, np.exp).coefficient, rel=1e-14
+        )
+
     def test_rejects_non_integer_mode(self):
         with pytest.raises(DomainError):
             mode_reduce(1.5, lambda r: r)

@@ -45,6 +45,11 @@ APM_RHO1 = {
     0.3: 1.31645606213000467933665868942,
     0.45: 3.64242962912685366396669614662,
 }
+# M(q, 1) = Gamma(2-q)/Gamma(2-q/2)^2 at the float q near its pole
+M_NEAR_POLE = {
+    2.0 - 1e-6: 1000000.0000826778712,
+    2.0 - 1e-7: 9999999.9941613693585,
+}
 F1_LIMIT = {
     1.0: 0.63661977236758134308,
     1.25: 0.58156196033775471523,
@@ -176,6 +181,12 @@ def test_profile_M_values():
         pf.profile_M(2.0, 0.5)
     with pytest.raises(DomainError):
         pf.profile_M(0.9, 0.5)
+
+
+@pytest.mark.parametrize("q", list(M_NEAR_POLE), ids=str)
+def test_profile_M_at_rho_1_keeps_its_digits_near_q_2(q):
+    # Gauss's sum has Gamma(2 - q) on top: 2 - q must be rounded only once
+    assert pf.profile_M(q, 1.0) == pytest.approx(M_NEAR_POLE[q], rel=1e-14)
 
 
 def test_profile_M_series_route():
