@@ -133,7 +133,8 @@ def _boundary_N(q: float, b: float, tol: float) -> SeriesValue:
     """N_q(1) through Thomae's relation, b = 2 - q.
 
     N_q(1) = Gamma(b)/Gamma(c)^2 3F2(-a, 1, b; c, c; 1) with a = q/2 and
-    c = a + b, whose terms keep one sign after t_0 and decay like n^-(3a+b).
+    c = a + b, whose terms keep one sign after t_0, decay like n^-(3a+b) and
+    never exceed 1 in size, so they cannot overflow: |(n-a)(n+b)| < (n+c)^2.
     """
     a = 0.5 * q
     c = a + b

@@ -99,7 +99,11 @@ def _check_finite(x: float, terms: int) -> None:
         )
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _stops(upper):
+    """The k of every upper parameter -k: each makes t_k the last nonzero term."""
+    return [int(-a) for a in upper if a <= 0.0 and a.is_integer()]
+
+
 def _sum_unit_argument(upper, lower, tol, scale=1.0):
     """scale * pFq(upper; lower; 1) for p = q + 1, bracketed (see hyp_pfq).
 
@@ -131,7 +135,6 @@ def _sum_unit_argument(upper, lower, tol, scale=1.0):
     for x in ups + downs + [beta, beta + s]:
         shifts[x] = shifts.get(x, 0) + 1
     reach = max(abs(x) for x in shifts)
-    settled = -min(ups + downs)
     roundings = _RATIO_ROUNDINGS + 2 * (len(ups) + len(lower))
     # Rounding in beta leaves a 1/n^2 mismatch of at most `mismatch`, which
     # sums to mismatch/n0 past N; rounding in s tilts the decay exponent,
@@ -146,26 +149,20 @@ def _sum_unit_argument(upper, lower, tol, scale=1.0):
             num *= n + a
         for d in downs[1:]:
             den *= n + d
-        num /= den
-        return num
+        return num / den
 
     total = carry = 1.0  # t_0
     n0 = 0
     sum_err = weighted = 0.0  # summation rounding; sum of n |t_n|
     while True:
         n = np.arange(n0, n0 + _UNIT_BLOCK, dtype=float)
-        terms = np.cumprod(ratio(n))  # t_{n0+1} .. t_{n0+B}
+        terms = ratio(n).cumprod()  # t_{n0+1} .. t_{n0+B}
         terms *= carry
-        block = float(terms.sum())
+        mags = np.abs(terms)
         n += 1.0
-        if n0 + 1 > settled:  # every later ratio is positive: one sign
-            block_abs, block_n = abs(block), abs(float(np.dot(n, terms)))
-        else:
-            mags = np.abs(terms)
-            block_abs, block_n = float(mags.sum()), float(np.dot(n, mags))
-        total += block
-        sum_err += _EPS * (_SUM_ROUNDINGS * block_abs + abs(total))
-        weighted += block_n
+        total += float(terms.sum())
+        sum_err += _EPS * (_SUM_ROUNDINGS * float(mags.sum()) + abs(total))
+        weighted += float(np.dot(n, mags))
         _check_finite(total + weighted, n0 + _UNIT_BLOCK)
         n0 += _UNIT_BLOCK
         carry = float(terms[-1])
@@ -184,14 +181,19 @@ def _sum_unit_argument(upper, lower, tol, scale=1.0):
             lo = mid * math.exp(-drift) * (1.0 - slack)
             hi = mid * math.exp(drift) * (1.0 + slack)
             value = scale * (total + 0.5 * (lo + hi))
-            floor = (
-                scale * (sum_err + roundings * _EPS * weighted)
-                + _SCALE_ROUNDINGS * _EPS * abs(value)
-            )
+            floor = scale * (sum_err + roundings * _EPS * weighted)
+            floor += _SCALE_ROUNDINGS * _EPS * abs(value)
             bound = scale * 0.5 * abs(hi - lo) + floor
         target = tol * max(1.0, abs(value))
         if bound <= target:
             return SeriesValue(value, big_n, bound)
+        if drift < 1.0:
+            # no later bound drops below tilt eps times a middle still `share` of
+            # this one: Gamma(x)/Gamma(x+u) is in [(x+u)^-u, x^-u (1+1/x)], x > 0
+            x0 = big_n + beta
+            share = (x0 / (TERM_CAP + _UNIT_BLOCK + beta + s - 1.0)) ** (s - 1.0)
+            share *= math.exp(-drift) / (1.0 + 1.0 / x0)
+            floor = max(floor, scale * abs(mid) * tilt * _EPS * share)
         if floor > target or big_n > TERM_CAP:
             raise PrecisionError(
                 f"tolerance {tol:g} unreachable at unit argument: bound "
@@ -200,7 +202,6 @@ def _sum_unit_argument(upper, lower, tol, scale=1.0):
             )
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _sum_blocked(upper, lower, x, tol):
     """Sum pFq(upper; lower; x) for p <= q + 1 in numpy blocks (see hyp_pfq).
 
@@ -211,9 +212,7 @@ def _sum_blocked(upper, lower, x, tol):
     denominators = sorted(lower + (1.0,))
     pairs = list(zip(sorted(upper), denominators))
     unpaired = denominators[len(pairs):]
-    # an upper parameter -k makes t_k the last nonzero term
-    stops = [int(-a) for a in upper if a <= 0.0 and a == int(a)]
-    last = min(stops) if stops else math.inf
+    last = min(_stops(upper), default=math.inf)
     if x == 0.0 or last == 0:
         return SeriesValue(1.0, 1, 0.0)
     settled = max(-c for c in upper + tuple(denominators))
@@ -277,6 +276,7 @@ def _sum_blocked(upper, lower, x, tol):
         size = min(2 * size, _LAST_BLOCK)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused, not warned
 def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
     """Sum pFq(upper; lower; x) for x in [0, 1] with an honest tail bound.
 
@@ -292,10 +292,9 @@ def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
     ``best``.  A series with an upper parameter -k stops after k+1 terms.
     Terms that overflow double precision raise PrecisionError.
 
-    At x = 1 with p = q + 1 the terms decay like n^-s, s = 1 + sum(lower) -
-    sum(upper) > 1, and the tail past each block of 4096 is bracketed by the
-    summable tail of Gamma(n+beta)/Gamma(n+beta+s), which matches the terms
-    through n^-2; tail_bound is the half-width plus the rounding floor.
+    At x = 1 with p = q + 1 (decay n^-s, s = 1 + sum(lower) - sum(upper) > 1)
+    the tail past each block of 4096 is bracketed by that of Gamma(n+beta) /
+    Gamma(n+beta+s), which matches the terms through n^-2.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -305,7 +304,7 @@ def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
             f"{p}F{q} has zero radius of convergence for positive argument"
         )
     # a terminating series is a polynomial, summed to its last term below
-    if x == 1.0 and p == q + 1 and all(a > 0 or a != int(a) for a in spec.upper):
+    if x == 1.0 and p == q + 1 and not _stops(spec.upper):
         return _sum_unit_argument(spec.upper, spec.lower, tol)
     return _sum_blocked(spec.upper, spec.lower, x, tol)
 

@@ -270,12 +270,14 @@ def test_unit_argument_bound_holds_where_s_barely_exceeds_1():
     # moves it by about eps/(s-1) relative; the bound must carry that too,
     # whether the tolerance is met or refused
     spec = sf.HypergeometricSpec((0.7, 0.6), (1.30000001,), 1.0)
-    for tol in (1e-6, 1e-8):
-        try:
-            got = sf.hyp_pfq(spec, tol)
-        except PrecisionError as exc:
-            got = exc.best
-        assert abs(got.value - F21_SLOWEST) <= got.tail_bound
+    got = sf.hyp_pfq(spec, 1e-6)
+    assert abs(got.value - F21_SLOWEST) <= got.tail_bound
+    # that slack never shrinks, so a tolerance below it is refused at once
+    with pytest.raises(PrecisionError) as exc:
+        sf.hyp_pfq(spec, 1e-8)
+    got = exc.value.best
+    assert abs(got.value - F21_SLOWEST) <= got.tail_bound
+    assert got.terms_used < 10_000
 
 
 def test_unit_argument_polynomial_sums_to_its_last_term():
