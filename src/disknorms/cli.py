@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -77,6 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=["csv", "json"], default="csv")
     table.add_argument("--out", default=None, metavar="PATH")
     return parser
+
+
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of ``main`` and reused after it."""
+    return build_parser()
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -219,8 +226,7 @@ def cmd_table(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "norm":
             return cmd_norm(args)

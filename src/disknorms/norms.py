@@ -456,19 +456,20 @@ def mode_best_constant(d: int) -> Tuple[float, Callable]:
     return 1.0 / (d * (d + 1)), maximizer
 
 
-def mode_rayleigh_maximum(d: int, grid_points: int = 1000) -> float:
+def mode_rayleigh_maximum(d: int) -> float:
     """Grid maximum of the mode-d Rayleigh quotient (4 A_d^2 / d) / (2 int r f^2).
 
     The quotient is a rank-one form in f, so its maximum over any discrete
     grid is attained exactly at the weight profile r^d; evaluating there IS
     the grid maximization, by the discrete Cauchy-Schwarz equality case.
+    The grid is the 256-node radial Gauss rule that ``mode_reduce`` uses,
+    widened to d + 1 nodes past d = 255 so it stays exact for t^(2d+1).
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise DomainError(f"mode index must be a positive integer, got {d!r}")
-    if grid_points < 8:
-        raise DomainError("grid_points must be at least 8")
-    t, w = _gauss01(int(grid_points))
-    prof = t ** int(d)
+    d = int(d)
+    t, w = _gauss01(max(256, d + 1))
+    prof = t**d
     moment = float(np.sum(w * t ** (d + 1) * prof))
     energy = 2.0 * float(np.sum(w * t * prof * prof))
     return (4.0 * moment * moment / d) / energy

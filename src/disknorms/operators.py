@@ -15,9 +15,10 @@ zbar direction), and it equals j0star minus cauchy.  Both identities are
 checked numerically by the helpers at the bottom of the module:
 ``dbar_identity_residual`` differentiates the output field with a central
 finite difference, and ``adjoint_pairing_residual`` tests the duality
-<j0 f, g> = <f, j0star g> on staggered quadrature grids, summing each inner
-ring by one zero-padded FFT (an exact re-summation of the trapezoid rule's
-aliasing) in O(nr^2 nb log nb) work and a bounded block of rings of memory.
+<j0 f, g> = <f, j0star g> on staggered quadrature grids.  It samples each
+field once, on both grids together, and sums each inner ring by one
+zero-padded FFT (an exact re-summation of the trapezoid rule's aliasing) in
+O(nr^2 nb log nb) work and a bounded block of rings of memory.
 
 Singular operators (cauchy, cdelta) must be given a rule whose singularity
 strategy is centered at the evaluation point; the bounded three refuse rules
@@ -176,6 +177,13 @@ def adjoint_pairing_residual(f: FieldFn, g: FieldFn, rule: Optional[DiskRule] = 
     whose bracket is nb * ifft of x^m C[m] zero-padded to nb.  Cost is
     O(nr (nr+5) nb log nb) instead of nr (nr+5) na nb kernel divisions, and
     memory is one block of rings of at most 2^18 complex entries.
+
+    One pass serves both images: f and g are each evaluated once, on the
+    inner and outer nodes together; x^m is split as t^m s^m, so t^m rides on
+    the spectra; and in each block, laid out as (outer ring, inner ring,
+    angle), the reciprocal nb/(1 - x^na e^{i na phi_l}) is formed once, for
+    one period nb/gcd(na, nb) of e^{i na phi_l}, and one contraction over
+    the inner rings applies it to both images.
     """
     if rule is None:
         rule = DiskRule(radial_nodes=32, angular_nodes=64)
@@ -189,19 +197,31 @@ def adjoint_pairing_residual(f: FieldFn, g: FieldFn, rule: Optional[DiskRule] = 
     z_out = (s[:, None] * _angles(nb)).ravel()
     wt_out = np.repeat(2.0 * ws * s / nb, nb)
 
+    # one field call each, on the inner and the outer nodes together
+    nodes = np.concatenate([w_in, z_out])
+    f_in, f_out = np.split(_eval_nodes(f, nodes), [w_in.size])
+    g_in, g_out = np.split(_eval_nodes(g, nodes), [w_in.size])
     # weighted ring samples of the j0 integrand f and the j0star integrand conj(w) g
-    c = np.stack([_eval_nodes(f, w_in), np.conj(w_in) * _eval_nodes(g, w_in)])
+    c = np.stack([f_in, np.conj(w_in) * g_in])
+    m = np.arange(na)
     spec = np.fft.fft(c.reshape(2, t.size, na) * (2.0 * wt * t / na)[:, None], axis=-1)
-    wrap = _angles(nb)[np.arange(nb) * na % nb]
-    images = np.zeros((2, s.size, nb), dtype=complex)
+    spec *= t[:, None] ** m  # x^m = t^m s^m
+    s_pow = (s[:, None] ** m)[:, None, :]
+    # e^{i na phi_l} repeats in l with this period, so angle l is held as
+    # (l // period, l % period) and the reciprocal is formed for one period
+    period = nb // math.gcd(na, nb)
+    fold = (nb // period, period)
+    wrap = _angles(nb)[np.arange(period) * na % nb]
+    images = np.zeros((2, s.size) + fold, dtype=complex)
     step = max(1, (1 << 18) // (2 * s.size * nb))
     for lo in range(0, t.size, step):
-        xb = (t[lo : lo + step, None] * s)[..., None]
-        head = np.fft.ifft(spec[:, lo : lo + step, None, :] * xb ** np.arange(na), n=nb, axis=-1)
-        images += (nb * head / (1.0 - xb**na * wrap)).sum(axis=1)
+        x_na = (s[:, None] * t[lo : lo + step]) ** na  # (outer ring, inner ring)
+        head = np.fft.ifft(spec[:, None, lo : lo + step, :] * s_pow, n=nb, axis=-1)
+        recip = nb / (1.0 - x_na[..., None] * wrap)
+        images += np.einsum("kstjp,stp->ksjp", head.reshape((2, s.size, -1) + fold), recip)
 
-    lhs = np.sum(wt_out * z_out * images[0].ravel() * np.conj(_eval_nodes(g, z_out)))
-    rhs = np.sum(wt_out * _eval_nodes(f, z_out) * np.conj(images[1].ravel()))
+    lhs = np.sum(wt_out * z_out * images[0].ravel() * np.conj(g_out))
+    rhs = np.sum(wt_out * f_out * np.conj(images[1].ravel()))
     return float(abs(lhs - rhs))
 
 

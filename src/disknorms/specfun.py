@@ -116,6 +116,10 @@ def _sum_unit_argument(upper, lower, tol, scale=1.0):
     sums exactly to g_N (N+beta+s-1)/(s-1), and once N exceeds every |shift|
     t_n/g_n moves by at most a factor exp(+-drift) past N, where drift bounds
     the summed remainders |log r(n) - log(g_{n+1}/g_n)| = O(n^-3).
+    The bracket's width shrinks with the drift like N^-2 while its rounding
+    slack grows like N, so each block also bounds from below the bound of
+    every later block up to TERM_CAP, and a tolerance below all of them is
+    refused at once.
     """
     s = 1.0 + sum(lower) - sum(upper)
     if s <= 1.0:
@@ -135,6 +139,7 @@ def _sum_unit_argument(upper, lower, tol, scale=1.0):
     for x in ups + downs + [beta, beta + s]:
         shifts[x] = shifts.get(x, 0) + 1
     reach = max(abs(x) for x in shifts)
+    cubes = sum(m * abs(x) ** 3 / 3.0 for x, m in shifts.items())
     roundings = _RATIO_ROUNDINGS + 2 * (len(ups) + len(lower))
     # Rounding in beta leaves a 1/n^2 mismatch of at most `mismatch`, which
     # sums to mismatch/n0 past N; rounding in s tilts the decay exponent,
@@ -187,17 +192,25 @@ def _sum_unit_argument(upper, lower, tol, scale=1.0):
         target = tol * max(1.0, abs(value))
         if bound <= target:
             return SeriesValue(value, big_n, bound)
-        if drift < 1.0:
-            # no later bound drops below tilt eps times a middle still `share` of
-            # this one: Gamma(x)/Gamma(x+u) is in [(x+u)^-u, x^-u (1+1/x)], x > 0
+        if drift < 1.0 and big_n <= TERM_CAP:
+            # The least bound a later block can reach.  At its N' the half
+            # width of the bracket is at least |mid'| (drift' + slack'),
+            # drift' is at least cubes / (2 (N'-1)^2), and |mid'| is at least
+            # `share` of |mid|: Gamma(x)/Gamma(x+u) is in [(x+u)^-u,
+            # x^-u (1+1/x)] for x > 0.
+            later = np.arange(
+                big_n + _UNIT_BLOCK, TERM_CAP + _UNIT_BLOCK + 1, _UNIT_BLOCK, dtype=float
+            )
             x0 = big_n + beta
-            share = (x0 / (TERM_CAP + _UNIT_BLOCK + beta + s - 1.0)) ** (s - 1.0)
+            share = (x0 / (later + beta + s - 1.0)) ** (s - 1.0)
             share *= math.exp(-drift) / (1.0 + 1.0 / x0)
-            floor = max(floor, scale * abs(mid) * tilt * _EPS * share)
+            width = cubes / (2.0 * (later - 1.0) ** 2)
+            width += np.maximum(roundings * later + 8, tilt) * _EPS
+            floor = max(floor, scale * abs(mid) * float(np.min(share * width)))
         if floor > target or big_n > TERM_CAP:
             raise PrecisionError(
                 f"tolerance {tol:g} unreachable at unit argument: bound "
-                f"{bound:g} after {big_n} terms, rounding floor {floor:g}",
+                f"{bound:g} after {big_n} terms, least reachable bound {floor:g}",
                 best=SeriesValue(value, big_n, bound),
             )
 
@@ -294,7 +307,9 @@ def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
 
     At x = 1 with p = q + 1 (decay n^-s, s = 1 + sum(lower) - sum(upper) > 1)
     the tail past each block of 4096 is bracketed by that of Gamma(n+beta) /
-    Gamma(n+beta+s), which matches the terms through n^-2.
+    Gamma(n+beta+s), which matches the terms through n^-2.  A tolerance
+    that no block up to TERM_CAP can reach is refused once the first
+    bracket forms.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")

@@ -421,7 +421,7 @@ def suite_norms(cfg: VerifyConfig) -> List[ReportRow]:
             0.0,
             worst,
             1e-6,
-            "rank-one Rayleigh quotient on a 1000-point radial grid",
+            "rank-one Rayleigh quotient on the 256-point radial Gauss grid",
         )
     )
     rows.append(
@@ -483,7 +483,7 @@ def suite_norms(cfg: VerifyConfig) -> List[ReportRow]:
         )
 
     def radial_lp(prof: Callable, p: float) -> float:
-        t, w = _gauss01(400)
+        t, w = _gauss01(256)
         return float(np.sum(2.0 * w * t * prof(t) ** p)) ** (1.0 / p)
 
     def monomial_lp(a: int, b: int, p: float) -> float:

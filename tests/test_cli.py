@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from disknorms import cli
 from disknorms.cli import main
 
 
@@ -204,3 +205,31 @@ class TestTableCommand:
         payload = json.loads(out)
         assert payload["columns"] == ["p", "value", "kind"]
         assert payload["rows"][0][1] == "0.7071067812"
+
+
+class TestParserReuse:
+    COMMANDS = (
+        ("norm", "--op", "j0star", "--p", "3", "--target", "linf", "--format", "csv"),
+        ("table", "interpolation", "--p", "1.5,2,inf"),
+        ("verify", "--suite", "specfun", "--format", "csv"),
+        ("norm", "--op", "bergman", "--p", "2"),
+    )
+
+    def test_successive_calls_match_fresh_parsers_and_build_once(self, capsys, monkeypatch):
+        fresh = []
+        for argv in self.COMMANDS:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+
+        builds = []
+        original = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        reused = [run_cli(capsys, *argv) for argv in self.COMMANDS]
+        assert reused == fresh
+        assert len(builds) == 1

@@ -30,8 +30,10 @@ from disknorms.norms import (
 )
 from disknorms.operators import Operator, apply
 from disknorms.profiles import profile_K, profile_M, profile_N
+from disknorms import quadrature
 from disknorms.quadrature import DiskRule, integrate_disk, integrate_disk_singular
 from disknorms.specfun import bessel_j0_smallest_zero
+from disknorms.verify import VerifyConfig, suite_norms
 
 INF = math.inf
 
@@ -409,9 +411,30 @@ class TestModes:
             mode_best_constant(0)
 
     def test_rayleigh_grid_reproduces_constants(self):
-        for d in range(1, 11):
-            got = mode_rayleigh_maximum(d)
-            assert abs(got - 1.0 / (d * (d + 1))) < 1e-6
+        # the grid rule integrates t^(2d+1) exactly, so only rounding is left
+        for d in range(1, 51):
+            want = 1.0 / (d * (d + 1))
+            assert abs(mode_rayleigh_maximum(d) - want) <= 1e-12 * want, d
+        # past d = 255 the rule widens to d + 1 nodes to stay exact
+        for d in (256, 300):
+            want = 1.0 / (d * (d + 1))
+            assert abs(mode_rayleigh_maximum(d) - want) <= 1e-10 * want, d
+
+    def test_norms_suite_builds_only_the_shared_radial_rules(self, monkeypatch):
+        # every radial sum of the norms suite runs on the cached 256-node
+        # rule (or the default rule's 128-node half); a larger Gauss rule
+        # would cost a dense eigen-solve
+        sizes = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def recording(n):
+            sizes.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", recording)
+        quadrature._gauss01.cache_clear()
+        suite_norms(VerifyConfig())
+        assert sizes and set(sizes) <= {128, 256}, sorted(set(sizes))
 
     def test_rayleigh_decreasing_in_mode(self):
         vals = [mode_rayleigh_maximum(d) for d in range(1, 9)]

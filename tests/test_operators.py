@@ -321,6 +321,14 @@ class TestAdjointPairing:
         )
         assert adjoint_pairing_residual(f, g, DiskRule(128, 256)) <= 1e-6
 
+    def test_each_field_is_evaluated_once(self):
+        # f and g are each sampled once, on the inner and outer nodes together
+        f = CountingField({(2, 1): 1.0, (0, 0): 0.5j})
+        g = CountingField({(1, 0): 1.0, (0, 1): 0.5})
+        adjoint_pairing_residual(f, g, DiskRule(16, 48))
+        both = 16 * 48 + 21 * 64
+        assert f.sizes == [both] and g.sizes == [both]
+
     def test_operators_suite_with_node_override(self):
         rows = run_suite("operators", VerifyConfig(radial_nodes=64, angular_nodes=128))
         assert rows and all(r.status == "PASS" for r in rows), [(r.label, r.status) for r in rows]

@@ -33,6 +33,7 @@ F32_UNITY_Q43 = 1.9965774666745873181  # same, q=4/3
 F21_UNITY_SLOW = 3.642429629126853664  # 2F1(0.45,0.45;1;1), decay exponent 1.1
 F21_NEAR_POLE = 159154939.19950173184  # 2F1(b,b;1;1), b = 0.5 - 1e-9 (the float)
 F21_SLOWEST = 46427608.218536561002  # 2F1(0.7,0.6;1.30000001;1), decay exponent 1+1e-8
+F21_NEAR_ONE = 465.21132172732776807  # 2F1(0.7,0.6;1.301;1), decay exponent 1.001
 
 # Unit-argument series as (upper, lower, tol): value
 UNIT_CALIBRATION = {
@@ -277,6 +278,21 @@ def test_unit_argument_bound_holds_where_s_barely_exceeds_1():
         sf.hyp_pfq(spec, 1e-8)
     got = exc.value.best
     assert abs(got.value - F21_SLOWEST) <= got.tail_bound
+    assert got.terms_used < 10_000
+
+
+def test_unit_argument_refuses_a_tolerance_no_block_reaches_at_once():
+    # for 1 < s < 2 the bracket narrows like N^-2 with the drift while its
+    # rounding slack grows like N: the best bound any block reaches here is
+    # about 3e-10 relative, known once the first bracket forms
+    spec = sf.HypergeometricSpec((0.7, 0.6), (1.301,), 1.0)
+    for tol in (1e-6, 1e-8):
+        got = sf.hyp_pfq(spec, tol)
+        assert abs(got.value - F21_NEAR_ONE) <= got.tail_bound <= tol * F21_NEAR_ONE
+    with pytest.raises(PrecisionError) as exc:
+        sf.hyp_pfq(spec, 1e-10)
+    got = exc.value.best
+    assert abs(got.value - F21_NEAR_ONE) <= got.tail_bound
     assert got.terms_used < 10_000
 
 
