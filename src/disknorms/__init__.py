@@ -45,7 +45,6 @@ from .norms import (
     mode_rayleigh_maximum,
     mode_reduce,
     riesz_thorin_bound,
-    subharmonic_comparison_field,
 )
 from .operators import (
     Operator,
@@ -106,7 +105,6 @@ __all__ = [
     "mode_reduce",
     "required_angular_nodes",
     "riesz_thorin_bound",
-    "subharmonic_comparison_field",
     "truncated_singular_integral",
     "__version__",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DiskNormsError
 from .norms import NormQuery, Target, closed_form_norm, riesz_thorin_bound
 from .operators import Operator
-from .profiles import profile_K, profile_M, profile_N
+from .profiles import _conjugate_exponent, profile_K, profile_M, profile_N
 from .verify import SUITE_NAMES, VerifyConfig, run_suite
 
 OP_CHOICES = ["cauchy", "bergman", "j0", "j0star", "cdelta"]
@@ -204,7 +204,7 @@ def cmd_table(args) -> int:
             raise DiskNormsError(
                 f"profiles table requires p > 2 so all three profiles exist, got p = {p:g}"
             )
-        q = p / (p - 1.0)
+        q = _conjugate_exponent(p)
         header = ["rho", "profile_K", "profile_M", "profile_N"]
         rows = []
         for rho in np.arange(0.0, 0.951, 0.05):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedQueryError
 from .operators import Operator, apply
-from .profiles import a_p_constant, profile_K, profile_M, profile_N
+from .profiles import _conjugate_exponent, a_p_constant, profile_K, profile_M, profile_N
 from .quadrature import (
     DiskRule,
     FieldFn,
@@ -71,7 +71,6 @@ __all__ = [
     "counterexample_l2_mass",
     "fatou_limit_integrand",
     "fatou_limit_integrand_adjoint",
-    "subharmonic_comparison_field",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -96,12 +95,6 @@ def _check_p(p: float) -> float:
     if math.isnan(p) or p < 1.0:
         raise DomainError(f"exponent p must lie in [1, infinity], got {p}")
     return p
-
-
-def _conjugate(p: float) -> float:
-    if p == _INF:
-        return 1.0
-    return p / (p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -341,7 +334,7 @@ def extremal_function(op: Operator, p: float, b: complex) -> FieldFn:
     b = complex(b)
     if abs(b) >= 1.0:
         raise DomainError(f"anchor must be interior, got |b| = {abs(b):.6g}")
-    q = _conjugate(p)
+    q = _conjugate_exponent(p)
 
     if op is Operator.CAUCHY:
         scale = 1.0 if p == _INF else profile_K(p, abs(b)) ** (-1.0 / p)
@@ -411,7 +404,7 @@ def lower_bound_via_extremal(
     f = extremal_function(op, p, b)
     b = complex(b)
     if op is Operator.CAUCHY:
-        q = _conjugate(p)
+        q = _conjugate_exponent(p)
         if rule is None:
             rule = DiskRule.for_point(b, singular=True)
         result = integrate_disk_singular(lambda w: f(w) / (w - b), b, q, rule)
@@ -641,20 +634,3 @@ def fatou_limit_integrand(t: float, rho: float, r: float) -> float:
 def fatou_limit_integrand_adjoint(t: float, rho: float, r: float) -> float:
     """Same pairing for the conjugate-weighted operator: (rho^2 / r) times the base integrand."""
     return rho * rho / r * fatou_limit_integrand(t, rho, r)
-
-
-def subharmonic_comparison_field(z: complex, w: complex) -> float:
-    """|g_z(w)|^2 for the moving-anchor family: subharmonic in z for fixed w.
-
-    The maximum principle then pins every anchor's L^2 mass under the
-    boundary anchor's, which is how the shared ceiling transfers to the
-    whole family.
-    """
-    z = complex(z)
-    w = complex(w)
-    if abs(w) >= 1.0 or abs(z) > 1.0:
-        raise DomainError("w must be interior and z in the closed disk")
-    m = abs(1.0 - np.conj(z) * w)
-    if m == 0.0:
-        raise DomainError("field undefined where the kernel denominator vanishes")
-    return abs(w) ** 2 / (m * m * (_LOG3 - math.log(m)) ** 2)

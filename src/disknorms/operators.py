@@ -41,7 +41,6 @@ from .quadrature import (
     DiskRule,
     FieldFn,
     Integral,
-    Mobius,
     _angles,
     _eval_nodes,
     _gauss01,
@@ -92,6 +91,9 @@ def _check_point(op: Operator, z: complex) -> complex:
 
 
 def _check_rule(op: Operator, z: complex, rule: Optional[DiskRule]) -> DiskRule:
+    """The default rule for z, or the given one checked against z's boundary
+    layer.  Bounded operators refuse a singularity strategy; a singular
+    operator's strategy is checked where it is used, in integrate_disk_singular."""
     singular = op in _SINGULAR_OPS
     if rule is None:
         return DiskRule.for_point(z, singular=singular)
@@ -101,18 +103,7 @@ def _check_rule(op: Operator, z: complex, rule: Optional[DiskRule]) -> DiskRule:
             f"rule has {rule.angular_nodes} angular nodes but |z| = {abs(z):.6g} "
             f"requires at least {need}"
         )
-    if singular:
-        if rule.singularity is None:
-            raise ConfigurationError(
-                f"{op.value} is singular at the evaluation point and needs a rule "
-                "with a singularity strategy centered there"
-            )
-        if isinstance(rule.singularity, Mobius) and abs(rule.singularity.center - z) > 1e-12:
-            raise ConfigurationError(
-                f"singularity strategy centered at {rule.singularity.center:.6g} "
-                f"does not match evaluation point {z:.6g}"
-            )
-    elif rule.singularity is not None:
+    if not singular and rule.singularity is not None:
         raise ConfigurationError(f"{op.value} has a bounded kernel; rule must not carry a singularity strategy")
     return rule
 
@@ -253,7 +244,9 @@ def dbar_identity_residual(
     quadrature noise of four operator evaluations divided by 4h.  When that
     noise term alone exceeds half the comparison scale the step cannot
     resolve the identity and a PrecisionError is raised instead of returning
-    a meaningless number.
+    a meaningless number.  For a singular operator an explicit rule is
+    re-sized and re-centered at each shifted point by ``DiskRule.for_point``;
+    an ``AnnulusExclude`` strategy is kept as given.
     """
     op = Operator(op)
     if not (h > 0.0):
@@ -261,19 +254,15 @@ def dbar_identity_residual(
     z = complex(z)
 
     shifts = (z + h, z - h, z + 1j * h, z - 1j * h)
-    base = rule or DiskRule()
     values = []
     noise = 0.0
     for point in shifts:
         local = rule
-        if op in _SINGULAR_OPS:
+        if rule is not None and op in _SINGULAR_OPS:
+            local = DiskRule.for_point(point, rule.radial_nodes, rule.angular_nodes, singular=True)
             # an annulus strategy re-centers itself at each shifted point
-            annulus = isinstance(base.singularity, AnnulusExclude)
-            local = DiskRule(
-                base.radial_nodes,
-                max(base.angular_nodes, required_angular_nodes(point)),
-                base.singularity if annulus else Mobius(point),
-            )
+            if isinstance(rule.singularity, AnnulusExclude):
+                local = DiskRule(local.radial_nodes, local.angular_nodes, rule.singularity)
         result = apply(op, f, point, local)
         values.append(result.value)
         noise += result.abs_error_estimate

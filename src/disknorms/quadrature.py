@@ -4,7 +4,10 @@ The plain rule is a tensor product of Gauss-Legendre in radius against a
 uniform trapezoid in angle.  Singular integrands get one of two dedicated
 strategies: a Mobius change of variables that flattens an |w - b|^{-s}
 singularity exactly, or exclusion of a small ball around b followed by
-Richardson extrapolation in the exclusion radius.
+Richardson extrapolation in the exclusion radius.  The tensor and Mobius
+rules share one ring-weighted sum (``_polar_sum``) and one error estimate,
+the distance to the same sum at half the node counts (``_halved``); the
+annulus grid is centered at the singular point, so it keeps its own sum.
 
 A rule sized for a point z near the boundary (``DiskRule.for_point``) has
 the angular count of its outermost ring, where the kernel's boundary layer
@@ -172,13 +175,11 @@ def _ring_blocks(counts: np.ndarray):
         i = j
 
 
-def _ring_means(
-    block: Callable[[slice, np.ndarray], np.ndarray], counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-ring means of block(rings, phase) and of its modulus.
+def _polar_sum(block: Callable, weights: np.ndarray, counts: np.ndarray) -> tuple[complex, float]:
+    """Sum over rings of weights times the ring means of block and of |block|.
 
-    phase holds the block's unit-circle nodes; block returns the integrand on
-    those rings as a (rings, angles) array.
+    block(rings, phase) returns the integrand on those rings at the block's
+    unit-circle nodes phase, as a (rings, angles) array.
     """
     sums = np.zeros(len(counts), dtype=complex)
     mags = np.zeros(len(counts))
@@ -189,7 +190,21 @@ def _ring_means(
         vals = block(rings, phase)
         sums[rings] += vals.sum(axis=1)
         mags[rings] += np.abs(vals).sum(axis=1)
-    return sums / counts, mags / counts
+    total = 0.0 + 0.0j
+    abs_total = 0.0
+    for wi, mean, abs_mean in zip(weights, sums / counts, mags / counts):
+        total += wi * complex(mean)
+        abs_total += wi * float(abs_mean)
+    return total, abs_total
+
+
+def _halved(rule_sum: Callable[[int, int], tuple], rule: DiskRule) -> Integral:
+    """rule_sum(nr, na) at the rule's counts; the estimate is the distance to
+    the sum at half the counts plus a roundoff floor of 8 eps * integral |f|."""
+    nr, na = rule.radial_nodes, rule.angular_nodes
+    value, abs_value = rule_sum(nr, na)
+    half, _ = rule_sum(max(nr // 2, 4), max(na // 2, 8))
+    return Integral(value, abs(value - half) + 8.0 * _EPS * abs_value)
 
 
 def _eval_nodes(f: FieldFn, w: np.ndarray) -> np.ndarray:
@@ -223,30 +238,19 @@ def _eval_nodes(f: FieldFn, w: np.ndarray) -> np.ndarray:
     return vals.reshape(shape)
 
 
-def _tensor_sum(f: FieldFn, nr: int, na: int, z: complex) -> tuple[complex, float]:
-    # int f dA = sum_i 2 w_i r_i * (mean over angles of f(r_i e^{i theta}))
-    r, wr = _gauss01(nr)
-    counts = _ring_counts(r, na, z)
-
-    def block(rings, phase):
-        return _eval_nodes(f, r[rings, None] * phase)
-
-    means, abs_means = _ring_means(block, counts)
-    total = 0.0 + 0.0j
-    abs_total = 0.0
-    for ri, wi, mean, abs_mean in zip(r, wr, means, abs_means):
-        total += 2.0 * wi * ri * complex(mean)
-        abs_total += 2.0 * wi * ri * float(abs_mean)
-    return total, abs_total
-
-
 def _tensor_integral(f: FieldFn, rule: DiskRule, z: complex) -> Integral:
     """Tensor-product integral of f with rings sized for kernels at z."""
-    nr, na = rule.radial_nodes, rule.angular_nodes
-    value, abs_value = _tensor_sum(f, nr, na, z)
-    half, _ = _tensor_sum(f, max(nr // 2, 4), max(na // 2, 8), z)
-    estimate = abs(value - half) + 8.0 * _EPS * abs_value
-    return Integral(value, estimate)
+
+    def tensor_sum(nr: int, na: int) -> tuple[complex, float]:
+        # int f dA = sum_i 2 w_i r_i * (mean over angles of f(r_i e^{i theta}))
+        r, wr = _gauss01(nr)
+
+        def block(rings, phase):
+            return _eval_nodes(f, r[rings, None] * phase)
+
+        return _polar_sum(block, 2.0 * wr * r, _ring_counts(r, na, z))
+
+    return _halved(tensor_sum, rule)
 
 
 def integrate_disk(f: FieldFn, rule: DiskRule) -> Integral:
@@ -278,7 +282,6 @@ def _mobius_sum(
     t, wt = _gauss01(nr)
     r = np.array([ti**beta for ti in t])
     r_s = np.array([ri**s for ri in r])
-    counts = _ring_counts(r, na, b)
     one_minus_b2 = 1.0 - abs(b) ** 2
 
     def block(rings, phase):
@@ -288,13 +291,7 @@ def _mobius_sum(
         jac = one_minus_b2**2 / np.abs(denom) ** 4
         return _eval_nodes(f, w) * jac * r_s[rings, None]
 
-    means, abs_means = _ring_means(block, counts)
-    total = 0.0 + 0.0j
-    abs_total = 0.0
-    for wi, mean, abs_mean in zip(wt, means, abs_means):
-        total += 2.0 * beta * wi * complex(mean)
-        abs_total += 2.0 * beta * wi * float(abs_mean)
-    return total, abs_total
+    return _polar_sum(block, 2.0 * beta * wt, _ring_counts(r, na, b))
 
 
 def _annulus_sum(
@@ -354,12 +351,7 @@ def integrate_disk_singular(
             raise ConfigurationError(
                 f"rule is centered at {sing.center:.8g} but the singularity is at {b:.8g}"
             )
-        value, abs_value = _mobius_sum(f, b, s, rule.radial_nodes, rule.angular_nodes)
-        half, _ = _mobius_sum(
-            f, b, s, max(rule.radial_nodes // 2, 4), max(rule.angular_nodes // 2, 8)
-        )
-        estimate = abs(value - half) + 8.0 * _EPS * abs_value
-        return Integral(value, estimate)
+        return _halved(lambda nr, na: _mobius_sum(f, b, s, nr, na), rule)
     # annulus exclusion
     eps = sing.epsilon
     if eps >= 1.0 - abs(b):

@@ -406,15 +406,6 @@ def catalan_constant(tol: float) -> SeriesValue:
     """Catalan's constant sum_k (-1)^k / (2k+1)^2 with tail_bound <= tol."""
     if tol <= 0:
         raise DomainError("tol must be positive")
-    # Plain alternating summation when a handful of terms already suffices;
-    # the first omitted term bounds the tail.
-    if 1.0 / 9.0 <= tol:
-        s = 0.0
-        for k in range(32):
-            nxt = 1.0 / (2 * (k + 1) + 1.0) ** 2
-            s += (-1.0) ** k / (2 * k + 1.0) ** 2
-            if nxt <= tol:
-                return SeriesValue(s, k + 1, nxt)
     value, n, bound = _sum_alternating(lambda k: 1.0 / (2 * k + 1.0) ** 2, tol)
     return SeriesValue(value, n, bound)
 

@@ -90,8 +90,8 @@ class VerifyConfig:
 
     def rule(self, radial_default: int, angular_default: int, strategy=None) -> DiskRule:
         return DiskRule(
-            self.radial_nodes or radial_default,
-            self.angular_nodes or angular_default,
+            radial_default if self.radial_nodes is None else self.radial_nodes,
+            angular_default if self.angular_nodes is None else self.angular_nodes,
             strategy,
         )
 
@@ -386,11 +386,8 @@ def suite_norms(cfg: VerifyConfig) -> List[ReportRow]:
     for p in (3.0, 4.0, 10.0):
         q = p / (p - 1.0)
         closed = closed_form_norm(NormQuery(Operator.CAUCHY, p, Target.L_INFINITY)).value
-        sing_rule = DiskRule.for_point(
-            0.0, cfg.radial_nodes or 256, cfg.angular_nodes or 512, singular=True
-        )
         quad = integrate_disk_singular(
-            lambda w: np.abs(w) ** (-q), 0.0, q, sing_rule
+            lambda w: np.abs(w) ** (-q), 0.0, q, cfg.rule(256, 512, Mobius(0.0))
         ).value.real ** (1.0 - 1.0 / p)
         rows.append(
             _match(
@@ -455,7 +452,7 @@ def suite_norms(cfg: VerifyConfig) -> List[ReportRow]:
         2j * math.pi * rng.uniform(0, 1, 10)
     )
     fid_rule = None
-    if cfg.radial_nodes or cfg.angular_nodes:
+    if cfg.radial_nodes is not None or cfg.angular_nodes is not None:
         fid_rule = cfg.rule(256, 512)
     worst = max(
         abs(apply(Operator.J0_STAR, g, complex(z), fid_rule).value - red.image(complex(z)))

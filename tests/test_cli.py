@@ -13,6 +13,7 @@ import pytest
 
 from disknorms import cli
 from disknorms.cli import main
+from disknorms.profiles import profile_K, profile_M, profile_N
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +133,20 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--radial-nodes", "radial_nodes must be >= 8, got 0"),
+            ("--angular-nodes", "angular_nodes must be >= 16, got 0"),
+        ],
+    )
+    def test_zero_node_count_is_refused(self, capsys, flag, message):
+        # 0 is a given count, not a missing one
+        code, out, err = run_cli(capsys, "verify", "--suite", "operators", flag, "0")
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.csv"
         code, out, _ = run_cli(capsys, "verify", "--suite", "specfun", "--format", "csv",
@@ -194,6 +209,18 @@ class TestTableCommand:
         ms = [float(r[2]) for r in rows[1:]]
         assert all(a > b for a, b in zip(ks, ks[1:]))
         assert all(a < b for a, b in zip(ms, ms[1:]))
+
+    def test_profiles_table_at_p_infinity(self, capsys):
+        # p = inf has conjugate exponent exactly 1
+        code, out, _ = run_cli(capsys, "table", "profiles", "--p", "inf", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) == 20
+        for row in rows:
+            rho = float(row[0])
+            assert row[1] == cli._fmt(profile_K(math.inf, rho))
+            assert row[2] == cli._fmt(profile_M(1.0, rho))
+            assert row[3] == cli._fmt(profile_N(1.0, rho, 1e-10).value)
 
     def test_profiles_table_requires_p_above_two(self, capsys):
         code, _, err = run_cli(capsys, "table", "profiles", "--p", "2")

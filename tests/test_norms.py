@@ -26,7 +26,6 @@ from disknorms.norms import (
     mode_rayleigh_maximum,
     mode_reduce,
     riesz_thorin_bound,
-    subharmonic_comparison_field,
 )
 from disknorms.operators import Operator, apply
 from disknorms.profiles import profile_K, profile_M, profile_N
@@ -576,16 +575,3 @@ class TestCounterexamples:
         g_adj, _, _ = counterexample("J0STAR_P2")
         vals = [apply(Operator.J0_STAR, g_adj, r).value.real for r in (0.9, 0.99)]
         assert vals[1] > vals[0] + 0.15
-
-    def test_subharmonic_field_spot_check(self):
-        h = subharmonic_comparison_field
-        step = 1e-3
-        for z in (0.2 + 0.1j, -0.3 + 0.4j):
-            for w in (0.5 + 0.0j, 0.3 - 0.2j):
-                lap = (
-                    h(z + step, w) + h(z - step, w) + h(z + 1j * step, w) + h(z - 1j * step, w)
-                    - 4.0 * h(z, w)
-                ) / step**2
-                assert lap > 0.0
-        with pytest.raises(DomainError):
-            subharmonic_comparison_field(0.1, 1.0)

@@ -253,6 +253,20 @@ class TestDbarIdentity:
         res = dbar_identity_residual(f, 0.3 - 0.2j, 1e-3, op=Operator.BERGMAN)
         assert res <= 1e-3
 
+    @pytest.mark.parametrize("op", [Operator.C_DELTA, Operator.CAUCHY])
+    def test_explicit_mobius_rule_matches_default(self, op):
+        # the Mobius strategy re-centers at each shifted point, as the default does
+        f = poly_field({(1, 0): 1.0, (0, 2): 0.5})
+        z = 0.2 + 0.1j
+        explicit = dbar_identity_residual(f, z, 1e-3, DiskRule(256, 512, Mobius(z)), op=op)
+        assert explicit == dbar_identity_residual(f, z, 1e-3, op=op)
+
+    @pytest.mark.parametrize("op", [Operator.C_DELTA, Operator.CAUCHY])
+    def test_explicit_annulus_rule(self, op):
+        f = poly_field({(1, 0): 1.0, (0, 2): 0.5})
+        rule = DiskRule(64, 128, AnnulusExclude(0.05))
+        assert dbar_identity_residual(f, 0.2 + 0.1j, 1e-3, rule, op=op) <= 1e-3
+
     def test_tiny_step_raises_precision_error(self):
         with pytest.raises(PrecisionError):
             dbar_identity_residual(

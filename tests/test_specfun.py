@@ -380,10 +380,10 @@ def test_catalan_constant():
     assert abs(r.value - CATALAN) <= r.tail_bound + 1e-15
     assert r.tail_bound <= 1e-12
 
-    # loose tolerance takes the raw alternating route
+    # a loose tolerance is met by the same accelerated sum
     r = sf.catalan_constant(0.2)
-    assert r.value == 1.0 and r.terms_used == 1
     assert abs(r.value - CATALAN) <= r.tail_bound
+    assert r.tail_bound <= 0.2
 
 
 def test_catalan_partial_sums_bracket():
