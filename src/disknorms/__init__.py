@@ -26,7 +26,6 @@ from .errors import (
 )
 from .norms import (
     COUNTEREXAMPLE_NAMES,
-    ModeReduction,
     NormKind,
     NormQuery,
     NormResult,
@@ -76,7 +75,6 @@ __all__ = [
     "DomainError",
     "EvaluationError",
     "Integral",
-    "ModeReduction",
     "Mobius",
     "NormKind",
     "NormQuery",

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,16 +31,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _parse_p(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--p expects a real number or 'inf', got {text!r}"
-        ) from None
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError("--p must not be NaN")
-    return value
+def _option(flag: str, convert: Callable, valid: Callable, what: str) -> Callable:
+    # an argparse type: convert the text, then require valid(value)
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"{flag} must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_parse_p = _option("--p", float, lambda v: not math.isnan(v), "a real number or 'inf'")
+_parse_seed = _option("--seed", int, lambda v: v >= 0, "an integer >= 0")
+_parse_tol = _option("--tol", float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite and report PASS/FAIL rows")
     verify.add_argument("--suite", choices=["all", *SUITE_NAMES], default="all")
     verify.add_argument("--format", choices=["csv", "json", "text"], default="text")
-    verify.add_argument("--tol", type=float, default=None,
+    verify.add_argument("--tol", type=_parse_tol, default=None,
                         help="override every row tolerance with one absolute value")
-    verify.add_argument("--seed", type=int, default=42)
+    verify.add_argument("--seed", type=_parse_seed, default=42)
     verify.add_argument("--epsilon", type=float, default=0.05,
                         help="truncation radius for counterexample mass rows")
     verify.add_argument("--radial-nodes", type=int, default=None)
@@ -202,7 +209,7 @@ def cmd_table(args) -> int:
         p = grid[0]
         if not p > 2.0:
             raise DiskNormsError(
-                f"profiles table requires p > 2 so all three profiles exist, got p = {p:g}"
+                f"profiles table requires p > 2 so all three profiles exist, got p = {p!r}"
             )
         q = _conjugate_exponent(p)
         header = ["rho", "profile_K", "profile_M", "profile_N"]

@@ -18,9 +18,9 @@ toward the profile's maximizing point squeezes the lower bound against the
 catalog value.
 
 The L^2 theory of the conjugate-weighted kernel operator reduces to
-independent angular modes; ``mode_reduce`` / ``mode_best_constant`` expose
-that rank-one structure, and ``l2_norm_numeric`` rebuilds the exact norm
-sqrt(1/2) from it.
+independent angular modes; ``mode_reduce`` gives the one coefficient of a
+mode's image, ``mode_best_constant`` its rank-one constant 1/(d(d+1)), and
+``l2_norm_numeric`` rebuilds the exact norm sqrt(1/2) from them.
 
 ``counterexample`` serves the failure half of the story: explicit L^2
 densities with logarithmically divergent transforms, plus ladder helpers
@@ -42,7 +42,6 @@ from .profiles import _conjugate_exponent, a_p_constant, profile_K, profile_M, p
 from .quadrature import (
     DiskRule,
     FieldFn,
-    Integral,
     _eval_nodes,
     _gauss01,
     integrate_disk_singular,
@@ -55,7 +54,6 @@ __all__ = [
     "NormKind",
     "NormQuery",
     "NormResult",
-    "ModeReduction",
     "closed_form_norm",
     "riesz_thorin_bound",
     "extremal_function",
@@ -120,25 +118,6 @@ class NormResult:
     kind: NormKind
     provenance: str
     error_estimate: float = 0.0
-
-
-@dataclass(frozen=True)
-class ModeReduction:
-    """Action of the conjugate-weighted kernel operator on one angular mode.
-
-    A density f_d(r) e^{i d t} maps to coefficient * z^(d-1) when d >= 1 and
-    to zero otherwise.  The coefficient is twice the moment
-    integral of r^(d+1) f_d(r) over (0, 1); it stays complex when the radial
-    profile is genuinely complex.
-    """
-
-    d: int
-    coefficient: Union[float, complex]
-
-    def image(self, z: complex) -> complex:
-        if self.d < 1:
-            return 0.0 + 0.0j
-        return self.coefficient * complex(z) ** (self.d - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +400,23 @@ def lower_bound_via_extremal(
     )
 
 
-def mode_reduce(d: int, f_d: Callable) -> ModeReduction:
-    """Reduce the operator's action on the angular mode d to one coefficient."""
+def mode_reduce(d: int, f_d: Callable) -> Union[float, complex]:
+    """Coefficient c of the mode-d image: f_d(r) e^{i d t} maps to c z^(d-1).
+
+    c is twice the moment integral of r^(d+1) f_d(r) over (0, 1), and 0.0 for
+    d < 1; it is a float unless the radial profile is genuinely complex.
+    """
     if not isinstance(d, (int, np.integer)):
         raise DomainError(f"mode index must be an integer, got {d!r}")
     d = int(d)
     if d < 1:
-        return ModeReduction(d, 0.0)
+        return 0.0
     t, w = _gauss01(256)
     vals = _eval_nodes(f_d, t)
-    moment = complex(np.sum(w * t ** (d + 1) * vals))
-    coefficient = 2.0 * moment
+    coefficient = 2.0 * complex(np.sum(w * t ** (d + 1) * vals))
     if abs(coefficient.imag) <= 1e-13 * max(1.0, abs(coefficient)):
-        return ModeReduction(d, float(coefficient.real))
-    return ModeReduction(d, coefficient)
+        return float(coefficient.real)
+    return coefficient
 
 
 def mode_best_constant(d: int) -> Tuple[float, Callable]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 

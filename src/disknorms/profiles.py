@@ -1,16 +1,16 @@
 """Radial profile functions behind the operator-norm formulas.
 
 Each profile is the exact angular reduction of a disk integral against one
-of the kernels: the Parseval mean handles 1/|1 - rho e^{it}|^{2 beta}, K is
-the q-energy of the Cauchy kernel, M and N are the q-energies of the two
-fractional-integral kernels, and F/H carry the monotonicity structure of K.
+of the kernels: K is the q-energy of the Cauchy kernel, M and N are the
+q-energies of the two fractional-integral kernels, and F/H carry the
+monotonicity structure of K.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DivergenceError, DomainError, EvaluationError
+from .errors import DomainError, EvaluationError
 from .specfun import (
     _EPS,
     HypergeometricSpec,
@@ -50,30 +50,13 @@ def _check_rho(rho: float) -> None:
         raise DomainError(f"radius must lie in [0, 1], got {rho}")
 
 
-def angular_power_mean(rho: float, beta: float, tol: float) -> SeriesValue:
-    """Mean of 1/|1 - rho e^{it}|^{2 beta} over the circle.
-
-    Parseval turns the mean into sum_n (Gamma(n+beta)/(n! Gamma(beta)))^2
-    rho^{2n}, which is 2F1(beta, beta; 1; rho^2).  At rho = 1 the terms decay
-    like n^{2 beta - 2}, so the mean is finite only for 2 beta < 1, where it
-    is Gauss's sum Gamma(1-2 beta)/Gamma(1-beta)^2 (no series terms).  Its
-    tail_bound covers 32 ulps for the log-gammas near 1 (measured up to 11),
-    4 ulps per unit of their size, and the rounding of 1 - 2 beta inside
-    gauss_2f1_at_1, whose effect grows like 1/(1 - 2 beta).
-    """
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
-    _check_rho(rho)
-    if rho == 1.0:
-        if 2.0 * beta >= 1.0:
-            raise DivergenceError(
-                f"angular mean diverges at rho = 1 for 2*beta = {2 * beta:g} >= 1"
-            )
-        value = gauss_2f1_at_1(beta, beta, 1.0)
-        excess = 1.0 - 2.0 * beta
-        logs = abs(ln_gamma(excess)) + 2.0 * abs(ln_gamma(1.0 - beta))
-        return SeriesValue(value, 0, _EPS * value * (32.0 + 4.0 * logs + 1.0 / excess))
-    return hyp_pfq(HypergeometricSpec((beta, beta), (1.0,), rho * rho), tol)
+def _check_blowup(q: float, profile: str) -> None:
+    # repr, not :g: every q past the cutoff would print as 2
+    if q > Q_BLOWUP_CUTOFF:
+        raise DomainError(
+            f"q = {q!r} is too close to 2: {profile} diverges as p -> 2+ "
+            f"(supported region is q = p/(p-1) <= {Q_BLOWUP_CUTOFF})"
+        )
 
 
 def profile_F(q: float, t: float) -> float:
@@ -106,11 +89,7 @@ def profile_K(p: float, rho: float) -> float:
         raise DomainError(f"profile_K requires p > 2, got {p}")
     _check_rho(rho)
     q = _conjugate_exponent(p)
-    if q > Q_BLOWUP_CUTOFF:
-        raise DomainError(
-            f"p = {p:g} is too close to 2: K blows up like 2/(2-q) there "
-            f"(supported region is q = p/(p-1) <= {Q_BLOWUP_CUTOFF})"
-        )
+    _check_blowup(q, "K(0) = 2/(2-q)")
     return 2.0 * profile_F(q, rho * rho) / (2.0 - q)
 
 
@@ -143,11 +122,7 @@ def _boundary_N(q: float, b: float, tol: float) -> SeriesValue:
 
 
 def _check_boundary(q: float, tol: float) -> None:
-    if q > Q_BLOWUP_CUTOFF:
-        raise DomainError(
-            f"q = {q:g} is too close to 2: N(1) = A(p) diverges as p -> 2+ "
-            f"(supported region is q <= {Q_BLOWUP_CUTOFF})"
-        )
+    _check_blowup(q, "N(1) = A(p)")
     if tol <= 0:
         raise DomainError("tol must be positive")
 

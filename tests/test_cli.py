@@ -147,6 +147,25 @@ class TestVerifyCommand:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-3", "--seed must be an integer >= 0, got '-3'"),
+            ("--tol", "nan", "--tol must be a finite number >= 0, got 'nan'"),
+            ("--tol", "inf", "--tol must be a finite number >= 0, got 'inf'"),
+            ("--tol", "-1", "--tol must be a finite number >= 0, got '-1'"),
+        ],
+        ids=["seed-negative", "tol-nan", "tol-inf", "tol-negative"],
+    )
+    def test_bad_seed_or_tol_is_a_usage_error(self, capsys, flag, value, message):
+        # exit 1 means "some row failed"; a bad option must not read as one
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "specfun", flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.csv"
         code, out, _ = run_cli(capsys, "verify", "--suite", "specfun", "--format", "csv",
@@ -222,10 +241,12 @@ class TestTableCommand:
             assert row[2] == cli._fmt(profile_M(1.0, rho))
             assert row[3] == cli._fmt(profile_N(1.0, rho, 1e-10).value)
 
-    def test_profiles_table_requires_p_above_two(self, capsys):
-        code, _, err = run_cli(capsys, "table", "profiles", "--p", "2")
+    @pytest.mark.parametrize("p", ["2", "1.9999999", "1", "nan"])
+    def test_profiles_table_requires_p_above_two(self, capsys, p):
+        code, out, err = run_cli(capsys, "table", "profiles", "--p", p)
         assert code == 2
-        assert "p > 2" in err
+        assert out == ""
+        assert f"requires p > 2 so all three profiles exist, got p = {float(p)!r}" in err
 
     def test_json_table(self, capsys):
         code, out, _ = run_cli(capsys, "table", "interpolation", "--p", "2", "--format", "json")
@@ -260,3 +281,19 @@ class TestParserReuse:
         reused = [run_cli(capsys, *argv) for argv in self.COMMANDS]
         assert reused == fresh
         assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, p",
+    [
+        (("norm", "--op", "j0star", "--p", "2.0000001", "--target", "linf"), 2.0000001),
+        (("table", "profiles", "--p", "2.000001"), 2.000001),
+    ],
+    ids=["norm-A(p)", "table-K"],
+)
+def test_near_two_refusal_prints_the_exponent(capsys, argv, p):
+    # both q print as 2 in a short format
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"q = {p / (p - 1.0)!r} is too close to 2" in err

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from disknorms import profiles as pf
-from disknorms.errors import DivergenceError, DomainError, PrecisionError
+from disknorms.errors import DomainError, PrecisionError
 from disknorms.specfun import catalan_constant, gauss_2f1_at_1, ln_gamma
 
 # mpmath references, 30 dps
-APM_RHO1_B03 = 1.3164560621300047185  # Gamma(0.4)/Gamma(0.7)^2
 K_3_AT_03 = 3.930404762413530342
 K_INF_AT_099 = 1.3094960708589625710  # 2(1-t) 2F1(1/2,3/2;1;t), t = 0.99*0.99
 M_1_AT_099 = 1.2368164808754954355
@@ -39,12 +38,6 @@ A_CALIBRATION = {
     1e6: 0.901432129813731648027363874393,
     math.inf: 0.901431694245428231814536439682,  # (1+2*Catalan)/pi
 }
-# Gauss's sum Gamma(1-2 beta)/Gamma(1-beta)^2 at the float beta, 40 dps
-APM_RHO1 = {
-    0.05: 1.00444851465335997534345852427,
-    0.3: 1.31645606213000467933665868942,
-    0.45: 3.64242962912685366396669614662,
-}
 # M(q, 1) = Gamma(2-q)/Gamma(2-q/2)^2 at the float q near its pole
 M_NEAR_POLE = {
     2.0 - 1e-6: 1000000.0000826778712,
@@ -61,45 +54,6 @@ F1_LIMIT = {
 def _radial_gl(n):
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def test_angular_power_mean_basics():
-    assert pf.angular_power_mean(0.0, 0.7, 1e-12).value == 1.0
-    # beta = 1 collapses to the geometric series 1/(1-rho^2)
-    for rho in (0.2, 0.5, 0.8):
-        got = pf.angular_power_mean(rho, 1.0, 1e-12)
-        assert abs(got.value - 1.0 / (1.0 - rho * rho)) <= 1e-11
-
-
-def test_angular_power_mean_against_trapezoid():
-    # 4096-node trapezoid of the defining circle average
-    theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    for rho, beta in ((0.5, 0.5), (0.3, 0.9), (0.7, 0.25)):
-        direct = float(
-            np.mean(np.abs(1.0 - rho * np.exp(1j * theta)) ** (-2.0 * beta))
-        )
-        got = pf.angular_power_mean(rho, beta, 1e-10)
-        assert abs(got.value - direct) <= 1e-8
-
-
-def test_angular_power_mean_boundary():
-    got = pf.angular_power_mean(1.0, 0.3, 1e-9)
-    assert abs(got.value - APM_RHO1_B03) <= got.tail_bound + 1e-9
-    with pytest.raises(DivergenceError):
-        pf.angular_power_mean(1.0, 0.5, 1e-9)
-    with pytest.raises(DivergenceError):
-        pf.angular_power_mean(1.0, 0.8, 1e-9)
-    with pytest.raises(DomainError):
-        pf.angular_power_mean(0.5, 0.0, 1e-9)
-    with pytest.raises(DomainError):
-        pf.angular_power_mean(1.2, 0.4, 1e-9)
-
-
-@pytest.mark.parametrize("beta", list(APM_RHO1), ids=str)
-def test_angular_power_mean_at_rho_1_is_gauss_sum_within_bound(beta):
-    got = pf.angular_power_mean(1.0, beta, 1e-12)
-    assert got.terms_used == 0  # closed form, no series
-    assert abs(got.value - APM_RHO1[beta]) <= got.tail_bound <= 1e-13 * got.value
 
 
 def test_profile_K_refuses_where_rounding_outgrows_the_tolerance():

@@ -34,6 +34,15 @@ F21_UNITY_SLOW = 3.642429629126853664  # 2F1(0.45,0.45;1;1), decay exponent 1.1
 F21_NEAR_POLE = 159154939.19950173184  # 2F1(b,b;1;1), b = 0.5 - 1e-9 (the float)
 F21_SLOWEST = 46427608.218536561002  # 2F1(0.7,0.6;1.30000001;1), decay exponent 1+1e-8
 F21_NEAR_ONE = 465.21132172732776807  # 2F1(0.7,0.6;1.301;1), decay exponent 1.001
+# The circle mean of 1/|1 - e^{it}|^{2 beta} is 2F1(beta, beta; 1; 1), Gauss's
+# sum Gamma(1-2 beta)/Gamma(1-beta)^2: at beta = 0.3 exactly, and at the float
+# beta (40 dps)
+APM_RHO1_B03 = 1.3164560621300047185  # Gamma(0.4)/Gamma(0.7)^2
+APM_RHO1 = {
+    0.05: 1.00444851465335997534345852427,
+    0.3: 1.31645606213000467933665868942,
+    0.45: 3.64242962912685366396669614662,
+}
 
 # Unit-argument series as (upper, lower, tol): value
 UNIT_CALIBRATION = {
@@ -344,6 +353,36 @@ def test_gauss_2f1_at_1_gamma_formula():
         sf.gauss_2f1_at_1(1.0, 1.0, 2.0)
     with pytest.raises(DivergenceError):
         sf.gauss_2f1_at_1(0.75, 0.75, 1.0)
+
+
+def test_circle_mean_series_against_trapezoid():
+    # Parseval: the circle mean of 1/|1 - rho e^{it}|^{2 beta} is
+    # 2F1(beta, beta; 1; rho^2); checked against a 4096-node trapezoid
+    theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    for rho, beta in ((0.5, 0.5), (0.3, 0.9), (0.7, 0.25)):
+        direct = float(
+            np.mean(np.abs(1.0 - rho * np.exp(1j * theta)) ** (-2.0 * beta))
+        )
+        got = sf.hyp_pfq(sf.HypergeometricSpec((beta, beta), (1.0,), rho * rho), 1e-10)
+        assert abs(got.value - direct) <= 1e-8
+    # beta = 1 collapses to the geometric series 1/(1-rho^2)
+    for rho in (0.2, 0.5, 0.8):
+        got = sf.hyp_pfq(sf.HypergeometricSpec((1.0, 1.0), (1.0,), rho * rho), 1e-12)
+        assert abs(got.value - 1.0 / (1.0 - rho * rho)) <= 1e-11
+
+
+@pytest.mark.parametrize("beta", list(APM_RHO1), ids=str)
+def test_circle_mean_at_rho_1_is_gauss_sum(beta):
+    got = sf.gauss_2f1_at_1(beta, beta, 1.0)
+    assert abs(got - APM_RHO1[beta]) <= 1e-13 * APM_RHO1[beta]
+
+
+def test_circle_mean_at_rho_1_diverges_from_beta_one_half():
+    got = sf.gauss_2f1_at_1(0.3, 0.3, 1.0)
+    assert abs(got - APM_RHO1_B03) <= 1e-13 * APM_RHO1_B03
+    for beta in (0.5, 0.8):
+        with pytest.raises(DivergenceError):
+            sf.gauss_2f1_at_1(beta, beta, 1.0)
 
 
 def test_gauss_2f1_at_1_rounds_the_excess_once():
