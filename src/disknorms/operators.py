@@ -22,7 +22,10 @@ O(nr^2 nb log nb) work and a bounded block of rings of memory.
 
 Singular operators (cauchy, cdelta) must be given a rule whose singularity
 strategy is centered at the evaluation point; the bounded three refuse rules
-with a strategy attached.  Near the boundary every kernel develops a thin
+with a strategy attached.  On the Mobius rule the kernel, the Jacobian and
+the polar r collapse to one closed-form weight per node (``_mobius_weigh``),
+so w - z is never formed by subtraction; an ``AnnulusExclude`` rule
+integrates the kernel times the field as written.  Near the boundary every kernel develops a thin
 angular layer, so rules are validated against the same angular-node floor
 the quadrature module uses.
 """
@@ -41,9 +44,11 @@ from .quadrature import (
     DiskRule,
     FieldFn,
     Integral,
+    Mobius,
     _angles,
     _eval_nodes,
     _gauss01,
+    _mobius_integral,
     _tensor_integral,
     integrate_disk_singular,
     required_angular_nodes,
@@ -93,7 +98,8 @@ def _check_point(op: Operator, z: complex) -> complex:
 def _check_rule(op: Operator, z: complex, rule: Optional[DiskRule]) -> DiskRule:
     """The default rule for z, or the given one checked against z's boundary
     layer.  Bounded operators refuse a singularity strategy; a singular
-    operator's strategy is checked where it is used, in integrate_disk_singular."""
+    operator's strategy is checked where it is used, in the Mobius sum's
+    center check or in integrate_disk_singular."""
     singular = op in _SINGULAR_OPS
     if rule is None:
         return DiskRule.for_point(z, singular=singular)
@@ -119,6 +125,45 @@ def _bounded_integrand(op: Operator, f: FieldFn, z: complex) -> FieldFn:
     raise ConfigurationError(f"{op!r} is not a bounded operator")
 
 
+def _singular_integrand(op: Operator, f: FieldFn, z: complex) -> FieldFn:
+    if op is Operator.CAUCHY:
+        return lambda w: f(w) / (w - z)
+    return lambda w: f(w) * (1.0 / (z - w) + np.conj(w) / (1.0 - np.conj(w) * z))
+
+
+def _mobius_weigh(op: Operator, z: complex):
+    """Kernel x Jacobian x r of the Mobius rule centered at z, in closed form.
+
+    With a = r e^{i theta}, D = 1 - conj(z) a and c = 1 - |z|^2 the node is
+    w = (z - a)/D, so w - z = -a c/D and 1 - conj(w) z = c/conj(D); the
+    Jacobian is c^2/|D|^4.  The kernels times Jacobian times r are
+        cauchy  c (conj(z) r - e^{-i theta}) / |D|^4
+        cdelta  c (1 - r^2) e^{-i theta} / |D|^4
+    and neither forms w - z by subtraction.  The rule runs at s = 1, where
+    the weigher's r^s is r.  c is 1 - x^2 - y^2 summed exactly in integers
+    and rounded once; 1 - abs(z)**2 would carry a relative error of about
+    eps/(1 - |z|) into every weight.
+    """
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(xd, yd)  # both are powers of two
+    c = (d * d - (xn * (d // xd)) ** 2 - (yn * (d // yd)) ** 2) / (d * d)
+    zc = z.conjugate()
+
+    def cauchy(vals, r, phase, denom):
+        d2 = denom.real**2 + denom.imag**2
+        weight = zc * r - phase.conj()
+        weight *= c / (d2 * d2)
+        return vals * weight
+
+    def cdelta(vals, r, phase, denom):
+        d2 = denom.real**2 + denom.imag**2
+        weighted = vals * phase.conj()
+        weighted *= c * (1.0 - r) * (1.0 + r) / (d2 * d2)
+        return weighted
+
+    return cauchy if op is Operator.CAUCHY else cdelta
+
+
 def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None) -> Integral:
     """Evaluate one operator at an interior point.
 
@@ -133,13 +178,10 @@ def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None)
     z = _check_point(op, z)
     rule = _check_rule(op, z, rule)
 
-    if op is Operator.CAUCHY:
-        return integrate_disk_singular(lambda w: f(w) / (w - z), z, 1.0, rule)
-    if op is Operator.C_DELTA:
-        def combined(w):
-            return f(w) * (1.0 / (z - w) + np.conj(w) / (1.0 - np.conj(w) * z))
-
-        return integrate_disk_singular(combined, z, 1.0, rule)
+    if op in _SINGULAR_OPS:
+        if isinstance(rule.singularity, Mobius):
+            return _mobius_integral(f, z, 1.0, rule, _mobius_weigh(op, z))
+        return integrate_disk_singular(_singular_integrand(op, f, z), z, 1.0, rule)
 
     inner = _tensor_integral(_bounded_integrand(op, f, z), rule, z)
     if op is Operator.J0:

@@ -121,19 +121,14 @@ def _boundary_N(q: float, b: float, tol: float) -> SeriesValue:
     return _sum_unit_argument((-a, 1.0, b), (c, c), tol, prefactor)
 
 
-def _check_boundary(q: float, tol: float) -> None:
-    _check_blowup(q, "N(1) = A(p)")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-
-
 def profile_N(q: float, rho: float, tol: float) -> SeriesValue:
     """q-energy of the conjugate-weighted kernel conj(w)/(1 - conj(w) z).
 
     The radial reduction gives 2 sum_n (Gamma(n+q/2)/(n! Gamma(q/2)))^2
     rho^{2n} / (2n+q+2); absorbing the denominator into a Pochhammer ratio
     turns it into (2/(q+2)) 3F2(q/2, q/2, 1+q/2; 1, 2+q/2; rho^2).
-    Increasing in rho; N(1) is the constant A(p).
+    Increasing in rho; N(1) is the constant A(p).  Only N(1) diverges as
+    q -> 2, so q past ``Q_BLOWUP_CUTOFF`` is refused at rho = 1 alone.
 
     At rho = 1 that series has parameter excess b = 2 - q and terms decaying
     like n^-(3-q).  Thomae's relation (Bailey 1935, 3.2; DLMF 16.4) turns it
@@ -145,8 +140,10 @@ def profile_N(q: float, rho: float, tol: float) -> SeriesValue:
     """
     _check_q(q)
     _check_rho(rho)
-    _check_boundary(q, tol)
+    if tol <= 0:
+        raise DomainError("tol must be positive")
     if rho == 1.0:
+        _check_blowup(q, "N(1) = A(p)")
         return _boundary_N(q, 2.0 - q, tol)
     spec = HypergeometricSpec(
         (0.5 * q, 0.5 * q, 1.0 + 0.5 * q), (1.0, 2.0 + 0.5 * q), rho * rho
@@ -198,7 +195,9 @@ def a_p_constant(p: float, tol: float) -> SeriesValue:
         raise DomainError(f"a_p_constant requires p > 2, got {p}")
     q = _conjugate_exponent(p)
     b = 1.0 if math.isinf(p) else (p - 2.0) / (p - 1.0)
-    _check_boundary(q, tol)
+    _check_blowup(q, "N(1) = A(p)")
+    if tol <= 0:
+        raise DomainError("tol must be positive")
     result = _boundary_N(q, b, tol)
     ceiling = a_p_upper_bound(p)
     if result.value - result.tail_bound > ceiling:

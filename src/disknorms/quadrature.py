@@ -19,6 +19,18 @@ never fewer than the default 512) to push that weight below e^-64
 full count on every ring.  Fields are evaluated once per block of
 consecutive rings with equal counts, at most 2^13 nodes per call, so memory
 stays bounded at any distance from the boundary.
+
+Near the boundary almost every ring has its own count and so its own table
+of unit-circle nodes.  A table of more than 512 nodes is a coarse x fine
+product of about 2 sqrt(L) exponentials for L nodes, each taken at an angle
+reduced to [-pi/4, pi/4] (``_angles``); tables of up to 512 nodes are
+np.exp's own.  The Mobius sum gives the field its nodes w and multiplies the
+values by a weight the caller supplies: ``integrate_disk_singular`` passes
+the Jacobian times r^s, and ``apply`` passes the closed-form kernel times
+Jacobian of cauchy and cdelta, which never form w - b by subtraction.  The
+estimate's rounding floor, 8 eps times the integral of |integrand|, weights
+each tensor ring by the conditioning (1 + r|z|)/(1 - r|z|) of the kernels
+(1 - conj(w) z)^-k at z, exactly 1 at z = 0.
 """
 
 from __future__ import annotations
@@ -146,9 +158,28 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
 def _angles(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Unit-circle trapezoid nodes lo..hi-1 of n."""
-    return np.exp(2j * math.pi * np.arange(lo, n if hi is None else hi) / n)
+    """Unit-circle trapezoid nodes lo..hi-1 of n.
+
+    Past n = 512 the L = hi - lo nodes are a coarse x fine product,
+    e^{2 pi i k/n} = e^{2 pi i q m/n} e^{2 pi i j/n} for k = q m + j, j < m,
+    m = isqrt(L): about 2 sqrt(L) exponentials instead of L.  Each factor's
+    angle is reduced to |2 pi k/n - t pi/2| <= pi/4 and turned back by the
+    exact i^t, which keeps every node within about eps of e^{2 pi i k/n}.
+    """
+    hi = n if hi is None else hi
+    if n <= DEFAULT_ANGULAR:
+        return np.exp(2j * math.pi * np.arange(lo, hi) / n)
+    m = math.isqrt(hi - lo)
+    q0, q1 = lo // m, -(-hi // m)
+    k = np.concatenate([np.arange(m), m * np.arange(q0, q1)])
+    t = (4 * k + n // 2) // n
+    table = np.exp((0.5j * math.pi / n) * (4 * k - t * n)) * _QUARTER_TURNS[t % 4]
+    fine, coarse = table[:m], table[m:]
+    return (coarse[:, None] * fine).ravel()[lo - q0 * m : hi - q0 * m]
 
 
 def _ring_blocks(counts: np.ndarray):
@@ -175,8 +206,11 @@ def _ring_blocks(counts: np.ndarray):
         i = j
 
 
-def _polar_sum(block: Callable, weights: np.ndarray, counts: np.ndarray) -> tuple[complex, float]:
-    """Sum over rings of weights times the ring means of block and of |block|.
+def _polar_sum(
+    block: Callable, weights: np.ndarray, floor_weights: np.ndarray, counts: np.ndarray
+) -> tuple[complex, float]:
+    """Sum over rings of weights times the ring means of block, and of
+    floor_weights times the ring means of |block|.
 
     block(rings, phase) returns the integrand on those rings at the block's
     unit-circle nodes phase, as a (rings, angles) array.
@@ -192,9 +226,9 @@ def _polar_sum(block: Callable, weights: np.ndarray, counts: np.ndarray) -> tupl
         mags[rings] += np.abs(vals).sum(axis=1)
     total = 0.0 + 0.0j
     abs_total = 0.0
-    for wi, mean, abs_mean in zip(weights, sums / counts, mags / counts):
+    for wi, fi, mean, abs_mean in zip(weights, floor_weights, sums / counts, mags / counts):
         total += wi * complex(mean)
-        abs_total += wi * float(abs_mean)
+        abs_total += fi * float(abs_mean)
     return total, abs_total
 
 
@@ -239,16 +273,24 @@ def _eval_nodes(f: FieldFn, w: np.ndarray) -> np.ndarray:
 
 
 def _tensor_integral(f: FieldFn, rule: DiskRule, z: complex) -> Integral:
-    """Tensor-product integral of f with rings sized for kernels at z."""
+    """Tensor-product integral of f with rings sized for kernels at z.
+
+    Kernels (1 - conj(w) z)^-k, k <= 2, amplify the rounding of the nodes
+    by k|conj(w) z|/|1 - conj(w) z| <= (1 + r|z|)/(1 - r|z|) on the ring of
+    radius r, so each ring's share of the rounding floor carries that factor
+    (exactly 1 at z = 0).
+    """
 
     def tensor_sum(nr: int, na: int) -> tuple[complex, float]:
         # int f dA = sum_i 2 w_i r_i * (mean over angles of f(r_i e^{i theta}))
         r, wr = _gauss01(nr)
+        rz = r * abs(z)
 
         def block(rings, phase):
             return _eval_nodes(f, r[rings, None] * phase)
 
-        return _polar_sum(block, 2.0 * wr * r, _ring_counts(r, na, z))
+        weights = 2.0 * wr * r
+        return _polar_sum(block, weights, weights * (1.0 + rz) / (1.0 - rz), _ring_counts(r, na, z))
 
     return _halved(tensor_sum, rule)
 
@@ -270,28 +312,36 @@ def integrate_disk(f: FieldFn, rule: DiskRule) -> Integral:
 
 
 def _mobius_sum(
-    f: FieldFn, b: complex, s: float, nr: int, na: int
+    f: FieldFn, b: complex, s: float, nr: int, na: int, weigh: Callable
 ) -> tuple[complex, float]:
     # w = (b - a)/(1 - conj(b) a) sends a = 0 to the singular point; the
     # Jacobian is (1-|b|^2)^2/|1 - conj(b) a|^4.  In polar a-coordinates the
     # radial weight becomes r^{1-s}, which the substitution r = t^{1/(2-s)}
     # turns into the constant 2/(2-s).  The integrand's layer sits at
     # a = 1/conj(b), so each ring of a-radius r gets its own count just as
-    # in the tensor rule.
+    # in the tensor rule.  weigh(f(w), r^s, phase, 1 - conj(b) a) multiplies
+    # the field values by the rest of the integrand, Jacobian and r^s.
     beta = 1.0 / (2.0 - s)
     t, wt = _gauss01(nr)
     r = np.array([ti**beta for ti in t])
     r_s = np.array([ri**s for ri in r])
-    one_minus_b2 = 1.0 - abs(b) ** 2
 
     def block(rings, phase):
         a = r[rings, None] * phase
         denom = 1.0 - b.conjugate() * a
-        w = (b - a) / denom
-        jac = one_minus_b2**2 / np.abs(denom) ** 4
-        return _eval_nodes(f, w) * jac * r_s[rings, None]
+        return weigh(_eval_nodes(f, (b - a) / denom), r_s[rings, None], phase, denom)
 
-    return _polar_sum(block, 2.0 * beta * wt, _ring_counts(r, na, b))
+    weights = 2.0 * beta * wt
+    return _polar_sum(block, weights, weights, _ring_counts(r, na, b))
+
+
+def _mobius_integral(f: FieldFn, b: complex, s: float, rule: DiskRule, weigh: Callable) -> Integral:
+    """The Mobius rule's integral of f times weigh's factor, center checked against b."""
+    if abs(rule.singularity.center - b) > 1e-12:
+        raise ConfigurationError(
+            f"rule is centered at {rule.singularity.center:.8g} but the singularity is at {b:.8g}"
+        )
+    return _halved(lambda nr, na: _mobius_sum(f, b, s, nr, na, weigh), rule)
 
 
 def _annulus_sum(
@@ -347,11 +397,12 @@ def integrate_disk_singular(
             "integrate_disk_singular requires a rule with a singularity strategy"
         )
     if isinstance(sing, Mobius):
-        if abs(sing.center - b) > 1e-12:
-            raise ConfigurationError(
-                f"rule is centered at {sing.center:.8g} but the singularity is at {b:.8g}"
-            )
-        return _halved(lambda nr, na: _mobius_sum(f, b, s, nr, na), rule)
+        c2 = (1.0 - abs(b) ** 2) ** 2
+
+        def substitution(vals, r_s, phase, denom):
+            return vals * (c2 / np.abs(denom) ** 4) * r_s
+
+        return _mobius_integral(f, b, s, rule, substitution)
     # annulus exclusion
     eps = sing.epsilon
     if eps >= 1.0 - abs(b):

@@ -12,14 +12,16 @@ import math
 import numpy as np
 import pytest
 
+from disknorms import quadrature
 from disknorms.errors import ConfigurationError, DomainError, PrecisionError
 from disknorms.operators import (
     Operator,
+    _mobius_weigh,
     adjoint_pairing_residual,
     apply,
     dbar_identity_residual,
 )
-from disknorms.quadrature import AnnulusExclude, DiskRule, Mobius
+from disknorms.quadrature import AnnulusExclude, DiskRule, Mobius, _gauss01
 from disknorms.verify import VerifyConfig, run_suite
 
 
@@ -361,21 +363,21 @@ class CountingField:
 
 
 NEAR_RADII = (0.99, 0.999, 0.9999)
+# the bounded operators run up to their margin 1 - 1e-6
+BOUNDED_RADII = NEAR_RADII + (1.0 - 1e-5, 1.0 - 1e-6)
 NEAR_ANGLES = (0.7, 2.9)
 C_POLE = 0.999  # fields singular at w = 1/C_POLE, just outside the disk
 
-# Cases whose error exceeds the full-minus-half estimate with the default
-# rule.  Neither is an angular effect: bergman's error stays near 1.5e-13
-# with 384 or 512 radial nodes, above the estimate's 8 eps * (integral of
-# |integrand|) rounding floor; cdelta's falls to 1e-4 with 512 and 5e-11
-# with 1024 radial nodes, while the 256/128 difference stays below it.
+# A case whose error exceeds the full-minus-half estimate with the default
+# rule.  It is not an angular effect: cdelta's error falls to 1e-4 with 512
+# and 5e-11 with 1024 radial nodes, while the 256/128 difference stays
+# below it.
 ESTIMATE_MISSES = {
-    ("bergman", 0.9999, 2.9): "rounding floor too small: error 1.6e-13, estimate 1.1e-13",
     ("cdelta", 0.9999, 0.7): "radial layer unresolved: error 0.0295, estimate 0.0279",
 }
 
 
-def _near_cases(ops):
+def _near_cases(ops, radii=NEAR_RADII):
     return [
         pytest.param(
             op, radius, angle,
@@ -383,7 +385,7 @@ def _near_cases(ops):
             if (op.value, radius, angle) in ESTIMATE_MISSES else (),
         )
         for op in ops
-        for radius in NEAR_RADII
+        for radius in radii
         for angle in NEAR_ANGLES
     ]
 
@@ -400,7 +402,9 @@ def _near_closed_form(op, z):
 class TestNearBoundary:
     """Default rules at |z| -> 1 against closed-form images."""
 
-    @pytest.mark.parametrize("op, radius, angle", _near_cases([Operator.J0, Operator.J0_STAR, Operator.BERGMAN]))
+    @pytest.mark.parametrize(
+        "op, radius, angle", _near_cases([Operator.J0, Operator.J0_STAR, Operator.BERGMAN], BOUNDED_RADII)
+    )
     def test_bounded_images_of_boundary_singular_fields(self, op, radius, angle):
         # j0 1/(1-cw) = -log(1-cz)/c, j0star w/(1-cw) = (-log(1-x)-x)/x^2
         # with x = cz, bergman 1/(1-cw) = 1/(1-cz)
@@ -420,6 +424,56 @@ class TestNearBoundary:
             want = sum(c * j0star_monomial(a, b, z) for (a, b), c in coeffs.items()) - want
         got = apply(op, poly_field(coeffs), z)
         assert abs(got.value - want) <= got.abs_error_estimate, (got, want)
+
+
+class TestMobiusWeights:
+    """Kernel x Jacobian x r on the Mobius rule's nodes against 40-digit mpmath.
+
+    Four centers b of the given modulus get 50 nodes a = r e^{i theta} each,
+    at the rule's radii for s = 1 and seeded angles.  Either form carries the
+    conditioning |conj(b) a|/|D| of D = 1 - conj(b) a in its Jacobian, so
+    the bound is 1e-13 relative plus 8 eps times that.
+    """
+
+    @staticmethod
+    def relative_errors(op, b_abs, closed_form):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            rng = np.random.default_rng(int(b_abs * 1e4))
+            errs = []
+            for b in b_abs * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 4)):
+                b = complex(b)
+                r = rng.choice(_gauss01(256)[0], 50)
+                theta = rng.uniform(0.0, 2.0 * math.pi, 50)
+                phase = np.exp(1j * theta)
+                a = r * phase
+                denom = 1.0 - b.conjugate() * a
+                if closed_form:
+                    got = _mobius_weigh(op, b)(np.ones(a.shape, dtype=complex), r, phase, denom)
+                else:
+                    # w - b by subtraction, as the general integrand route forms it
+                    w = (b - a) / denom
+                    kernel = 1.0 / (w - b) if op is Operator.CAUCHY else 1.0 / (b - w) + np.conj(w) / (1.0 - np.conj(w) * b)
+                    got = kernel * (1.0 - abs(b) ** 2) ** 2 / np.abs(denom) ** 4 * r
+                B = mp.mpc(b.real, b.imag)
+                for gi, ri, ti, di in zip(got, r, theta, denom):
+                    A = mp.mpf(ri) * mp.expj(mp.mpf(ti))
+                    D = 1 - mp.conj(B) * A
+                    W = (B - A) / D
+                    K = 1 / (W - B) if op is Operator.CAUCHY else 1 / (B - W) + mp.conj(W) / (1 - mp.conj(W) * B)
+                    want = K * (1 - abs(B) ** 2) ** 2 / abs(D) ** 4 * mp.mpf(ri)
+                    cond = abs(b) * ri / abs(di)
+                    errs.append(float(abs(gi - want) / abs(want)) / (1e-13 + 8 * 2.220446049250313e-16 * cond))
+        return np.array(errs)
+
+    @pytest.mark.parametrize("op", [Operator.CAUCHY, Operator.C_DELTA])
+    @pytest.mark.parametrize("b_abs", [0.5, 0.995, 0.9999])
+    def test_closed_form_weights(self, op, b_abs):
+        assert self.relative_errors(op, b_abs, closed_form=True).max() <= 1.0
+
+    @pytest.mark.parametrize("op", [Operator.CAUCHY, Operator.C_DELTA])
+    def test_subtraction_form_misses_at_0995(self, op):
+        assert self.relative_errors(op, 0.995, closed_form=False).max() > 1.0
 
 
 class TestWork:
@@ -444,6 +498,31 @@ class TestWork:
         apply(op, f, 0.9999j)
         assert sum(f.sizes) < 4e6
         assert max(f.sizes) <= 8192
+
+    @pytest.mark.parametrize("op", [Operator.J0, Operator.CAUCHY])
+    def test_node_tables_cost_few_exponentials(self, op, monkeypatch):
+        # every complex exponential spent while a node table is built; one
+        # per table entry would be about 94% of the field nodes here
+        spent = []
+        build, exp = quadrature._angles, np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            out = exp(x, *args, **kwargs)
+            spent.append(np.size(out))
+            return out
+
+        def counted_build(*args):
+            np.exp = counting_exp
+            try:
+                return build(*args)
+            finally:
+                np.exp = exp
+
+        monkeypatch.setattr(quadrature, "_angles", counted_build)
+        f = CountingField(self.COEFFS)
+        apply(op, f, 0.9999j)
+        assert sum(f.sizes) == 2_691_455
+        assert 0 < sum(spent) < 0.05 * sum(f.sizes)
 
     def test_memory_stays_bounded_at_the_margin(self):
         # |z| = 1 - 1e-6: a uniform count would be 64,000,000 angles per ring

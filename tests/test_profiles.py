@@ -21,6 +21,7 @@ K_3_AT_03 = 3.930404762413530342
 K_INF_AT_099 = 1.3094960708589625710  # 2(1-t) 2F1(1/2,3/2;1;t), t = 0.99*0.99
 M_1_AT_099 = 1.2368164808754954355
 N_32_AT_07 = 0.71337986451723738984  # N_q(0.7), q = 3/2
+N_NEAR_2_AT_05 = 0.602913172702731128135  # N_q(0.5), q = 1.9999995 (the float)
 A_AT_3 = 1.5762267609646316533
 A_AT_4 = 1.1979464800047525603
 # A(p) at p = 2 + d (the float sum), mpmath at 30 digits through Thomae's
@@ -166,7 +167,19 @@ def test_profile_N_values():
     got = pf.profile_N(1.5, 0.7, 1e-11)
     assert abs(got.value - N_32_AT_07) <= got.tail_bound + 1e-11
     with pytest.raises(DomainError):
-        pf.profile_N(1.9999999, 0.5, 1e-8)
+        pf.profile_N(1.9999999, 1.0, 1e-8)
+
+
+def test_profile_N_answers_inside_the_disk_past_the_blowup_cutoff():
+    # only N(1) = A(p) diverges as q -> 2; the interior series still sums
+    q = 1.9999995
+    assert q > pf.Q_BLOWUP_CUTOFF
+    got = pf.profile_N(q, 0.5, 1e-10)
+    assert abs(got.value - N_NEAR_2_AT_05) <= got.tail_bound <= 1e-10
+    with pytest.raises(DomainError, match="N\\(1\\) = A\\(p\\) diverges"):
+        pf.profile_N(q, 1.0, 1e-10)
+    with pytest.raises(DomainError, match="tol must be positive"):
+        pf.profile_N(q, 0.5, 0.0)
 
 
 def test_profile_N_boundary_vs_direct_series():

@@ -14,6 +14,7 @@ from disknorms.quadrature import (
     AnnulusExclude,
     DiskRule,
     Mobius,
+    _angles,
     _gauss01,
     _ring_counts,
     integrate_disk,
@@ -291,3 +292,25 @@ def test_rings_wider_than_a_block_are_summed_in_chunks():
     vals = truncated_singular_integral(one, 0.3, [0.1], DiskRule(16, 20000))
     assert abs(vals[0] - 0.99) <= 1e-12
     assert max(one.sizes) <= 8192 and sum(one.sizes) == 16 * 20000
+
+
+def test_angle_tables_up_to_512_nodes_are_numpys():
+    for n in (16, 100, 511, 512):
+        assert np.array_equal(_angles(n), np.exp(2j * math.pi * np.arange(n) / n)), n
+
+
+@pytest.mark.parametrize(
+    "n, lo, hi",
+    [(513, 0, 513), (12800, 0, 12800), (640000, 0, 8192), (640000, 316000, 324192), (640000, 638000, 640000)],
+)
+def test_angle_tables_are_within_4_eps(n, lo, hi):
+    # the coarse x fine product against 30-digit exponentials, on chunks
+    # that start at 0 and past it; plain np.exp misses 4 eps at n = 513
+    mp = pytest.importorskip("mpmath")
+    table = _angles(n, lo, hi)
+    assert table.shape == (hi - lo,)
+    rng = np.random.default_rng(n + lo)
+    idx = np.unique(np.concatenate([[0, hi - lo - 1], rng.integers(0, hi - lo, 400)]))
+    with mp.workdps(30):
+        err = max(abs(complex(table[i]) - complex(mp.expj(2 * mp.pi * int(lo + i) / n))) for i in idx)
+    assert err <= 4 * 2.220446049250313e-16, err
