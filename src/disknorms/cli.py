@@ -48,6 +48,7 @@ def _option(flag: str, convert: Callable, valid: Callable, what: str) -> Callabl
 _parse_p = _option("--p", float, lambda v: not math.isnan(v), "a real number or 'inf'")
 _parse_seed = _option("--seed", int, lambda v: v >= 0, "an integer >= 0")
 _parse_tol = _option("--tol", float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_parse_epsilon = _option("--epsilon", float, lambda v: 0.0 < v < 0.5, "a number in (0, 0.5)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=_parse_tol, default=None,
                         help="override every row tolerance with one absolute value")
     verify.add_argument("--seed", type=_parse_seed, default=42)
-    verify.add_argument("--epsilon", type=float, default=0.05,
+    verify.add_argument("--epsilon", type=_parse_epsilon, default=0.05,
                         help="truncation radius for counterexample mass rows")
     verify.add_argument("--radial-nodes", type=int, default=None)
     verify.add_argument("--angular-nodes", type=int, default=None)

@@ -28,6 +28,12 @@ so w - z is never formed by subtraction; an ``AnnulusExclude`` rule
 integrates the kernel times the field as written.  Near the boundary every kernel develops a thin
 angular layer, so rules are validated against the same angular-node floor
 the quadrature module uses.
+
+``apply`` sums the tensor and Mobius rules on the quadrature module's nested
+rule: 2m+1 Gauss-Kronrod rings, m = (radial_nodes - 1)//2, with even ring
+counts, each field node evaluated once.  Its estimate is the distance to
+the m Gauss rings plus the distance to the half-count trapezoid on the same
+rings, plus a rounding floor.
 """
 
 from __future__ import annotations
@@ -173,6 +179,14 @@ def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None)
     for |z| > 0.9 inner rings get their own layer's count.  Explicit rules
     are validated instead of silently upgraded; too few angular nodes or a
     mismatched singularity center raise ``ConfigurationError``.
+
+    The tensor and Mobius rules sum on 2m+1 Gauss-Kronrod rings, m =
+    (radial_nodes - 1)//2 (255 for the default 256), with every ring count
+    rounded up to even.  ``abs_error_estimate`` is |K - G| + |K - K_half| +
+    8 eps * integral |integrand|: K is the value, G the m Gauss rings among
+    them, and K_half the same rings at every other angle, all from one set
+    of field values.  An ``AnnulusExclude`` rule runs
+    ``integrate_disk_singular`` as given.
     """
     op = Operator(op)
     z = _check_point(op, z)
@@ -180,10 +194,10 @@ def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None)
 
     if op in _SINGULAR_OPS:
         if isinstance(rule.singularity, Mobius):
-            return _mobius_integral(f, z, 1.0, rule, _mobius_weigh(op, z))
+            return _mobius_integral(f, z, 1.0, rule, _mobius_weigh(op, z), nested=True)
         return integrate_disk_singular(_singular_integrand(op, f, z), z, 1.0, rule)
 
-    inner = _tensor_integral(_bounded_integrand(op, f, z), rule, z)
+    inner = _tensor_integral(_bounded_integrand(op, f, z), rule, z, nested=True)
     if op is Operator.J0:
         return Integral(z * inner.value, abs(z) * inner.abs_error_estimate)
     return inner

@@ -5,9 +5,26 @@ uniform trapezoid in angle.  Singular integrands get one of two dedicated
 strategies: a Mobius change of variables that flattens an |w - b|^{-s}
 singularity exactly, or exclusion of a small ball around b followed by
 Richardson extrapolation in the exclusion radius.  The tensor and Mobius
-rules share one ring-weighted sum (``_polar_sum``) and one error estimate,
-the distance to the same sum at half the node counts (``_halved``); the
-annulus grid is centered at the singular point, so it keeps its own sum.
+rules share one ring sum (``_polar_sum``) and one of two radial strategies;
+the annulus grid is centered at the singular point, so it keeps its own sum.
+
+``apply`` sums on a nested rule (``_nested``): the radial rule is the
+(2m+1)-node Gauss-Kronrod rule, m = (radial_nodes - 1)//2 (255 rings for
+the default 256), which holds the m-node Gauss rule at its odd positions
+(``_kronrod01``), and every ring count is rounded up to even, so that every
+other angle of a ring is the trapezoid rule at half the count.  One set of
+field values gives the value, the Kronrod rings at all angles, and both
+halves of its estimate: the distance to the Gauss rings and the distance to
+the Kronrod rings at every other angle, summed so that a radial and an
+angular error cannot cancel.  ``integrate_disk`` and
+``integrate_disk_singular`` keep the Gauss rule at the given counts with
+the distance to a second sum at half the counts as their estimate
+(``_halved``): ``integrate_disk``'s exactness to degree 2 radial_nodes - 1
+is part of its contract, and the public Mobius route still forms |w - b| by
+subtraction, a rounding that already fails its agreement with annulus
+exclusion at some seeds, and a new rule would change which.  They move to
+the nested rule, and ``_halved`` is deleted, once that route is given exact
+offsets.
 
 A rule sized for a point z near the boundary (``DiskRule.for_point``) has
 the angular count of its outermost ring, where the kernel's boundary layer
@@ -27,8 +44,8 @@ reduced to [-pi/4, pi/4] (``_angles``); tables of up to 512 nodes are
 np.exp's own.  The Mobius sum gives the field its nodes w and multiplies the
 values by a weight the caller supplies: ``integrate_disk_singular`` passes
 the Jacobian times r^s, and ``apply`` passes the closed-form kernel times
-Jacobian of cauchy and cdelta, which never form w - b by subtraction.  The
-estimate's rounding floor, 8 eps times the integral of |integrand|, weights
+Jacobian of cauchy and cdelta, which never form w - b by subtraction.  Both
+estimates' rounding floor, 8 eps times the integral of |integrand|, weights
 each tensor ring by the conditioning (1 + r|z|)/(1 - r|z|) of the kernels
 (1 - conj(w) z)^-k at z, exactly 1 at z = 0.
 """
@@ -86,6 +103,15 @@ class Mobius:
 
 @dataclass(frozen=True)
 class DiskRule:
+    """Node counts of a polar rule and its singularity strategy.
+
+    ``integrate_disk`` and ``integrate_disk_singular`` sum on radial_nodes
+    Gauss rings.  ``apply`` sums on the 2m+1 Gauss-Kronrod rings that
+    extend the m-node Gauss rule, m = (radial_nodes - 1)//2, with every ring
+    count rounded up to even.  angular_nodes is the outermost ring's count;
+    rules sized for a point past |z| = 0.9 give inner rings fewer.
+    """
+
     radial_nodes: int = DEFAULT_RADIAL
     angular_nodes: int = DEFAULT_ANGULAR
     singularity: AnnulusExclude | Mobius | None = None
@@ -158,6 +184,57 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@lru_cache(maxsize=64)
+def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (2n+1)-node Gauss-Kronrod rule on [0, 1] that extends ``_gauss01(n)``.
+
+    Returns the nodes, the Kronrod weights, and the Gauss weights placed at
+    the Gauss nodes, which are the odd positions (zeros elsewhere).  The
+    rule is exact to degree 3n+1.  The off-diagonal of the Kronrod Jacobi
+    matrix comes from Laurie's algorithm (Math. Comp. 66, 1997) on the
+    shifted Legendre recurrence b_k = k^2/(4(4k^2-1)), b_0 = 1; the weight
+    is symmetric about 1/2, so every diagonal entry is 1/2 and only the
+    algorithm's b-updates remain.  Each of its inner loops reads only old
+    values, so it is one cumulative sum, reversed in the first phase.  The
+    new nodes are eigenvalues of that matrix, and every weight is the
+    Christoffel number 1/sum_k p_k(x)^2 of its orthonormal recurrence, so
+    no eigenvectors are formed.
+    """
+    size = 2 * n + 1
+    k = np.arange(size, dtype=float)
+    b = np.where(k <= -(-3 * n // 2), k * k / (4.0 * (4.0 * k * k - 1.0)), 0.0)
+    b[0] = 1.0
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        j = np.arange((m + 1) // 2, -1, -1)
+        s[j + 1] = np.cumsum(b[j + n + 1] * s[j] - b[m - j] * s[j + 1])
+        s, t = t, s
+    s[1 : n // 2 + 2] = s[: n // 2 + 1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        j = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        i = n - 1 - m + j
+        s[i + 1] = np.cumsum(b[m - j] * s[i + 2] - b[j + n + 1] * s[i + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[i[-1] + 1] / s[i[-1] + 2]
+        s, t = t, s
+    root_b = np.sqrt(b)
+    jacobi = np.zeros((size, size))
+    jacobi.flat[:: size + 1] = 0.5
+    jacobi.flat[size :: size + 1] = root_b[1:]
+    x = np.linalg.eigvalsh(jacobi)
+    gauss_x, gauss_w = _gauss01(n)
+    x[1::2] = gauss_x
+    prev, p = np.zeros(size), np.full(size, 1.0 / root_b[0])
+    norm = p * p
+    for i in range(size - 1):
+        prev, p = p, ((x - 0.5) * p - root_b[i] * prev) / root_b[i + 1]
+        norm += p * p
+    wg = np.zeros(size)
+    wg[1::2] = gauss_w
+    return x, 1.0 / norm, wg
+
+
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
@@ -207,38 +284,84 @@ def _ring_blocks(counts: np.ndarray):
 
 
 def _polar_sum(
-    block: Callable, weights: np.ndarray, floor_weights: np.ndarray, counts: np.ndarray
-) -> tuple[complex, float]:
-    """Sum over rings of weights times the ring means of block, and of
-    floor_weights times the ring means of |block|.
+    block: Callable, counts: np.ndarray, nested: bool = False, mags: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-ring sums of block over each ring's angles: over all of them, over
+    the even-numbered ones (if nested) and of |block| (if mags).
 
     block(rings, phase) returns the integrand on those rings at the block's
-    unit-circle nodes phase, as a (rings, angles) array.
+    unit-circle nodes phase, as a (rings, angles) array.  A nested sum needs
+    even counts; its chunks start at multiples of _BLOCK, so a chunk's even
+    columns are its ring's even angles.
     """
     sums = np.zeros(len(counts), dtype=complex)
-    mags = np.zeros(len(counts))
+    evens = np.zeros(len(counts), dtype=complex)
+    abs_sums = np.zeros(len(counts))
     key = None
     for rings, n, cols in _ring_blocks(counts):
         if key != (n, cols.start):
             key, phase = (n, cols.start), _angles(n, cols.start, cols.stop)
         vals = block(rings, phase)
         sums[rings] += vals.sum(axis=1)
-        mags[rings] += np.abs(vals).sum(axis=1)
-    total = 0.0 + 0.0j
-    abs_total = 0.0
-    for wi, fi, mean, abs_mean in zip(weights, floor_weights, sums / counts, mags / counts):
-        total += wi * complex(mean)
-        abs_total += fi * float(abs_mean)
+        if nested:
+            evens[rings] += vals[:, ::2].sum(axis=1)
+        if mags:
+            abs_sums[rings] += np.abs(vals).sum(axis=1)
+    return sums, evens, abs_sums
+
+
+# A rule's rings: given radial nodes t on [0, 1] and an angular count, the
+# block function, the per-ring angular counts, and per-ring factors scale and
+# cond, so that the integral is sum_i w_i scale_i (ring mean i) and ring i's
+# share of the rounding floor carries the conditioning cond_i.
+Rings = Callable[[np.ndarray, int], tuple]
+
+
+def _gauss_sum(rings: Rings, nr: int, na: int, mags: bool) -> tuple[complex, float]:
+    """The rule's integral on nr Gauss rings, and of |integrand| if mags.
+
+    The rings are added one at a time, in order, which keeps the public
+    routes' values what they have been to the last bit.
+    """
+    t, wt = _gauss01(nr)
+    block, counts, scale, cond = rings(t, na)
+    sums, _, abs_sums = _polar_sum(block, counts, mags=mags)
+    weights = wt * scale
+    total = sum(wi * complex(mean) for wi, mean in zip(weights, sums / counts))
+    abs_total = sum(fi * float(mean) for fi, mean in zip(weights * cond, abs_sums / counts))
     return total, abs_total
 
 
-def _halved(rule_sum: Callable[[int, int], tuple], rule: DiskRule) -> Integral:
-    """rule_sum(nr, na) at the rule's counts; the estimate is the distance to
+def _halved(rings: Rings, rule: DiskRule) -> Integral:
+    """The Gauss rule at the rule's counts; the estimate is the distance to
     the sum at half the counts plus a roundoff floor of 8 eps * integral |f|."""
     nr, na = rule.radial_nodes, rule.angular_nodes
-    value, abs_value = rule_sum(nr, na)
-    half, _ = rule_sum(max(nr // 2, 4), max(na // 2, 8))
+    value, abs_value = _gauss_sum(rings, nr, na, mags=True)
+    half, _ = _gauss_sum(rings, max(nr // 2, 4), max(na // 2, 8), mags=False)
     return Integral(value, abs(value - half) + 8.0 * _EPS * abs_value)
+
+
+def _nested(rings: Rings, rule: DiskRule) -> Integral:
+    """The nested rule: Kronrod rings, every field value used three times.
+
+    The radial rule is the (2m+1)-node Gauss-Kronrod rule, m =
+    (radial_nodes - 1)//2, and ring counts are rounded up to even.  The
+    value K is the Kronrod rings at all angles; the estimate is |K - G| +
+    |K - K_half| + 8 eps * integral |f|, where G is the m Gauss rings at all
+    angles and K_half the Kronrod rings at every other angle.  Summing the
+    radial and the angular difference keeps the two from cancelling.
+    """
+    t, wk, wg = _kronrod01((rule.radial_nodes - 1) // 2)
+    block, counts, scale, cond = rings(t, rule.angular_nodes)
+    counts = counts + counts % 2
+    sums, evens, abs_sums = _polar_sum(block, counts, nested=True)
+    means = sums / counts
+    kronrod = np.dot(wk * scale, means)
+    gauss = np.dot(wg * scale, means)
+    kronrod_half = np.dot(wk * scale, 2.0 * evens / counts)
+    floor = np.dot(wk * scale * cond, abs_sums / counts)
+    estimate = abs(kronrod - gauss) + abs(kronrod - kronrod_half) + 8.0 * _EPS * floor
+    return Integral(complex(kronrod), float(estimate))
 
 
 def _eval_nodes(f: FieldFn, w: np.ndarray) -> np.ndarray:
@@ -272,7 +395,7 @@ def _eval_nodes(f: FieldFn, w: np.ndarray) -> np.ndarray:
     return vals.reshape(shape)
 
 
-def _tensor_integral(f: FieldFn, rule: DiskRule, z: complex) -> Integral:
+def _tensor_integral(f: FieldFn, rule: DiskRule, z: complex, nested: bool = False) -> Integral:
     """Tensor-product integral of f with rings sized for kernels at z.
 
     Kernels (1 - conj(w) z)^-k, k <= 2, amplify the rounding of the nodes
@@ -281,18 +404,15 @@ def _tensor_integral(f: FieldFn, rule: DiskRule, z: complex) -> Integral:
     (exactly 1 at z = 0).
     """
 
-    def tensor_sum(nr: int, na: int) -> tuple[complex, float]:
+    def rings(r: np.ndarray, na: int) -> tuple:
         # int f dA = sum_i 2 w_i r_i * (mean over angles of f(r_i e^{i theta}))
-        r, wr = _gauss01(nr)
-        rz = r * abs(z)
-
         def block(rings, phase):
             return _eval_nodes(f, r[rings, None] * phase)
 
-        weights = 2.0 * wr * r
-        return _polar_sum(block, weights, weights * (1.0 + rz) / (1.0 - rz), _ring_counts(r, na, z))
+        rz = r * abs(z)
+        return block, _ring_counts(r, na, z), 2.0 * r, (1.0 + rz) / (1.0 - rz)
 
-    return _halved(tensor_sum, rule)
+    return (_nested if nested else _halved)(rings, rule)
 
 
 def integrate_disk(f: FieldFn, rule: DiskRule) -> Integral:
@@ -311,37 +431,37 @@ def integrate_disk(f: FieldFn, rule: DiskRule) -> Integral:
     return _tensor_integral(f, rule, 0.0)
 
 
-def _mobius_sum(
-    f: FieldFn, b: complex, s: float, nr: int, na: int, weigh: Callable
-) -> tuple[complex, float]:
-    # w = (b - a)/(1 - conj(b) a) sends a = 0 to the singular point; the
-    # Jacobian is (1-|b|^2)^2/|1 - conj(b) a|^4.  In polar a-coordinates the
-    # radial weight becomes r^{1-s}, which the substitution r = t^{1/(2-s)}
-    # turns into the constant 2/(2-s).  The integrand's layer sits at
-    # a = 1/conj(b), so each ring of a-radius r gets its own count just as
-    # in the tensor rule.  weigh(f(w), r^s, phase, 1 - conj(b) a) multiplies
-    # the field values by the rest of the integrand, Jacobian and r^s.
-    beta = 1.0 / (2.0 - s)
-    t, wt = _gauss01(nr)
-    r = np.array([ti**beta for ti in t])
-    r_s = np.array([ri**s for ri in r])
+def _mobius_integral(
+    f: FieldFn, b: complex, s: float, rule: DiskRule, weigh: Callable, nested: bool = False
+) -> Integral:
+    """The Mobius rule's integral of f times weigh's factor, center checked against b.
 
-    def block(rings, phase):
-        a = r[rings, None] * phase
-        denom = 1.0 - b.conjugate() * a
-        return weigh(_eval_nodes(f, (b - a) / denom), r_s[rings, None], phase, denom)
-
-    weights = 2.0 * beta * wt
-    return _polar_sum(block, weights, weights, _ring_counts(r, na, b))
-
-
-def _mobius_integral(f: FieldFn, b: complex, s: float, rule: DiskRule, weigh: Callable) -> Integral:
-    """The Mobius rule's integral of f times weigh's factor, center checked against b."""
+    w = (b - a)/(1 - conj(b) a) sends a = 0 to the singular point; the
+    Jacobian is (1-|b|^2)^2/|1 - conj(b) a|^4.  In polar a-coordinates the
+    radial weight becomes r^{1-s}, which the substitution r = t^{1/(2-s)}
+    turns into the constant 2/(2-s).  The integrand's layer sits at
+    a = 1/conj(b), so each ring of a-radius r gets its own count just as
+    in the tensor rule.  weigh(f(w), r^s, phase, 1 - conj(b) a) multiplies
+    the field values by the rest of the integrand, Jacobian and r^s.
+    """
     if abs(rule.singularity.center - b) > 1e-12:
         raise ConfigurationError(
             f"rule is centered at {rule.singularity.center:.8g} but the singularity is at {b:.8g}"
         )
-    return _halved(lambda nr, na: _mobius_sum(f, b, s, nr, na, weigh), rule)
+    beta = 1.0 / (2.0 - s)
+
+    def rings(t: np.ndarray, na: int) -> tuple:
+        r = np.array([ti**beta for ti in t])
+        r_s = np.array([ri**s for ri in r])
+
+        def block(rings, phase):
+            a = r[rings, None] * phase
+            denom = 1.0 - b.conjugate() * a
+            return weigh(_eval_nodes(f, (b - a) / denom), r_s[rings, None], phase, denom)
+
+        return block, _ring_counts(r, na, b), 2.0 * beta, 1.0
+
+    return (_nested if nested else _halved)(rings, rule)
 
 
 def _annulus_sum(

@@ -166,6 +166,17 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("value", ["0.7", "0.5", "0", "-1", "nan", "inf"])
+    def test_bad_epsilon_is_refused_before_any_suite_runs(self, capsys, value):
+        # only the counterexamples suite reads --epsilon; every suite must
+        # still be spared a run that ends in a refusal
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "all", "--epsilon", value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"--epsilon must be a number in (0, 0.5), got {value!r}" in captured.err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.csv"
         code, out, _ = run_cli(capsys, "verify", "--suite", "specfun", "--format", "csv",

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from disknorms import quadrature
+from disknorms import counterexample, quadrature
 from disknorms.errors import ConfigurationError, DomainError, PrecisionError
 from disknorms.operators import (
     Operator,
@@ -368,26 +368,8 @@ BOUNDED_RADII = NEAR_RADII + (1.0 - 1e-5, 1.0 - 1e-6)
 NEAR_ANGLES = (0.7, 2.9)
 C_POLE = 0.999  # fields singular at w = 1/C_POLE, just outside the disk
 
-# A case whose error exceeds the full-minus-half estimate with the default
-# rule.  It is not an angular effect: cdelta's error falls to 1e-4 with 512
-# and 5e-11 with 1024 radial nodes, while the 256/128 difference stays
-# below it.
-ESTIMATE_MISSES = {
-    ("cdelta", 0.9999, 0.7): "radial layer unresolved: error 0.0295, estimate 0.0279",
-}
-
-
 def _near_cases(ops, radii=NEAR_RADII):
-    return [
-        pytest.param(
-            op, radius, angle,
-            marks=pytest.mark.xfail(strict=True, reason=ESTIMATE_MISSES[op.value, radius, angle])
-            if (op.value, radius, angle) in ESTIMATE_MISSES else (),
-        )
-        for op in ops
-        for radius in radii
-        for angle in NEAR_ANGLES
-    ]
+    return [(op, radius, angle) for op in ops for radius in radii for angle in NEAR_ANGLES]
 
 
 def _near_closed_form(op, z):
@@ -424,6 +406,29 @@ class TestNearBoundary:
             want = sum(c * j0star_monomial(a, b, z) for (a, b), c in coeffs.items()) - want
         got = apply(op, poly_field(coeffs), z)
         assert abs(got.value - want) <= got.abs_error_estimate, (got, want)
+
+
+# Images at real z of the paper's L^2 counterexample densities, singular at
+# w = 1.  In polar coordinates w = 1 - rho e^{i phi} about the singularity,
+# the angle phi was integrated in closed form for j0 (an arctangent) and by
+# nested 25-digit mpmath quadrature for j0star, and rho over [0, 2] by
+# tanh-sinh, split at multiples of 1 - z; the j0 values agree with the same
+# sum after rho = 2e^{-u} to 20 digits.  Both images are real.
+BOUNDARY_SINGULAR_IMAGES = {
+    ("J0_P2", Operator.J0): {0.5: 0.5107669197899, 0.9: 1.2523871578941, 0.99: 1.8398089293386},
+    ("J0STAR_P2", Operator.J0_STAR): {0.5: 0.5280839277394, 0.9: 0.8182177829618, 0.99: 1.2429610079625},
+}
+
+
+@pytest.mark.parametrize(
+    "name, op, z", [(name, op, z) for (name, op), images in BOUNDARY_SINGULAR_IMAGES.items() for z in images]
+)
+def test_estimates_cover_boundary_singular_densities(name, op, z):
+    # a radial error and an angular error of opposite signs must not cancel
+    # in the estimate
+    density, _, _ = counterexample(name)
+    got = apply(op, density, z)
+    assert abs(got.value - BOUNDARY_SINGULAR_IMAGES[name, op][z]) <= got.abs_error_estimate, got
 
 
 class TestMobiusWeights:
@@ -483,16 +488,17 @@ class TestWork:
 
     @pytest.mark.parametrize("op", list(Operator))
     def test_full_count_away_from_the_boundary(self, op):
-        # 256 x 512 plus the 128 x 256 half rule, on every ring
+        # 255 Kronrod rings x 512 angles, 16 rings per call; the Gauss
+        # rings and the half-count angles are among them
         for z in (0.0, 0.5j, -0.9):
             f = CountingField(self.COEFFS)
             apply(op, f, z)
-            assert sum(f.sizes) == 163_840, (op, z)
-            assert max(f.sizes) <= 8192
+            assert sum(f.sizes) == 130_560, (op, z)
+            assert len(f.sizes) == 16 and max(f.sizes) <= 8192
 
     @pytest.mark.parametrize("op", [Operator.J0, Operator.CAUCHY])
     def test_inner_rings_get_their_own_count(self, op):
-        # a uniform count would put 640001 angles on all 384 rings (2.05e8
+        # a uniform count would put 640002 angles on all 255 rings (1.6e8
         # nodes); j0 runs the tensor rule, cauchy the Mobius rule
         f = CountingField(self.COEFFS)
         apply(op, f, 0.9999j)
@@ -521,7 +527,7 @@ class TestWork:
         monkeypatch.setattr(quadrature, "_angles", counted_build)
         f = CountingField(self.COEFFS)
         apply(op, f, 0.9999j)
-        assert sum(f.sizes) == 2_691_455
+        assert sum(f.sizes) == 2_173_320
         assert 0 < sum(spent) < 0.05 * sum(f.sizes)
 
     def test_memory_stays_bounded_at_the_margin(self):

@@ -16,6 +16,8 @@ from disknorms.quadrature import (
     Mobius,
     _angles,
     _gauss01,
+    _kronrod01,
+    _tensor_integral,
     _ring_counts,
     integrate_disk,
     integrate_disk_singular,
@@ -314,3 +316,84 @@ def test_angle_tables_are_within_4_eps(n, lo, hi):
     with mp.workdps(30):
         err = max(abs(complex(table[i]) - complex(mp.expj(2 * mp.pi * int(lo + i) / n))) for i in idx)
     assert err <= 4 * 2.220446049250313e-16, err
+
+
+@pytest.mark.parametrize("n", [3, 4, 32, 127])
+def test_kronrod_rule_extends_the_gauss_rule(n):
+    x, wk, wg = _kronrod01(n)
+    assert x.shape == wk.shape == wg.shape == (2 * n + 1,)
+    gauss_x, gauss_w = _gauss01(n)
+    assert np.array_equal(x[1::2], gauss_x) and np.array_equal(wg[1::2], gauss_w)
+    assert np.all(wg[::2] == 0.0)
+    assert np.all(wk > 0.0) and np.all(np.diff(x) > 0.0) and 0.0 < x[0] and x[-1] < 1.0
+    for k in range(3 * n + 2):
+        assert abs(np.dot(wk, x**k) - 1.0 / (k + 1)) <= 1e-15, k
+
+
+def _mp_kronrod(mp, n):
+    """Nodes and weights of the (2n+1)-node Kronrod rule on [0, 1]: Laurie's
+    algorithm in full, diagonal updates included, as scalar loops, then an
+    eigen-solve and Christoffel numbers, all at the working precision."""
+    size = 2 * n + 1
+    a = [mp.mpf(1) / 2 if k <= 3 * n // 2 else mp.mpf(0) for k in range(size)]
+    b = [mp.mpf(k * k) / (4 * (4 * k * k - 1)) if k <= -(-3 * n // 2) else mp.mpf(0) for k in range(size)]
+    b[0] = mp.mpf(1)
+    s, t = [mp.mpf(0)] * (n // 2 + 2), [mp.mpf(0)] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = mp.mpf(0)
+        for k in range((m + 1) // 2, -1, -1):
+            u += (a[k + n + 1] - a[m - k]) * t[k + 1] + b[k + n + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    for j in range(n // 2, -1, -1):
+        s[j + 1] = s[j]
+    for m in range(n - 1, 2 * n - 2):
+        u = mp.mpf(0)
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            j = n - 1 - (m - k)
+            u += -(a[k + n + 1] - a[m - k]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[m - k] * s[j + 2]
+            s[j + 1] = u
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    jacobi = mp.zeros(size, size)
+    for i in range(size):
+        jacobi[i, i] = a[i]
+        if i:
+            jacobi[i, i - 1] = jacobi[i - 1, i] = mp.sqrt(b[i])
+    nodes = sorted(mp.eigsy(jacobi, eigvals_only=True))
+    weights = []
+    for x in nodes:
+        prev, p = mp.mpf(0), 1 / mp.sqrt(b[0])
+        norm = p * p
+        for i in range(size - 1):
+            prev, p = p, ((x - a[i]) * p - mp.sqrt(b[i]) * prev) / mp.sqrt(b[i + 1])
+            norm += p * p
+        weights.append(1 / norm)
+    return nodes, weights
+
+
+@pytest.mark.parametrize("n", [3, 32])
+def test_kronrod_rule_against_40_digits(n):
+    mp = pytest.importorskip("mpmath")
+    x, wk, _ = _kronrod01(n)
+    with mp.workdps(40):
+        nodes, weights = _mp_kronrod(mp, n)
+        assert max(abs(xi - float(ni)) for xi, ni in zip(x, nodes)) <= 1e-15
+        assert max(float(abs((wi - vi) / vi)) for wi, vi in zip(wk, weights)) <= 1e-12
+
+
+def test_nested_rule_splits_chunked_rings_into_global_even_angles():
+    # 17 Kronrod rings of 20001 -> 20002 angles, in chunks of 8192: the
+    # half-count trapezoid sees every other angle of the whole ring, so on a
+    # polynomial both halves of the estimate stay at rounding level
+    f = CountingField(lambda w: (w * np.conj(w)) ** 2 + w**3 * np.conj(w) ** 3 + np.conj(w) ** 5)
+    got = _tensor_integral(f, DiskRule(17, 20001), 0.0, nested=True)
+    assert abs(got.value - 7.0 / 12.0) <= 1e-14
+    assert got.abs_error_estimate <= 1e-13
+    assert max(f.sizes) <= 8192 and sum(f.sizes) == 17 * 20002
