@@ -35,7 +35,8 @@ for p in (3.0, 4.0, 10.0):
     # computed here both from the closed profile and by raw singular quadrature
     profile_route = profile_K(p, 0.0) ** (1.0 - 1.0 / p)
     rule = DiskRule.for_point(0.0, singular=True)
-    moment = integrate_disk_singular(lambda w: np.abs(w) ** (-q), 0.0, q, rule)
+    # the rule supplies the singular factor |w|^-q; the rest of the integrand is 1
+    moment = integrate_disk_singular(np.ones_like, 0.0, q, rule)
     quad_route = moment.value.real ** (1.0 - 1.0 / p)
     print(
         f"  p = {p:<4g} closed = {closed.value:.10f}  "

@@ -386,7 +386,7 @@ def lower_bound_via_extremal(
         q = _conjugate_exponent(p)
         if rule is None:
             rule = DiskRule.for_point(b, singular=True)
-        result = integrate_disk_singular(lambda w: f(w) / (w - b), b, q, rule)
+        result = integrate_disk_singular(lambda w: f(w) * np.abs(w - b) ** q / (w - b), b, q, rule)
         family = "singular-kernel"
     else:
         result = apply(op, f, b, rule)

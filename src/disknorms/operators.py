@@ -25,14 +25,15 @@ strategy is centered at the evaluation point; the bounded three refuse rules
 with a strategy attached.  On the Mobius rule the kernel, the Jacobian and
 the polar r collapse to one closed-form weight per node (``_mobius_weigh``),
 so w - z is never formed by subtraction; an ``AnnulusExclude`` rule
-integrates the kernel times the field as written.  Near the boundary every kernel develops a thin
-angular layer, so rules are validated against the same angular-node floor
-the quadrature module uses.
+integrates the kernel times the field times |w - z| through
+``integrate_disk_singular`` at s = 1, which supplies |w - z|^-1.  Near the
+boundary every kernel develops a thin angular layer, so rules are validated
+against the same angular-node floor the quadrature module uses.
 
-``apply`` sums the tensor and Mobius rules on the quadrature module's nested
-rule: 2m+1 Gauss-Kronrod rings, m = (radial_nodes - 1)//2, with even ring
-counts, each field node evaluated once.  Its estimate is the distance to
-the m Gauss rings plus the distance to the half-count trapezoid on the same
+The tensor and Mobius rules sum on the quadrature module's one radial rule:
+2m+1 Gauss-Kronrod rings, m = (radial_nodes - 1)//2, with even ring counts,
+each field node evaluated once.  The estimate is the distance to the m
+Gauss rings plus the distance to the half-count trapezoid on the same
 rings, plus a rounding floor.
 """
 
@@ -56,6 +57,7 @@ from .quadrature import (
     _gauss01,
     _mobius_integral,
     _tensor_integral,
+    _unit_gap,
     integrate_disk_singular,
     required_angular_nodes,
 )
@@ -132,9 +134,11 @@ def _bounded_integrand(op: Operator, f: FieldFn, z: complex) -> FieldFn:
 
 
 def _singular_integrand(op: Operator, f: FieldFn, z: complex) -> FieldFn:
+    """Kernel times f, times |w - z|: integrate_disk_singular at s = 1
+    supplies the factor |w - z|^-1."""
     if op is Operator.CAUCHY:
-        return lambda w: f(w) / (w - z)
-    return lambda w: f(w) * (1.0 / (z - w) + np.conj(w) / (1.0 - np.conj(w) * z))
+        return lambda w: f(w) / (w - z) * np.abs(w - z)
+    return lambda w: f(w) * (1.0 / (z - w) + np.conj(w) / (1.0 - np.conj(w) * z)) * np.abs(w - z)
 
 
 def _mobius_weigh(op: Operator, z: complex):
@@ -146,13 +150,9 @@ def _mobius_weigh(op: Operator, z: complex):
         cauchy  c (conj(z) r - e^{-i theta}) / |D|^4
         cdelta  c (1 - r^2) e^{-i theta} / |D|^4
     and neither forms w - z by subtraction.  The rule runs at s = 1, where
-    the weigher's r^s is r.  c is 1 - x^2 - y^2 summed exactly in integers
-    and rounded once; 1 - abs(z)**2 would carry a relative error of about
-    eps/(1 - |z|) into every weight.
+    r^s is the weigher's r.  c is summed exactly (``_unit_gap``).
     """
-    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-    d = max(xd, yd)  # both are powers of two
-    c = (d * d - (xn * (d // xd)) ** 2 - (yn * (d // yd)) ** 2) / (d * d)
+    c = _unit_gap(z)
     zc = z.conjugate()
 
     def cauchy(vals, r, phase, denom):
@@ -194,10 +194,10 @@ def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None)
 
     if op in _SINGULAR_OPS:
         if isinstance(rule.singularity, Mobius):
-            return _mobius_integral(f, z, 1.0, rule, _mobius_weigh(op, z), nested=True)
+            return _mobius_integral(f, z, 1.0, rule, _mobius_weigh(op, z))
         return integrate_disk_singular(_singular_integrand(op, f, z), z, 1.0, rule)
 
-    inner = _tensor_integral(_bounded_integrand(op, f, z), rule, z, nested=True)
+    inner = _tensor_integral(_bounded_integrand(op, f, z), rule, z)
     if op is Operator.J0:
         return Integral(z * inner.value, abs(z) * inner.abs_error_estimate)
     return inner

@@ -1,30 +1,24 @@
 """Polar quadrature on the unit disk with normalized area measure.
 
-The plain rule is a tensor product of Gauss-Legendre in radius against a
-uniform trapezoid in angle.  Singular integrands get one of two dedicated
-strategies: a Mobius change of variables that flattens an |w - b|^{-s}
-singularity exactly, or exclusion of a small ball around b followed by
-Richardson extrapolation in the exclusion radius.  The tensor and Mobius
-rules share one ring sum (``_polar_sum``) and one of two radial strategies;
-the annulus grid is centered at the singular point, so it keeps its own sum.
+The plain rule is a tensor product of Gauss-Kronrod rings in radius against
+a uniform trapezoid in angle.  Singular integrals g(w) |w - b|^{-s} get one
+of two dedicated strategies, each of which supplies the factor |w - b|^{-s}
+in its own coordinates, so that no caller forms w - b by subtraction: a
+Mobius change of variables that flattens the singularity exactly, or
+exclusion of a small ball around b followed by Richardson extrapolation in
+the exclusion radius.  The tensor and Mobius rules share one ring sum
+(``_polar_sum``) and one radial rule (``_nested``); the annulus grid is
+centered at the singular point, so it keeps its own sum.
 
-``apply`` sums on a nested rule (``_nested``): the radial rule is the
-(2m+1)-node Gauss-Kronrod rule, m = (radial_nodes - 1)//2 (255 rings for
-the default 256), which holds the m-node Gauss rule at its odd positions
-(``_kronrod01``), and every ring count is rounded up to even, so that every
-other angle of a ring is the trapezoid rule at half the count.  One set of
-field values gives the value, the Kronrod rings at all angles, and both
-halves of its estimate: the distance to the Gauss rings and the distance to
-the Kronrod rings at every other angle, summed so that a radial and an
-angular error cannot cancel.  ``integrate_disk`` and
-``integrate_disk_singular`` keep the Gauss rule at the given counts with
-the distance to a second sum at half the counts as their estimate
-(``_halved``): ``integrate_disk``'s exactness to degree 2 radial_nodes - 1
-is part of its contract, and the public Mobius route still forms |w - b| by
-subtraction, a rounding that already fails its agreement with annulus
-exclusion at some seeds, and a new rule would change which.  They move to
-the nested rule, and ``_halved`` is deleted, once that route is given exact
-offsets.
+The nested rule's radial nodes are the (2m+1)-node Gauss-Kronrod rule, m =
+(radial_nodes - 1)//2 (255 rings for the default 256), which holds the
+m-node Gauss rule at its odd positions (``_kronrod01``), and every ring
+count is rounded up to even, so that every other angle of a ring is the
+trapezoid rule at half the count.  One set of field values gives the value,
+the Kronrod rings at all angles, and both halves of its estimate: the
+distance to the Gauss rings and the distance to the Kronrod rings at every
+other angle, summed so that a radial and an angular error cannot cancel.
+The rule is exact to degree 3m+1 in r.
 
 A rule sized for a point z near the boundary (``DiskRule.for_point``) has
 the angular count of its outermost ring, where the kernel's boundary layer
@@ -42,12 +36,13 @@ of unit-circle nodes.  A table of more than 512 nodes is a coarse x fine
 product of about 2 sqrt(L) exponentials for L nodes, each taken at an angle
 reduced to [-pi/4, pi/4] (``_angles``); tables of up to 512 nodes are
 np.exp's own.  The Mobius sum gives the field its nodes w and multiplies the
-values by a weight the caller supplies: ``integrate_disk_singular`` passes
-the Jacobian times r^s, and ``apply`` passes the closed-form kernel times
-Jacobian of cauchy and cdelta, which never form w - b by subtraction.  Both
-estimates' rounding floor, 8 eps times the integral of |integrand|, weights
-each tensor ring by the conditioning (1 + r|z|)/(1 - r|z|) of the kernels
-(1 - conj(w) z)^-k at z, exactly 1 at z = 0.
+values by a weight in the rule's coordinates: ``integrate_disk_singular``
+passes c^(2-s) |D|^(s-4), with c = 1 - |b|^2 and D = 1 - conj(b) a, and
+``apply`` passes the closed-form kernel times Jacobian of cauchy and cdelta.
+The estimates' rounding floor, 8 eps times the integral of |integrand|,
+weights each tensor ring by the conditioning (1 + r|z|)/(1 - r|z|) of the
+kernels (1 - conj(w) z)^-k at z, exactly 1 at z = 0.  The annulus route
+counts its roundings instead (``integrate_disk_singular``).
 """
 
 from __future__ import annotations
@@ -105,11 +100,11 @@ class Mobius:
 class DiskRule:
     """Node counts of a polar rule and its singularity strategy.
 
-    ``integrate_disk`` and ``integrate_disk_singular`` sum on radial_nodes
-    Gauss rings.  ``apply`` sums on the 2m+1 Gauss-Kronrod rings that
+    The tensor and Mobius rules sum on the 2m+1 Gauss-Kronrod rings that
     extend the m-node Gauss rule, m = (radial_nodes - 1)//2, with every ring
-    count rounded up to even.  angular_nodes is the outermost ring's count;
-    rules sized for a point past |z| = 0.9 give inner rings fewer.
+    count rounded up to even; annulus exclusion sums on radial_nodes Gauss
+    rings.  angular_nodes is the outermost ring's count; rules sized for a
+    point past |z| = 0.9 give inner rings fewer.
     """
 
     radial_nodes: int = DEFAULT_RADIAL
@@ -195,7 +190,10 @@ def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shifted Legendre recurrence b_k = k^2/(4(4k^2-1)), b_0 = 1; the weight
     is symmetric about 1/2, so every diagonal entry is 1/2 and only the
     algorithm's b-updates remain.  Each of its inner loops reads only old
-    values, so it is one cumulative sum, reversed in the first phase.  The
+    values, so it is one cumulative sum, reversed in the first phase.  Those
+    sums shrink by about b ~ 1/16 a step, and only their ratios are used,
+    so each step scales its array by the exact 16.0; unscaled, they leave
+    the normal range past n = 257 and the rule loses its exactness.  The
     new nodes are eigenvalues of that matrix, and every weight is the
     Christoffel number 1/sum_k p_k(x)^2 of its orthonormal recurrence, so
     no eigenvectors are formed.
@@ -209,6 +207,7 @@ def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for m in range(n - 1):
         j = np.arange((m + 1) // 2, -1, -1)
         s[j + 1] = np.cumsum(b[j + n + 1] * s[j] - b[m - j] * s[j + 1])
+        s *= 16.0
         s, t = t, s
     s[1 : n // 2 + 2] = s[: n // 2 + 1].copy()
     for m in range(n - 1, 2 * n - 2):
@@ -217,6 +216,7 @@ def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s[i + 1] = np.cumsum(b[m - j] * s[i + 2] - b[j + n + 1] * s[i + 1])
         if m % 2:
             b[(m + 1) // 2 + n + 1] = s[i[-1] + 1] / s[i[-1] + 2]
+        s *= 16.0
         s, t = t, s
     root_b = np.sqrt(b)
     jacobi = np.zeros((size, size))
@@ -283,16 +283,14 @@ def _ring_blocks(counts: np.ndarray):
         i = j
 
 
-def _polar_sum(
-    block: Callable, counts: np.ndarray, nested: bool = False, mags: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _polar_sum(block: Callable, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-ring sums of block over each ring's angles: over all of them, over
-    the even-numbered ones (if nested) and of |block| (if mags).
+    the even-numbered ones, and of |block|.
 
     block(rings, phase) returns the integrand on those rings at the block's
-    unit-circle nodes phase, as a (rings, angles) array.  A nested sum needs
-    even counts; its chunks start at multiples of _BLOCK, so a chunk's even
-    columns are its ring's even angles.
+    unit-circle nodes phase, as a (rings, angles) array.  Counts are even;
+    chunks start at multiples of _BLOCK, so a chunk's even columns are its
+    ring's even angles.
     """
     sums = np.zeros(len(counts), dtype=complex)
     evens = np.zeros(len(counts), dtype=complex)
@@ -303,10 +301,8 @@ def _polar_sum(
             key, phase = (n, cols.start), _angles(n, cols.start, cols.stop)
         vals = block(rings, phase)
         sums[rings] += vals.sum(axis=1)
-        if nested:
-            evens[rings] += vals[:, ::2].sum(axis=1)
-        if mags:
-            abs_sums[rings] += np.abs(vals).sum(axis=1)
+        evens[rings] += vals[:, ::2].sum(axis=1)
+        abs_sums[rings] += np.abs(vals).sum(axis=1)
     return sums, evens, abs_sums
 
 
@@ -315,30 +311,6 @@ def _polar_sum(
 # cond, so that the integral is sum_i w_i scale_i (ring mean i) and ring i's
 # share of the rounding floor carries the conditioning cond_i.
 Rings = Callable[[np.ndarray, int], tuple]
-
-
-def _gauss_sum(rings: Rings, nr: int, na: int, mags: bool) -> tuple[complex, float]:
-    """The rule's integral on nr Gauss rings, and of |integrand| if mags.
-
-    The rings are added one at a time, in order, which keeps the public
-    routes' values what they have been to the last bit.
-    """
-    t, wt = _gauss01(nr)
-    block, counts, scale, cond = rings(t, na)
-    sums, _, abs_sums = _polar_sum(block, counts, mags=mags)
-    weights = wt * scale
-    total = sum(wi * complex(mean) for wi, mean in zip(weights, sums / counts))
-    abs_total = sum(fi * float(mean) for fi, mean in zip(weights * cond, abs_sums / counts))
-    return total, abs_total
-
-
-def _halved(rings: Rings, rule: DiskRule) -> Integral:
-    """The Gauss rule at the rule's counts; the estimate is the distance to
-    the sum at half the counts plus a roundoff floor of 8 eps * integral |f|."""
-    nr, na = rule.radial_nodes, rule.angular_nodes
-    value, abs_value = _gauss_sum(rings, nr, na, mags=True)
-    half, _ = _gauss_sum(rings, max(nr // 2, 4), max(na // 2, 8), mags=False)
-    return Integral(value, abs(value - half) + 8.0 * _EPS * abs_value)
 
 
 def _nested(rings: Rings, rule: DiskRule) -> Integral:
@@ -354,7 +326,7 @@ def _nested(rings: Rings, rule: DiskRule) -> Integral:
     t, wk, wg = _kronrod01((rule.radial_nodes - 1) // 2)
     block, counts, scale, cond = rings(t, rule.angular_nodes)
     counts = counts + counts % 2
-    sums, evens, abs_sums = _polar_sum(block, counts, nested=True)
+    sums, evens, abs_sums = _polar_sum(block, counts)
     means = sums / counts
     kronrod = np.dot(wk * scale, means)
     gauss = np.dot(wg * scale, means)
@@ -395,7 +367,7 @@ def _eval_nodes(f: FieldFn, w: np.ndarray) -> np.ndarray:
     return vals.reshape(shape)
 
 
-def _tensor_integral(f: FieldFn, rule: DiskRule, z: complex, nested: bool = False) -> Integral:
+def _tensor_integral(f: FieldFn, rule: DiskRule, z: complex) -> Integral:
     """Tensor-product integral of f with rings sized for kernels at z.
 
     Kernels (1 - conj(w) z)^-k, k <= 2, amplify the rounding of the nodes
@@ -412,16 +384,17 @@ def _tensor_integral(f: FieldFn, rule: DiskRule, z: complex, nested: bool = Fals
         rz = r * abs(z)
         return block, _ring_counts(r, na, z), 2.0 * r, (1.0 + rz) / (1.0 - rz)
 
-    return (_nested if nested else _halved)(rings, rule)
+    return _nested(rings, rule)
 
 
 def integrate_disk(f: FieldFn, rule: DiskRule) -> Integral:
     """Tensor-product polar integral of f over the disk against dA.
 
-    The error estimate is the difference from the same integral at half the
-    node counts, plus a roundoff floor; it is meaningful for integrands the
-    rule resolves, and a loud red flag otherwise.  Every ring carries the
-    rule's full angular count.
+    The rule is exact to degree 3m+1 in r, m = (radial_nodes - 1)//2, and
+    every ring carries the rule's angular count rounded up to even.  The
+    error estimate is the distance to the m-node Gauss rings plus the
+    distance to every other angle, plus a roundoff floor; it is meaningful
+    for integrands the rule resolves, and a loud red flag otherwise.
     """
     if rule.singularity is not None:
         raise ConfigurationError(
@@ -431,9 +404,16 @@ def integrate_disk(f: FieldFn, rule: DiskRule) -> Integral:
     return _tensor_integral(f, rule, 0.0)
 
 
-def _mobius_integral(
-    f: FieldFn, b: complex, s: float, rule: DiskRule, weigh: Callable, nested: bool = False
-) -> Integral:
+def _unit_gap(z: complex) -> float:
+    """1 - |z|^2, summed exactly from the integer ratios of z's parts and
+    rounded once; 1 - abs(z)**2 carries a relative error of about
+    eps/(1 - |z|)."""
+    (xn, xd), (yn, yd) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(xd, yd)  # both are powers of two
+    return (d * d - (xn * (d // xd)) ** 2 - (yn * (d // yd)) ** 2) / (d * d)
+
+
+def _mobius_integral(f: FieldFn, b: complex, s: float, rule: DiskRule, weigh: Callable) -> Integral:
     """The Mobius rule's integral of f times weigh's factor, center checked against b.
 
     w = (b - a)/(1 - conj(b) a) sends a = 0 to the singular point; the
@@ -441,7 +421,7 @@ def _mobius_integral(
     radial weight becomes r^{1-s}, which the substitution r = t^{1/(2-s)}
     turns into the constant 2/(2-s).  The integrand's layer sits at
     a = 1/conj(b), so each ring of a-radius r gets its own count just as
-    in the tensor rule.  weigh(f(w), r^s, phase, 1 - conj(b) a) multiplies
+    in the tensor rule.  weigh(f(w), r, phase, 1 - conj(b) a) multiplies
     the field values by the rest of the integrand, Jacobian and r^s.
     """
     if abs(rule.singularity.center - b) > 1e-12:
@@ -452,24 +432,28 @@ def _mobius_integral(
 
     def rings(t: np.ndarray, na: int) -> tuple:
         r = np.array([ti**beta for ti in t])
-        r_s = np.array([ri**s for ri in r])
 
         def block(rings, phase):
             a = r[rings, None] * phase
             denom = 1.0 - b.conjugate() * a
-            return weigh(_eval_nodes(f, (b - a) / denom), r_s[rings, None], phase, denom)
+            return weigh(_eval_nodes(f, (b - a) / denom), r[rings, None], phase, denom)
 
         return block, _ring_counts(r, na, b), 2.0 * beta, 1.0
 
-    return (_nested if nested else _halved)(rings, rule)
+    return _nested(rings, rule)
 
 
 def _annulus_sum(
-    f: FieldFn, b: complex, eps: float, nr: int, na: int, absolute: bool = False
-) -> complex:
-    # polar coordinates around b; the disk boundary sits at
-    # rho_max(theta) = -c + sqrt(c^2 + 1 - |b|^2), c = Re(conj(b) e^{i theta});
-    # log-radial Gauss-Legendre handles the wide range [eps, rho_max]
+    g: FieldFn, b: complex, s: float, eps: float, nr: int, na: int
+) -> tuple[complex, float]:
+    """Integral of g(w) |w - b|^-s over the disk minus the ball of radius
+    eps around b, and of its modulus, on nr x na nodes.
+
+    Polar coordinates around b: the disk boundary sits at rho_max(theta) =
+    -c + sqrt(c^2 + 1 - |b|^2), c = Re(conj(b) e^{i theta}), and log-radial
+    Gauss-Legendre handles the wide range [eps, rho_max], where the area
+    element and the singular factor are rho^(2-s) d(log rho) d(theta).
+    """
     phase = _angles(na)
     c = (b.conjugate() * phase).real
     radicand = np.maximum(c * c + 1.0 - abs(b) ** 2, 0.0)
@@ -478,33 +462,49 @@ def _annulus_sum(
         span = np.where(rho_max > eps, np.log(np.maximum(rho_max, eps) / eps), 0.0)
     active = span > 0.0
     if not active.any():
-        return 0.0 + 0.0j
+        return 0.0 + 0.0j, 0.0
     t, wt = _gauss01(nr)
     phase_a = phase[active]
     span_a = span[active]
 
     sums = np.zeros(nr, dtype=complex)
+    abs_sums = np.zeros(nr)
     for rings, _, cols in _ring_blocks(np.full(nr, span_a.size)):
         rho = eps * np.exp(t[rings, None] * span_a[cols])
-        vals = _eval_nodes(f, b + rho * phase_a[cols])
-        if absolute:
-            vals = np.abs(vals)
-        sums[rings] += (span_a[cols] * vals * rho * rho).sum(axis=1)
-    total = 0.0 + 0.0j
-    for wi, ring in zip(wt, sums):
+        vals = _eval_nodes(g, b + rho * phase_a[cols])
+        terms = span_a[cols] * vals * rho * rho * rho**-s
+        sums[rings] += terms.sum(axis=1)
+        abs_sums[rings] += np.abs(terms).sum(axis=1)
+    total, mass = 0.0 + 0.0j, 0.0
+    for wi, ring, ring_abs in zip(wt, sums, abs_sums):
         total += (2.0 / na) * wi * complex(ring)
-    return total
+        mass += (2.0 / na) * wi * float(ring_abs)
+    return total, float(mass)
 
 
 def integrate_disk_singular(
-    f: FieldFn, b: complex, s: float, rule: DiskRule
+    g: FieldFn, b: complex, s: float, rule: DiskRule
 ) -> Integral:
-    """Integral of f with an |w - b|^{-s} singularity at b, s in (0, 2).
+    """Integral of g(w) |w - b|^{-s} over the disk, s in (0, 2).
 
-    The rule's singularity strategy picks the method: Mobius substitution
-    (exact flattening, center must match b) or annulus exclusion at
-    epsilon, epsilon/2, epsilon/4 with two-stage Richardson extrapolation
-    on the known expansion exponents 2-s and 4-s.
+    The rule supplies the singular factor in its own coordinates, and its
+    strategy picks the method.  Mobius substitution (center must match b)
+    flattens the singularity exactly: each node weighs g by c^(2-s)
+    |D|^(s-4), c = 1 - |b|^2, D = 1 - conj(b) a, on the nested rule.
+    Annulus exclusion at epsilon, epsilon/2, epsilon/4 applies two-stage
+    Richardson extrapolation on the known expansion exponents 2-s and 4-s.
+    Its estimate is the last extrapolation step plus a rounding floor of
+    (roundings per node) eps x A x integral |g| |w - b|^-s, where A =
+    (1 + r1)(1 + r2)/((1 - r1)(1 - r2)), r1 = 2^(s-2), r2 = 2^(s-4), is
+    the absolute sum of the Richardson weights.  Each rounding is counted
+    as eps: 3 in the node rho = epsilon exp(t span), counted twice because
+    rho^(2-s) doubles them at most; 1 in rho^-s; 1 in the field; 4 in the
+    products span g rho rho rho^-s; at most 25 in numpy's pairwise sum of
+    a ring's block row and 1 per block of the ring; 2 in the ring's weight;
+    radial_nodes in the ring-by-ring sum; 6 in the two Richardson stages.
+    In practice numpy's Gauss-Legendre weights near t = 1 (off by up to
+    4e-11 relative at 192 nodes) set the error, about 2e-14 relative; the
+    floor has covered them up to 2048 radial nodes.
     """
     if not 0.0 < s < 2.0:
         raise DomainError(f"singularity exponent s = {s:g} is not integrable")
@@ -517,12 +517,13 @@ def integrate_disk_singular(
             "integrate_disk_singular requires a rule with a singularity strategy"
         )
     if isinstance(sing, Mobius):
-        c2 = (1.0 - abs(b) ** 2) ** 2
+        gap = _unit_gap(b) ** (2.0 - s)
 
-        def substitution(vals, r_s, phase, denom):
-            return vals * (c2 / np.abs(denom) ** 4) * r_s
+        def substitution(vals, r, phase, denom):
+            d2 = denom.real**2 + denom.imag**2
+            return vals * (gap * d2 ** (0.5 * s - 2.0))
 
-        return _mobius_integral(f, b, s, rule, substitution)
+        return _mobius_integral(g, b, s, rule, substitution)
     # annulus exclusion
     eps = sing.epsilon
     if eps >= 1.0 - abs(b):
@@ -531,15 +532,17 @@ def integrate_disk_singular(
             f"around b with |b| = {abs(b):g}"
         )
     nr, na = rule.radial_nodes, rule.angular_nodes
-    t0 = _annulus_sum(f, b, eps, nr, na)
-    t1 = _annulus_sum(f, b, eps / 2.0, nr, na)
-    t2 = _annulus_sum(f, b, eps / 4.0, nr, na)
+    t0, _ = _annulus_sum(g, b, s, eps, nr, na)
+    t1, _ = _annulus_sum(g, b, s, eps / 2.0, nr, na)
+    t2, mass = _annulus_sum(g, b, s, eps / 4.0, nr, na)
     r1 = 2.0 ** (s - 2.0)
     first = [(t1 - r1 * t0) / (1.0 - r1), (t2 - r1 * t1) / (1.0 - r1)]
     r2 = 2.0 ** (s - 4.0)
     value = (first[1] - r2 * first[0]) / (1.0 - r2)
-    estimate = abs(value - first[1]) + 1e-14 * (1.0 + abs(value))
-    return Integral(value, estimate)
+    amplification = (1.0 + r1) * (1.0 + r2) / ((1.0 - r1) * (1.0 - r2))
+    roundings = 45 + nr + -(-na // _BLOCK)
+    floor = roundings * _EPS * amplification * mass
+    return Integral(value, abs(value - first[1]) + floor)
 
 
 def truncated_singular_integral(
@@ -566,8 +569,4 @@ def truncated_singular_integral(
         raise DomainError(f"truncation center must lie in the closed disk, |b| = {abs(b):g}")
     if rule is None:
         rule = DiskRule()
-    values = [
-        _annulus_sum(f, b, e, rule.radial_nodes, rule.angular_nodes, absolute=True)
-        for e in eps
-    ]
-    return [float(v.real) for v in values]
+    return [_annulus_sum(f, b, 0.0, e, rule.radial_nodes, rule.angular_nodes)[1] for e in eps]

@@ -147,6 +147,15 @@ class TestVerifyCommand:
         assert out == ""
         assert message in err
 
+    def test_large_radial_count_runs(self, capsys):
+        # 1024 radial nodes put 511 Gauss rings under the Kronrod rule, past
+        # where its construction once failed with a LinAlgError
+        code, out, _ = run_cli(capsys, "verify", "--suite", "norms", "--radial-nodes", "1024",
+                               "--format", "csv")
+        assert code in (0, 1)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and all(row["status"] in ("PASS", "FAIL") for row in rows)
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [

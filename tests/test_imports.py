@@ -1,9 +1,13 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every private
+top-level name is read somewhere in the package.
 
-A deletion that leaves its imports behind fails here.  The scan uses only
-the standard library ``ast`` module: a name counts as used when it is read
-anywhere in the module or listed in its ``__all__`` (which is how the
-package ``__init__`` re-exports), and ``from __future__`` imports are exempt.
+A deletion that leaves its imports or its private helpers behind fails here.
+The scans use only the standard library ``ast`` module.  An imported name
+counts as used when it is read anywhere in the module or listed in its
+``__all__`` (which is how the package ``__init__`` re-exports), and
+``from __future__`` imports are exempt.  A private top-level name (one
+leading underscore) counts as read when its own module loads it, another
+module imports it from there, or any module reads an attribute of that name.
 """
 
 import ast
@@ -49,3 +53,53 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield leaf.id
+
+
+def unread_private_names(sources):
+    """(module, name) for each private top-level name that no module reads;
+    sources maps each module's name to its source."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    attributes, imported = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update((node.module, alias.name) for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        loads = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for name in _top_level_names(tree):
+            private = name.startswith("_") and not name.startswith("__")
+            if private and name not in loads | attributes and (module, name) not in imported:
+                unread.append((module, name))
+    return sorted(unread)
+
+
+def test_scanner_flags_an_unread_private_name():
+    sources = {
+        "a": "_KEPT = 1\n_LEFT, _USED = 2, 3\ndef _helper():\n    return _KEPT\nclass _Dead:\n    pass\n",
+        "b": "from .a import _helper\nimport a\nx = _helper() + a._USED\n__all__ = ['x']\n",
+    }
+    assert unread_private_names(sources) == [("a", "_Dead"), ("a", "_LEFT")]
+
+
+def test_package_has_no_unread_private_names():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unread_private_names(sources) == []

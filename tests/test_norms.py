@@ -270,12 +270,15 @@ class TestExtremalFamilies:
             extremal_function(Operator.J0_STAR, INF, 0.0)
 
     def test_cauchy_member_unit_norm(self):
-        # |f|^p has an anchor singularity of exponent q; integrate it as such
+        # |f|^p has an anchor singularity of exponent q; the rule supplies
+        # |w - b|^-q and the rest of the integrand is |f|^p |w - b|^q
         for p, b in ((4.0, 0.0), (3.0, 0.4 + 0.0j)):
             q = p / (p - 1.0)
             f = extremal_function(Operator.CAUCHY, p, b)
             rule = DiskRule.for_point(b, singular=True)
-            mass = integrate_disk_singular(lambda w: np.abs(f(w)) ** p, b, q, rule)
+            mass = integrate_disk_singular(
+                lambda w: np.abs(f(w)) ** p * np.abs(w - b) ** q, b, q, rule
+            )
             assert mass.value.real == pytest.approx(1.0, abs=1e-6)
 
     def test_j0star_member_unit_norm(self):

@@ -293,9 +293,7 @@ def test_profiles_match_defining_disk_integrals():
     points = (0.1, 0.3, 0.45, 0.6, 0.75)
     for rho in points:
         rule = DiskRule(96, 128, Mobius(rho))
-        got = integrate_disk_singular(
-            lambda w: np.abs(w - rho) ** (-q), rho, q, rule
-        )
+        got = integrate_disk_singular(np.ones_like, rho, q, rule)
         assert abs(got.value - pf.profile_K(p, rho)) <= 1e-5
 
         smooth = DiskRule(64, 128)
@@ -311,7 +309,5 @@ def test_profiles_match_defining_disk_integrals():
 
         t = rho * rho
         rule = DiskRule(96, 128, Mobius(rho))
-        got = integrate_disk_singular(
-            lambda w: np.abs(w - rho) ** (-q), rho, q, rule
-        )
+        got = integrate_disk_singular(np.ones_like, rho, q, rule)
         assert abs(0.5 * (2.0 - q) * got.value - pf.profile_F(q, t)) <= 1e-5

@@ -17,7 +17,6 @@ from disknorms.quadrature import (
     _angles,
     _gauss01,
     _kronrod01,
-    _tensor_integral,
     _ring_counts,
     integrate_disk,
     integrate_disk_singular,
@@ -71,10 +70,11 @@ def test_monomial_orthogonality_table():
 
 
 def test_exactness_boundary():
-    # a + b = 2*radial_nodes - 2 is still exact
+    # 7 Kronrod rings (m = 3) are exact to degree 3m+1 = 10 in r, and
+    # (w conj(w))^4 dA is r^9 dr: still exact
     rule = DiskRule(8, 16)
-    got = integrate_disk(lambda w: (w * np.conj(w)) ** 7, rule)
-    assert abs(got.value - 0.125) <= 1e-13
+    got = integrate_disk(lambda w: (w * np.conj(w)) ** 4, rule)
+    assert abs(got.value - 0.2) <= 1e-15
 
 
 def test_error_estimates_honest_on_polynomials():
@@ -117,7 +117,7 @@ def test_integrate_disk_rejects_singular_rule():
 
 
 def test_singular_requires_strategy_and_valid_exponent():
-    f = lambda w: 1.0 / np.abs(w)
+    f = np.ones_like
     with pytest.raises(ConfigurationError):
         integrate_disk_singular(f, 0.0, 1.0, DiskRule(8, 16))
     rule = DiskRule(8, 16, Mobius(0.0))
@@ -133,12 +133,11 @@ def test_singular_requires_strategy_and_valid_exponent():
 
 
 def test_singular_radial_powers_at_origin():
+    # the rule supplies |w|^-s; g = 1
     rule = DiskRule(32, 32, Mobius(0.0))
-    got = integrate_disk_singular(lambda w: 1.0 / np.abs(w), 0.0, 1.0, rule)
+    got = integrate_disk_singular(np.ones_like, 0.0, 1.0, rule)
     assert abs(got.value - 2.0) <= 1e-12
-    got = integrate_disk_singular(
-        lambda w: np.abs(w) ** (-4.0 / 3.0), 0.0, 4.0 / 3.0, rule
-    )
+    got = integrate_disk_singular(np.ones_like, 0.0, 4.0 / 3.0, rule)
     assert abs(got.value - 3.0) <= 1e-10
     assert abs(got.value - pf.profile_K(4.0, 0.0)) <= 1e-10
 
@@ -146,14 +145,12 @@ def test_singular_radial_powers_at_origin():
 def test_singular_off_center_matches_profile():
     # q = 1 Cauchy-kernel energy at rho = 0.3, profile route as oracle
     expected = pf.profile_K(math.inf, 0.3)
-    f = lambda w: 1.0 / np.abs(w - 0.3)
-    got = integrate_disk_singular(f, 0.3, 1.0, DiskRule(64, 64, Mobius(0.3)))
+    got = integrate_disk_singular(np.ones_like, 0.3, 1.0, DiskRule(64, 64, Mobius(0.3)))
     assert abs(got.value - expected) <= 1e-5
-    got = integrate_disk_singular(f, 0.3, 1.0, DiskRule(64, 128, AnnulusExclude(0.05)))
+    got = integrate_disk_singular(np.ones_like, 0.3, 1.0, DiskRule(64, 128, AnnulusExclude(0.05)))
     assert abs(got.value - expected) <= 1e-5
     # and the q = 3/2 case against the closed form
-    f = lambda w: np.abs(w - 0.3) ** -1.5
-    got = integrate_disk_singular(f, 0.3, 1.5, DiskRule(64, 64, Mobius(0.3)))
+    got = integrate_disk_singular(np.ones_like, 0.3, 1.5, DiskRule(64, 64, Mobius(0.3)))
     assert abs(got.value - pf.profile_K(3.0, 0.3)) <= 1e-6
 
 
@@ -167,12 +164,12 @@ def test_mobius_annulus_agreement_seeded():
         c1 = complex(rng.normal(), rng.normal()) * 0.3
         c2 = complex(rng.normal(), rng.normal()) * 0.2
 
-        def f(w, b=b, s=s, c1=c1, c2=c2):
-            return (1.0 + c1 * w + c2 * w * w) * np.abs(w - b) ** (-s)
+        def g(w, c1=c1, c2=c2):
+            return 1.0 + c1 * w + c2 * w * w
 
         eps = min(0.05, (1.0 - abs(b)) / 3.0)
-        via_m = integrate_disk_singular(f, b, s, DiskRule(96, 128, Mobius(b)))
-        via_a = integrate_disk_singular(f, b, s, DiskRule(96, 128, AnnulusExclude(eps)))
+        via_m = integrate_disk_singular(g, b, s, DiskRule(96, 128, Mobius(b)))
+        via_a = integrate_disk_singular(g, b, s, DiskRule(96, 128, AnnulusExclude(eps)))
         tol = max(via_m.abs_error_estimate, via_a.abs_error_estimate) + 1e-10
         assert abs(via_m.value - via_a.value) <= tol
 
@@ -277,9 +274,10 @@ def test_ring_counts_shrink_inner_rings_near_the_boundary():
 
 
 def test_integrate_disk_keeps_the_full_count_on_every_ring():
+    # 2m+1 = 15 Kronrod rings for 16 radial nodes, each field node once
     f = CountingField(lambda w: w * np.conj(w))
     got = integrate_disk(f, DiskRule(16, 32))
-    assert sum(f.sizes) == 16 * 32 + 8 * 16
+    assert sum(f.sizes) == 15 * 32
     assert abs(got.value - 0.5) <= 1e-14
 
 
@@ -289,7 +287,7 @@ def test_rings_wider_than_a_block_are_summed_in_chunks():
     f = CountingField(lambda w: (w * np.conj(w)) ** 2 + w**3)
     got = integrate_disk(f, DiskRule(8, 20000))
     assert abs(got.value - 1.0 / 3.0) <= 1e-13
-    assert max(f.sizes) <= 8192 and sum(f.sizes) == 8 * 20000 + 4 * 10000
+    assert max(f.sizes) <= 8192 and sum(f.sizes) == 7 * 20000
     one = CountingField(lambda w: np.ones_like(w))
     vals = truncated_singular_integral(one, 0.3, [0.1], DiskRule(16, 20000))
     assert abs(vals[0] - 0.99) <= 1e-12
@@ -318,8 +316,11 @@ def test_angle_tables_are_within_4_eps(n, lo, hi):
     assert err <= 4 * 2.220446049250313e-16, err
 
 
-@pytest.mark.parametrize("n", [3, 4, 32, 127])
+@pytest.mark.parametrize("n", [3, 4, 32, 127, 300, 511])
 def test_kronrod_rule_extends_the_gauss_rule(n):
+    # Laurie's sums shrink by about 16 a step; unscaled they left the normal
+    # range past n = 257 (exactness lost, then a failed eigen-solve from 269)
+    tol = 1e-15 if n <= 256 else 2e-15
     x, wk, wg = _kronrod01(n)
     assert x.shape == wk.shape == wg.shape == (2 * n + 1,)
     gauss_x, gauss_w = _gauss01(n)
@@ -327,7 +328,7 @@ def test_kronrod_rule_extends_the_gauss_rule(n):
     assert np.all(wg[::2] == 0.0)
     assert np.all(wk > 0.0) and np.all(np.diff(x) > 0.0) and 0.0 < x[0] and x[-1] < 1.0
     for k in range(3 * n + 2):
-        assert abs(np.dot(wk, x**k) - 1.0 / (k + 1)) <= 1e-15, k
+        assert abs(np.dot(wk, x**k) - 1.0 / (k + 1)) <= tol, k
 
 
 def _mp_kronrod(mp, n):
@@ -393,7 +394,7 @@ def test_nested_rule_splits_chunked_rings_into_global_even_angles():
     # half-count trapezoid sees every other angle of the whole ring, so on a
     # polynomial both halves of the estimate stay at rounding level
     f = CountingField(lambda w: (w * np.conj(w)) ** 2 + w**3 * np.conj(w) ** 3 + np.conj(w) ** 5)
-    got = _tensor_integral(f, DiskRule(17, 20001), 0.0, nested=True)
+    got = integrate_disk(f, DiskRule(17, 20001))
     assert abs(got.value - 7.0 / 12.0) <= 1e-14
     assert got.abs_error_estimate <= 1e-13
     assert max(f.sizes) <= 8192 and sum(f.sizes) == 17 * 20002
