@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from disknorms import (
+    DiskRule,
     Operator,
     apply,
     l2_norm_numeric,
@@ -45,13 +46,15 @@ print()
 
 # Fidelity check: the reduction must agree with full 2-d quadrature of
 # the operator on a genuinely non-radial input. f(w) = w^3 |w| lives on
-# mode 3 with radial part r^4 since w^3 |w| = (w/|w|)^3 * |w|^4.
+# mode 3 with radial part r^4 since w^3 |w| = (w/|w|)^3 * |w|^4. The rule
+# is passed explicitly: the default apply sums angular modes itself, and
+# would compare the reduction with itself.
 f = lambda w: w**3 * np.abs(w)
 c = mode_reduce(3, lambda r: r**4)
 print("mode-3 fidelity against full quadrature, f(w) = w^3 |w|")
 print("--------------------------------------------------------")
 for z in (0.25 + 0j, 0.5 + 0.3j, 0.85 + 0j):
-    direct = apply(Operator.J0_STAR, f, z).value
+    direct = apply(Operator.J0_STAR, f, z, DiskRule.for_point(z)).value
     reduced = c * z**2
     print(
         f"  z = {z!s:<12} reduced image = {reduced:.12g}  "

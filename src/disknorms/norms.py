@@ -378,14 +378,16 @@ def lower_bound_via_extremal(
     integrated with its true exponent q (the substitution rule then flattens
     it completely) rather than through the generic exponent-1 route, which
     would leave an algebraic endpoint factor and waste the family's exactness.
+    The bounded families concentrate at 1/conj(b) like the kernel, so they
+    too take the quadrature rule sized for b rather than the mode engine.
     """
     op = Operator(op)
     f = extremal_function(op, p, b)
     b = complex(b)
+    if rule is None:
+        rule = DiskRule.for_point(b, singular=op is Operator.CAUCHY)
     if op is Operator.CAUCHY:
         q = _conjugate_exponent(p)
-        if rule is None:
-            rule = DiskRule.for_point(b, singular=True)
         result = integrate_disk_singular(lambda w: f(w) * np.abs(w - b) ** q / (w - b), b, q, rule)
         family = "singular-kernel"
     else:

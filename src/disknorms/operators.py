@@ -20,21 +20,38 @@ field once, on both grids together, and sums each inner ring by one
 zero-padded FFT (an exact re-summation of the trapezoid rule's aliasing) in
 O(nr^2 nb log nb) work and a bounded block of rings of memory.
 
-Singular operators (cauchy, cdelta) must be given a rule whose singularity
-strategy is centered at the evaluation point; the bounded three refuse rules
-with a strategy attached.  On the Mobius rule the kernel, the Jacobian and
-the polar r collapse to one closed-form weight per node (``_mobius_weigh``),
-so w - z is never formed by subtraction; an ``AnnulusExclude`` rule
-integrates the kernel times the field times |w - z| through
-``integrate_disk_singular`` at s = 1, which supplies |w - z|^-1.  Near the
-boundary every kernel develops a thin angular layer, so rules are validated
-against the same angular-node floor the quadrature module uses.
+By default ``apply`` evaluates by angular modes (``_mode_integral``).  Every
+kernel is a power series in z conj(w), so with f = sum_n f_n(rho) e^{in phi}
+and m_n = 2 int_0^1 f_n rho^{n+1} d rho,
+
+    j0star f(z)  = sum_{n>=0} m_{n+1} z^n
+    j0 f(z)      = sum_{n>=0} m_n z^{n+1}
+    bergman f(z) = sum_{n>=0} (n+1) m_n z^n
+    cauchy f(z)  = sum_{k>=0} [2 int_{|z|}^1 (z/rho)^k f_{k+1} d rho
+                               - 2 int_0^{|z|} (rho/z)^{k+1} f_{-k} d rho]
+
+and cdelta = j0star - cauchy; the cauchy split at rho = |z| is Daripa's
+(SIAM J. Sci. Stat. Comput. 13, 1992).  Every power has modulus at most 1,
+so the kernel's boundary layer never appears and the work is set by the
+field's angular bandwidth, not by 1/(1-|z|).  A field the engine does not
+resolve falls back to the quadrature rule ``DiskRule.for_point`` builds.
+
+An explicit rule takes the quadrature route.  Singular operators (cauchy,
+cdelta) must then be given a rule whose singularity strategy is centered at
+the evaluation point; the bounded three refuse rules with a strategy
+attached.  On the Mobius rule the kernel, the Jacobian and the polar r
+collapse to one closed-form weight per node (``_mobius_weigh``), so w - z is
+never formed by subtraction; an ``AnnulusExclude`` rule integrates the
+kernel times the field times |w - z| through ``integrate_disk_singular`` at
+s = 1, which supplies |w - z|^-1.  Near the boundary every kernel develops a
+thin angular layer, so rules are validated against the same angular-node
+floor the quadrature module uses.
 
 The tensor and Mobius rules sum on the quadrature module's one radial rule:
 2m+1 Gauss-Kronrod rings, m = (radial_nodes - 1)//2, with even ring counts,
 each field node evaluated once.  The estimate is the distance to the m
 Gauss rings plus the distance to the half-count trapezoid on the same
-rings, plus a rounding floor.
+rings, plus a rounding floor; the mode engine's has the same structure.
 """
 
 from __future__ import annotations
@@ -53,8 +70,11 @@ from .quadrature import (
     Integral,
     Mobius,
     _angles,
+    _BLOCK,
+    _EPS,
     _eval_nodes,
     _gauss01,
+    _kronrod01,
     _mobius_integral,
     _tensor_integral,
     _unit_gap,
@@ -72,6 +92,14 @@ __all__ = [
 # Bounded kernels still blow up like 1/(1-|z|); cap evaluation points away
 # from the boundary so the angular-node floor stays finite.
 _BOUNDARY_MARGIN = 1e-6
+# the mode engine's rings per radial interval (2*16 + 1 Gauss-Kronrod) and
+# its angular counts, doubled from the first up to the last
+_MODE_RINGS = 16
+_MODE_START = 16
+_MODE_CAP = 2048
+# the check grid's turn in units of its angle step: irrational, so that a
+# mode aliased on both grids lands with another phase
+_MODE_TURN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class Operator(str, enum.Enum):
@@ -103,21 +131,18 @@ def _check_point(op: Operator, z: complex) -> complex:
     return z
 
 
-def _check_rule(op: Operator, z: complex, rule: Optional[DiskRule]) -> DiskRule:
-    """The default rule for z, or the given one checked against z's boundary
-    layer.  Bounded operators refuse a singularity strategy; a singular
-    operator's strategy is checked where it is used, in the Mobius sum's
-    center check or in integrate_disk_singular."""
-    singular = op in _SINGULAR_OPS
-    if rule is None:
-        return DiskRule.for_point(z, singular=singular)
+def _check_rule(op: Operator, z: complex, rule: DiskRule) -> DiskRule:
+    """The given rule checked against z's boundary layer.  Bounded operators
+    refuse a singularity strategy; a singular operator's strategy is checked
+    where it is used, in the Mobius sum's center and reach checks or in
+    integrate_disk_singular."""
     need = required_angular_nodes(z)
     if rule.angular_nodes < need:
         raise ConfigurationError(
             f"rule has {rule.angular_nodes} angular nodes but |z| = {abs(z):.6g} "
             f"requires at least {need}"
         )
-    if not singular and rule.singularity is not None:
+    if op not in _SINGULAR_OPS and rule.singularity is not None:
         raise ConfigurationError(f"{op.value} has a bounded kernel; rule must not carry a singularity strategy")
     return rule
 
@@ -170,37 +195,165 @@ def _mobius_weigh(op: Operator, z: complex):
     return cauchy if op is Operator.CAUCHY else cdelta
 
 
-def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None) -> Integral:
-    """Evaluate one operator at an interior point.
+def _mode_integral(op: Operator, f: FieldFn, z: complex) -> tuple[Integral, bool]:
+    """The operator at z from the angular modes of f, and whether they resolved f.
 
-    ``rule=None`` builds a default rule for ``z``: angular nodes scale with
-    the boundary distance, and the singular operators get a Mobius strategy
-    centered at ``z``.  The rule's angular count is its outermost ring's;
-    for |z| > 0.9 inner rings get their own layer's count.  Explicit rules
-    are validated instead of silently upgraded; too few angular nodes or a
-    mismatched singularity center raise ``ConfigurationError``.
-
-    The tensor and Mobius rules sum on 2m+1 Gauss-Kronrod rings, m =
-    (radial_nodes - 1)//2 (255 for the default 256), with every ring count
-    rounded up to even.  ``abs_error_estimate`` is |K - G| + |K - K_half| +
-    8 eps * integral |integrand|: K is the value, G the m Gauss rings among
-    them, and K_half the same rings at every other angle, all from one set
-    of field values.  An ``AnnulusExclude`` rule runs
-    ``integrate_disk_singular`` as given.
+    f is sampled on the 33 Gauss-Kronrod rings of ``_kronrod01(16)``: over
+    [0, 1] for the bounded operators, and over [0, |z|] and [|z|, 1] for
+    cauchy and cdelta, whose j0star part uses the same samples.  Each ring
+    has N angles, N = 16, 32, ... up to 2048; each doubling evaluates only
+    the new odd angles, and one FFT per level gives the modes f_n(rho) for
+    |n| < N/2.  A level's value K sums the mode series above on the Kronrod
+    rings, its G on the Gauss rings among them, and the level before is
+    K_half.  The rounding floor is 8 eps times the sum of |terms| and of
+    each ring's largest |f| times its |multipliers|, the FFT's error in
+    every mode.  A level settles once |K - K_half| is within the floor and
+    every mode with |n| >= N/4 is within 16 eps of the largest field value.
+    A mode beyond N/2 can alias to the same low mode on N and N/2 angles
+    and pass both tests, so a settled level is checked on N/2 more angles
+    turned by an irrational fraction of their step, where such a mode lands
+    with another phase: every mode with |n| < N/4 must agree within the
+    same 16 eps.  The doubling stops at a settled level or at the cap.  The
+    estimate is |K - G| + |K - K_half| + floor, plus the check's largest
+    disagreement times the multipliers; the flag says that f was resolved:
+    the level settled and |K - G| too is within the floor.  No field call
+    covers more than ``_BLOCK`` nodes.
     """
-    op = Operator(op)
-    z = _check_point(op, z)
-    rule = _check_rule(op, z, rule)
+    t, wk, wg = _kronrod01(_MODE_RINGS)
+    r = abs(z)
+    unit = z / r if r > 0.0 else 1.0
+    rho, ratio, outer = t, unit * r / t, np.ones(t.size, dtype=bool)
+    singular = op in _SINGULAR_OPS
+    if singular and r > 0.0:
+        rho = np.concatenate([r * t, r + (1.0 - r) * t])
+        # (rho/z)^(k+1) on [0, |z|] and (z/rho)^k on [|z|, 1], both of modulus <= 1
+        ratio = np.concatenate([unit.conjugate() * t, unit * r / rho[t.size :]])
+        outer = np.arange(rho.size) >= t.size
+        wk, wg = (np.concatenate([r * w, (1.0 - r) * w]) for w in (wk, wg))
+    x = rho * z
 
+    def sample(angles):
+        rows = max(1, _BLOCK // angles.size)
+        return np.concatenate([_eval_nodes(f, rho[i : i + rows, None] * angles) for i in range(0, rho.size, rows)])
+
+    def powers(base, count):
+        # base^k for k < count as (base^m)^q base^j, k = q m + j: 2 sqrt(count) powers a ring
+        m = math.isqrt(count - 1) + 1
+        coarse, fine = (base[:, None] ** m) ** np.arange(-(-count // m)), base[:, None] ** np.arange(m)
+        return (coarse[:, :, None] * fine[:, None, :]).reshape(rho.size, -1)[:, :count]
+
+    def level(vals):
+        count = vals.shape[1]
+        spectrum = np.fft.fft(vals, axis=1) / count
+        n = np.arange(count // 2 - 1)
+        same, up = spectrum[:, n], spectrum[:, n + 1]
+        parts = []  # (multiplier, mode coefficient) pairs
+        if op is not Operator.CAUCHY:
+            xn = powers(x, n.size)
+        if op is Operator.J0:
+            parts.append((2.0 * z * rho[:, None] * xn, same))
+        elif op is Operator.BERGMAN:
+            parts.append((2.0 * (n + 1) * rho[:, None] * xn, same))
+        elif op is not Operator.CAUCHY:
+            parts.append((2.0 * rho[:, None] ** 2 * xn, up))
+        if singular:
+            sign = 2.0 if op is Operator.CAUCHY else -2.0
+            inner, table = ~outer[:, None], powers(ratio, n.size + 1)
+            parts.append(
+                (sign * np.where(inner, -table[:, 1:], table[:, :-1]), np.where(inner, spectrum[:, -n], up))
+            )
+        terms = sum(m * c for m, c in parts)
+        sums = terms.sum(axis=1)
+        # each term's roundings, and the FFT's: about eps max|f| in every mode
+        reach = sum(np.abs(m) for m, _ in parts).sum(axis=1)
+        floor = 8.0 * _EPS * np.dot(wk, np.abs(terms).sum(axis=1) + np.abs(vals).max(axis=1) * reach)
+        return spectrum, np.dot(wk, sums), np.dot(wg, sums), floor, np.dot(wk, reach)
+
+    count = _MODE_START
+    vals = sample(_angles(count))
+    half = level(vals[:, ::2])[1]
+    while True:
+        spectrum, kronrod, gauss, floor, reach = level(vals)
+        small = 16.0 * _EPS * np.abs(vals).max()
+        quarter, alias = count // 4, 0.0
+        settled = abs(kronrod - half) <= floor and np.abs(spectrum[:, quarter : count - quarter + 1]).max() <= small
+        if settled:
+            n = np.arange(1 - quarter, quarter)
+            turn = 2.0 * math.pi * _MODE_TURN / (count // 2)
+            check = np.fft.fft(sample(_angles(count // 2) * np.exp(1j * turn)), axis=1) / (count // 2)
+            gap = np.abs(check[:, n] * np.exp(-1j * turn * n) - spectrum[:, n]).max()
+            settled, alias = gap <= small, gap * reach
+        if settled or count == _MODE_CAP:
+            break
+        odd = sample(_angles(2 * count)[1::2])
+        vals = np.stack([vals, odd], axis=2).reshape(rho.size, 2 * count)
+        count, half = 2 * count, kronrod
+    radial = abs(kronrod - gauss)
+    estimate = radial + abs(kronrod - half) + floor + alias
+    return Integral(complex(kronrod), float(estimate)), settled and radial <= floor
+
+
+def _check_mobius_reach(z: complex, rule: DiskRule) -> None:
+    """Refuse a Mobius rule whose outermost ring misses the kernel's layer.
+
+    Centered at z, the rule's integrand peaks on the ray through z like
+    |1 - |z| r|^-4, at r = 1.  Its outermost Kronrod ring, 1 - g, is
+    trusted only where that profile is still within a factor 2 of its peak:
+    |z| g <= (2^(1/4) - 1)(1 - |z|).  Past that, value and estimate miss the
+    layer together (err/est up to 1.4 at 1.7 g; 1 - |z| < 7.8e-5 for the
+    default 256 radial nodes).
+    """
+    gap = 1.0 - _kronrod01((rule.radial_nodes - 1) // 2)[0][-1]
+    if abs(z) * gap > (2.0**0.25 - 1.0) * (1.0 - abs(z)):
+        raise DomainError(
+            f"a Mobius rule of {rule.radial_nodes} radial nodes reaches 1 - |z| >= "
+            f"{gap / (2.0**0.25 - 1.0 + gap):.3g}; got |z| = {abs(z):.15g}"
+        )
+
+
+def _quadrature(op: Operator, f: FieldFn, z: complex, rule: DiskRule) -> Integral:
     if op in _SINGULAR_OPS:
         if isinstance(rule.singularity, Mobius):
+            _check_mobius_reach(z, rule)
             return _mobius_integral(f, z, 1.0, rule, _mobius_weigh(op, z))
         return integrate_disk_singular(_singular_integrand(op, f, z), z, 1.0, rule)
-
     inner = _tensor_integral(_bounded_integrand(op, f, z), rule, z)
     if op is Operator.J0:
         return Integral(z * inner.value, abs(z) * inner.abs_error_estimate)
     return inner
+
+
+def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None) -> Integral:
+    """Evaluate one operator at an interior point.
+
+    ``rule=None`` evaluates by angular modes (``_mode_integral``): a field
+    of angular bandwidth B costs 33 rings (66 for cauchy and cdelta) times
+    1.5 times the first power of two from 16 above 4B angles (the half is
+    the aliasing check) at every |z|, so a degree-4 polynomial costs 1,584
+    or 3,168 field nodes, and cauchy and cdelta answer up to the rim.  If the modes do not resolve f (a field
+    with its own layer near the rim needs more than 2048 angles, one
+    singular inside the disk more than 33 rings), the quadrature rule of
+    ``DiskRule.for_point`` runs too, where it reaches, and the result with
+    the smaller estimate is returned.
+
+    An explicit rule takes the quadrature route of the module docstring,
+    validated rather than silently upgraded: too few angular nodes or a
+    mismatched singularity center raise ``ConfigurationError``, and a Mobius
+    rule whose outermost ring misses the kernel's layer at z raises
+    ``DomainError`` before any field evaluation (``_check_mobius_reach``).
+    """
+    op = Operator(op)
+    z = _check_point(op, z)
+    if rule is not None:
+        return _quadrature(op, f, z, _check_rule(op, z, rule))
+    modes, resolved = _mode_integral(op, f, z)
+    if resolved:
+        return modes
+    try:
+        quad = _quadrature(op, f, z, DiskRule.for_point(z, singular=op in _SINGULAR_OPS))
+    except DomainError:
+        return modes
+    return min(modes, quad, key=lambda result: result.abs_error_estimate)
 
 
 def adjoint_pairing_residual(f: FieldFn, g: FieldFn, rule: Optional[DiskRule] = None) -> float:

@@ -179,6 +179,11 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _rescale(a: np.ndarray) -> None:
+    """Scale a in place by the power of two that puts its largest entry in [1/2, 1)."""
+    a *= 2.0 ** -math.frexp(np.abs(a).max())[1]
+
+
 @lru_cache(maxsize=64)
 def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (2n+1)-node Gauss-Kronrod rule on [0, 1] that extends ``_gauss01(n)``.
@@ -191,9 +196,10 @@ def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is symmetric about 1/2, so every diagonal entry is 1/2 and only the
     algorithm's b-updates remain.  Each of its inner loops reads only old
     values, so it is one cumulative sum, reversed in the first phase.  Those
-    sums shrink by about b ~ 1/16 a step, and only their ratios are used,
-    so each step scales its array by the exact 16.0; unscaled, they leave
-    the normal range past n = 257 and the rule loses its exactness.  The
+    sums shrink by about b ~ 1/16 a step, and only ratios within one array
+    are used, so each step scales the part of its array that later steps
+    read by an exact power of two (``_rescale``); unscaled, they leave the
+    normal range past n = 257 and the rule loses its exactness.  The
     new nodes are eigenvalues of that matrix, and every weight is the
     Christoffel number 1/sum_k p_k(x)^2 of its orthonormal recurrence, so
     no eigenvectors are formed.
@@ -207,7 +213,7 @@ def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for m in range(n - 1):
         j = np.arange((m + 1) // 2, -1, -1)
         s[j + 1] = np.cumsum(b[j + n + 1] * s[j] - b[m - j] * s[j + 1])
-        s *= 16.0
+        _rescale(s)
         s, t = t, s
     s[1 : n // 2 + 2] = s[: n // 2 + 1].copy()
     for m in range(n - 1, 2 * n - 2):
@@ -216,7 +222,7 @@ def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s[i + 1] = np.cumsum(b[m - j] * s[i + 2] - b[j + n + 1] * s[i + 1])
         if m % 2:
             b[(m + 1) // 2 + n + 1] = s[i[-1] + 1] / s[i[-1] + 2]
-        s *= 16.0
+        _rescale(s[: i[-1] + 3])  # the entries later steps read
         s, t = t, s
     root_b = np.sqrt(b)
     jacobi = np.zeros((size, size))

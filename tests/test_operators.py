@@ -8,6 +8,7 @@ against itself.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -257,11 +258,13 @@ class TestDbarIdentity:
 
     @pytest.mark.parametrize("op", [Operator.C_DELTA, Operator.CAUCHY])
     def test_explicit_mobius_rule_matches_default(self, op):
-        # the Mobius strategy re-centers at each shifted point, as the default does
+        # the Mobius strategy re-centers at each shifted point, wherever the
+        # given rule was centered; the default runs the mode engine instead
         f = poly_field({(1, 0): 1.0, (0, 2): 0.5})
         z = 0.2 + 0.1j
         explicit = dbar_identity_residual(f, z, 1e-3, DiskRule(256, 512, Mobius(z)), op=op)
-        assert explicit == dbar_identity_residual(f, z, 1e-3, op=op)
+        assert explicit == dbar_identity_residual(f, z, 1e-3, DiskRule(256, 512, Mobius(0.0)), op=op)
+        assert abs(explicit - dbar_identity_residual(f, z, 1e-3, op=op)) <= 1e-9
 
     @pytest.mark.parametrize("op", [Operator.C_DELTA, Operator.CAUCHY])
     def test_explicit_annulus_rule(self, op):
@@ -365,6 +368,8 @@ class CountingField:
 NEAR_RADII = (0.99, 0.999, 0.9999)
 # the bounded operators run up to their margin 1 - 1e-6
 BOUNDED_RADII = NEAR_RADII + (1.0 - 1e-5, 1.0 - 1e-6)
+# cauchy and cdelta answer up to the rim
+SINGULAR_RADII = BOUNDED_RADII + (1.0 - 1e-8, 1.0 - 1e-10, 1.0 - 1e-12)
 NEAR_ANGLES = (0.7, 2.9)
 C_POLE = 0.999  # fields singular at w = 1/C_POLE, just outside the disk
 
@@ -395,17 +400,85 @@ class TestNearBoundary:
         got = apply(op, f, z)
         assert abs(got.value - want) <= got.abs_error_estimate, (got, want)
 
-    @pytest.mark.parametrize("op, radius, angle", _near_cases([Operator.CAUCHY, Operator.C_DELTA]))
+    @pytest.mark.parametrize("op, radius, angle", _near_cases([Operator.CAUCHY, Operator.C_DELTA], SINGULAR_RADII))
     def test_singular_images_of_seeded_polynomials(self, op, radius, angle):
-        # cdelta = j0star - cauchy, both from the monomial oracles
-        rng = np.random.default_rng(int(radius * 1e4) + int(10 * angle))
-        coeffs = {(a, b): complex(*rng.normal(size=2)) for a in range(5) for b in range(5 - a)}
-        z = radius * complex(math.cos(angle), math.sin(angle))
-        want = sum(c * cauchy_monomial(a, b, z) for (a, b), c in coeffs.items())
-        if op is Operator.C_DELTA:
-            want = sum(c * j0star_monomial(a, b, z) for (a, b), c in coeffs.items()) - want
+        coeffs, z, want = _seeded_image(op, radius, angle)
         got = apply(op, poly_field(coeffs), z)
         assert abs(got.value - want) <= got.abs_error_estimate, (got, want)
+
+    @pytest.mark.parametrize(
+        "op, radius, angle", _near_cases([Operator.J0, Operator.J0_STAR, Operator.BERGMAN], BOUNDED_RADII)
+    )
+    def test_bounded_images_of_seeded_polynomials(self, op, radius, angle):
+        coeffs, z, want = _seeded_image(op, radius, angle)
+        got = apply(op, poly_field(coeffs), z)
+        assert abs(got.value - want) <= got.abs_error_estimate, (got, want)
+
+
+def _seeded_image(op, radius, angle):
+    """A seeded degree-4 polynomial, the point, and the image from the
+    monomial oracles (cdelta = j0star - cauchy)."""
+    rng = np.random.default_rng(int(radius * 1e4) + int(10 * angle))
+    coeffs = {(a, b): complex(*rng.normal(size=2)) for a in range(5) for b in range(5 - a)}
+    z = radius * complex(math.cos(angle), math.sin(angle))
+    oracle = {
+        Operator.CAUCHY: cauchy_monomial,
+        Operator.BERGMAN: bergman_monomial,
+        Operator.J0: j0_monomial,
+        Operator.J0_STAR: j0star_monomial,
+        Operator.C_DELTA: lambda a, b, z: j0star_monomial(a, b, z) - cauchy_monomial(a, b, z),
+    }[op]
+    return coeffs, z, sum(c * oracle(a, b, z) for (a, b), c in coeffs.items())
+
+
+class TestMobiusReach:
+    """An explicit Mobius rule answers only where its outermost ring reaches
+    the kernel's layer, and refuses before any field evaluation beyond."""
+
+    @pytest.mark.parametrize("op", [Operator.CAUCHY, Operator.C_DELTA])
+    @pytest.mark.parametrize("gap", [1e-5, 1e-6, 1e-8])
+    def test_explicit_rule_answers_or_refuses(self, op, gap):
+        # the default route at these points is in TestNearBoundary
+        coeffs, z, want = _seeded_image(op, 1.0 - gap, 0.7)
+        f = CountingField(coeffs)
+        start = time.perf_counter()
+        try:
+            got = apply(op, f, z, DiskRule.for_point(z, singular=True))
+        except DomainError:
+            assert f.sizes == [] and time.perf_counter() - start < 0.05
+        else:
+            assert abs(got.value - want) <= got.abs_error_estimate, (got, want)
+
+    @pytest.mark.parametrize("op", [Operator.CAUCHY, Operator.C_DELTA])
+    @pytest.mark.parametrize("angle", [0.7, 2.9])
+    def test_explicit_rule_answers_within_its_estimate_inside_its_reach(self, op, angle):
+        # 1 - |z| = 1e-4 is about 6.8 ring gaps, inside the default rule's
+        # reach; it errs by about 1e-2 here, within its estimate
+        coeffs, z, want = _seeded_image(op, 0.9999, angle)
+        got = apply(op, poly_field(coeffs), z, DiskRule.for_point(z, singular=True))
+        assert abs(got.value - want) <= got.abs_error_estimate, (got, want)
+
+    def test_reach_follows_the_outermost_ring(self):
+        # 64 radial nodes put the outer ring 2.4e-4 from r = 1, which reaches
+        # 1 - |z| >= 1.3e-3; the default 256 (1.5e-5) reach 7.8e-5
+        z = 0.999j
+        f = CountingField({(1, 0): 1.0})
+        with pytest.raises(DomainError):
+            apply(Operator.CAUCHY, f, z, DiskRule.for_point(z, 64, singular=True))
+        assert f.sizes == []
+        got = apply(Operator.CAUCHY, f, z, DiskRule.for_point(z, singular=True))
+        assert abs(got.value - cauchy_monomial(1, 0, z)) <= got.abs_error_estimate
+
+
+def test_fields_the_modes_do_not_resolve_take_the_quadrature_too():
+    # 1/(1 - 0.999 w) needs far more than 2048 angles near the rim, and
+    # w |w|^(-4/3) more than 33 rings at the center; the modes alone err by
+    # 0.39 and 4.1e-3 here, the quadrature rules by 1.1e-13 and 2.7e-4
+    z = 0.9999 * complex(math.cos(0.7), math.sin(0.7))
+    f, want = _near_closed_form(Operator.BERGMAN, z)
+    assert abs(apply(Operator.BERGMAN, f, z).value - want) <= 1e-9
+    f = lambda w: 3.0 ** (-0.25) * w * np.abs(w) ** (-4.0 / 3.0)
+    assert abs(apply(Operator.CAUCHY, f, 0.0).value - 3.0**0.75) <= 1e-3
 
 
 # Images at real z of the paper's L^2 counterexample densities, singular at
@@ -482,9 +555,17 @@ class TestMobiusWeights:
 
 
 class TestWork:
-    """Field nodes per apply with the default rule, counted by the field."""
+    """Field nodes per apply, counted by the field.
+
+    The quadrature cases pass ``DiskRule.for_point`` explicitly, the rule
+    the default route used before it evaluated by angular modes.
+    """
 
     COEFFS = {(a, b): 1.0 + 0.5j for a in range(5) for b in range(5 - a)}
+
+    @staticmethod
+    def rule(op, z):
+        return DiskRule.for_point(z, singular=op in (Operator.CAUCHY, Operator.C_DELTA))
 
     @pytest.mark.parametrize("op", list(Operator))
     def test_full_count_away_from_the_boundary(self, op):
@@ -492,7 +573,7 @@ class TestWork:
         # rings and the half-count angles are among them
         for z in (0.0, 0.5j, -0.9):
             f = CountingField(self.COEFFS)
-            apply(op, f, z)
+            apply(op, f, z, self.rule(op, z))
             assert sum(f.sizes) == 130_560, (op, z)
             assert len(f.sizes) == 16 and max(f.sizes) <= 8192
 
@@ -501,7 +582,7 @@ class TestWork:
         # a uniform count would put 640002 angles on all 255 rings (1.6e8
         # nodes); j0 runs the tensor rule, cauchy the Mobius rule
         f = CountingField(self.COEFFS)
-        apply(op, f, 0.9999j)
+        apply(op, f, 0.9999j, self.rule(op, 0.9999j))
         assert sum(f.sizes) < 4e6
         assert max(f.sizes) <= 8192
 
@@ -526,13 +607,82 @@ class TestWork:
 
         monkeypatch.setattr(quadrature, "_angles", counted_build)
         f = CountingField(self.COEFFS)
-        apply(op, f, 0.9999j)
+        apply(op, f, 0.9999j, self.rule(op, 0.9999j))
         assert sum(f.sizes) == 2_173_320
         assert 0 < sum(spent) < 0.05 * sum(f.sizes)
 
     def test_memory_stays_bounded_at_the_margin(self):
         # |z| = 1 - 1e-6: a uniform count would be 64,000,000 angles per ring
         f = CountingField(self.COEFFS)
-        apply(Operator.J0, f, 1.0 - 1e-6)
+        apply(Operator.J0, f, 1.0 - 1e-6, self.rule(Operator.J0, 1.0 - 1e-6))
         assert max(f.sizes) <= 8192
         assert sum(f.sizes) < 6e6
+
+    @pytest.mark.parametrize("op", list(Operator))
+    def test_default_work_does_not_depend_on_the_radius(self, op):
+        # a degree-4 polynomial settles at 32 angles on 33 rings, or on 66
+        # for cauchy and cdelta (split at |z|), at any distance from the rim
+        singular = op in (Operator.CAUCHY, Operator.C_DELTA)
+        gaps = (0.5, 1e-6, 1e-8, 1e-12) if singular else (0.5, 1e-2, 1e-6)
+        for gap in gaps:
+            f = CountingField(self.COEFFS)
+            apply(op, f, (1.0 - gap) * complex(math.cos(0.7), math.sin(0.7)))
+            # 16 angles, the 16 odd ones of 32, and 16 turned ones checking 32
+            assert f.sizes == [528 * (1 + singular)] * 3, (op, gap)
+
+    @pytest.mark.parametrize("op", [Operator.J0_STAR, Operator.C_DELTA])
+    def test_doublings_evaluate_no_node_twice(self, op):
+        # exp(2w + conj(w)) has modes above the rounding level past |n| = 16,
+        # so it takes 128 angles: 16 at first, then only the new odd angles
+        # of 32, 64 and 128, and 64 turned ones that check 128
+        seen = []
+
+        def f(w):
+            seen.append(np.array(w, dtype=complex).ravel())
+            return np.exp(2.0 * w + np.conj(w))
+
+        apply(op, f, 0.6 + 0.3j)
+        rings = 33 * (1 + (op is Operator.C_DELTA))
+        assert [v.size for v in seen] == [rings * n for n in (16, 16, 32, 64, 64)]
+        nodes = np.concatenate(seen)
+        assert np.unique(nodes).size == nodes.size
+
+    def test_default_calls_stay_bounded_at_the_cap(self):
+        # sign(Im w) never settles (its modes fall like 1/n), so the modes
+        # double to 2048 angles, the odd 1024 of each ring taken 8 rings a
+        # call, and then the quadrature runs too
+        sizes = []
+
+        def f(w):
+            sizes.append(np.size(w))
+            return np.sign(np.imag(w)) + 0.0j
+
+        apply(Operator.BERGMAN, f, 0.0)
+        assert max(sizes) <= 8192
+        assert sum(sizes) == 33 * 2048 + 130_560
+
+
+# monomials w^d conj(w)^e whose mode d - e lies past N/2 of the first levels:
+# w^13 lands on mode -3 at both 16 and 8 angles, w^16 on mode 0
+ALIASED = [(13, 0), (16, 0), (19, 0), (40, 0), (0, 13), (0, 16), (17, 1), (3, 19)]
+
+
+@pytest.mark.parametrize("op", list(Operator))
+@pytest.mark.parametrize("a, b", ALIASED)
+def test_modes_aliased_on_nested_grids_are_caught(op, a, b):
+    oracle = {
+        Operator.CAUCHY: cauchy_monomial,
+        Operator.BERGMAN: bergman_monomial,
+        Operator.J0: j0_monomial,
+        Operator.J0_STAR: j0star_monomial,
+        Operator.C_DELTA: lambda a, b, z: j0star_monomial(a, b, z) - cauchy_monomial(a, b, z),
+    }[op]
+    for z in (0.0, 0.5, 0.9 * complex(math.cos(0.7), math.sin(0.7)), 0.99j):
+        got = apply(op, poly_field({(a, b): 1.0}), z)
+        want = oracle(a, b, z)
+        assert abs(got.value - want) <= got.abs_error_estimate, (z, got, want)
+
+
+def test_bergman_of_w13_is_its_monomial():
+    got = apply(Operator.BERGMAN, poly_field({(13, 0): 1.0}), 0.9)
+    assert abs(got.value - 0.9**13) <= 1e-14

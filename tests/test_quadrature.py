@@ -331,6 +331,17 @@ def test_kronrod_rule_extends_the_gauss_rule(n):
         assert abs(np.dot(wk, x**k) - 1.0 / (k + 1)) <= tol, k
 
 
+def test_kronrod_rule_past_n_513_builds_without_overflow():
+    # a fixed scale of 16 a step overflowed from n = 514; each array is now
+    # scaled by a power of two from its own largest entry (RuntimeWarnings
+    # are errors in this suite)
+    n = 1023
+    x, wk, _ = _kronrod01(n)
+    assert np.all(wk > 0.0) and np.all(np.diff(x) > 0.0)
+    for k in range(3 * n + 2):
+        assert abs(np.dot(wk, x**k) - 1.0 / (k + 1)) <= 1e-14, k
+
+
 def _mp_kronrod(mp, n):
     """Nodes and weights of the (2n+1)-node Kronrod rule on [0, 1]: Laurie's
     algorithm in full, diagonal updates included, as scalar loops, then an
