@@ -58,7 +58,6 @@ from .quadrature import (
     Mobius,
     integrate_disk,
     integrate_disk_singular,
-    required_angular_nodes,
     truncated_singular_integral,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "mode_best_constant",
     "mode_rayleigh_maximum",
     "mode_reduce",
-    "required_angular_nodes",
     "riesz_thorin_bound",
     "truncated_singular_integral",
     "__version__",

@@ -330,17 +330,11 @@ def extremal_function(op: Operator, p: float, b: complex) -> FieldFn:
             "(their profile vanishes there); pick a nonzero anchor"
         )
 
+    # the unimodular p = infinity members are the finite-p ones at e = 1, scale 1
+    bc = np.conj(b)
+    e = 1.0 if p == _INF else (p - 2.0) / (p - 1.0)
     if op is Operator.J0:
-        bc = np.conj(b)
-        if p == _INF:
-            def j0_member_sup(w):
-                w = np.asarray(w, dtype=complex)
-                d = 1.0 - w * bc
-                return (bc / d) * np.abs(d / bc)
-
-            return j0_member_sup
-        e = (p - 2.0) / (p - 1.0)
-        scale = profile_M(q, abs(b)) ** (-1.0 / p)
+        scale = 1.0 if p == _INF else profile_M(q, abs(b)) ** (-1.0 / p)
 
         def j0_member(w):
             w = np.asarray(w, dtype=complex)
@@ -349,17 +343,7 @@ def extremal_function(op: Operator, p: float, b: complex) -> FieldFn:
 
         return j0_member
 
-    bc = np.conj(b)
-    if p == _INF:
-        def j0star_member_sup(w):
-            w = np.asarray(w, dtype=complex)
-            wc = np.conj(w)
-            d = 1.0 - wc * b
-            return (d / wc) * np.abs(w / d)
-
-        return j0star_member_sup
-    e = (p - 2.0) / (p - 1.0)
-    scale = profile_N(q, abs(b), 1e-12).value ** (-1.0 / p)
+    scale = 1.0 if p == _INF else profile_N(q, abs(b), 1e-12).value ** (-1.0 / p)
 
     def j0star_member(w):
         w = np.asarray(w, dtype=complex)
@@ -369,9 +353,7 @@ def extremal_function(op: Operator, p: float, b: complex) -> FieldFn:
     return j0star_member
 
 
-def lower_bound_via_extremal(
-    op: Operator, p: float, b: complex, rule: Optional[DiskRule] = None
-) -> NormResult:
+def lower_bound_via_extremal(op: Operator, p: float, b: complex) -> NormResult:
     """Operator value on the extremal family at its anchor: a certified lower bound.
 
     For the singular kernel the pairing integrand is |w-b|^(-q), so it is
@@ -380,12 +362,13 @@ def lower_bound_via_extremal(
     would leave an algebraic endpoint factor and waste the family's exactness.
     The bounded families concentrate at 1/conj(b) like the kernel, so they
     too take the quadrature rule sized for b rather than the mode engine.
+    Both use ``DiskRule.for_point(b)``; past the Mobius rule's reach (1 -
+    |b| < 7.8e-5 at p = infinity, more as p falls to 2) it raises DomainError.
     """
     op = Operator(op)
     f = extremal_function(op, p, b)
     b = complex(b)
-    if rule is None:
-        rule = DiskRule.for_point(b, singular=op is Operator.CAUCHY)
+    rule = DiskRule.for_point(b, singular=op is Operator.CAUCHY)
     if op is Operator.CAUCHY:
         q = _conjugate_exponent(p)
         result = integrate_disk_singular(lambda w: f(w) * np.abs(w - b) ** q / (w - b), b, q, rule)

@@ -58,13 +58,13 @@ from __future__ import annotations
 
 import enum
 import math
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, PrecisionError
 from .quadrature import (
-    AnnulusExclude,
     DiskRule,
     FieldFn,
     Integral,
@@ -76,10 +76,10 @@ from .quadrature import (
     _gauss01,
     _kronrod01,
     _mobius_integral,
+    _required_angular_nodes,
     _tensor_integral,
     _unit_gap,
     integrate_disk_singular,
-    required_angular_nodes,
 )
 
 __all__ = [
@@ -131,19 +131,16 @@ def _check_point(op: Operator, z: complex) -> complex:
     return z
 
 
-def _check_rule(op: Operator, z: complex, rule: DiskRule) -> DiskRule:
-    """The given rule checked against z's boundary layer.  Bounded operators
-    refuse a singularity strategy; a singular operator's strategy is checked
-    where it is used, in the Mobius sum's center and reach checks or in
-    integrate_disk_singular."""
-    need = required_angular_nodes(z)
+def _check_rule(z: complex, rule: DiskRule) -> DiskRule:
+    """The given rule checked against z's boundary layer.  Its strategy is
+    checked by the sum that uses it: the tensor sum refuses one, the Mobius
+    sum checks its center and reach, integrate_disk_singular the rest."""
+    need = _required_angular_nodes(z)
     if rule.angular_nodes < need:
         raise ConfigurationError(
             f"rule has {rule.angular_nodes} angular nodes but |z| = {abs(z):.6g} "
             f"requires at least {need}"
         )
-    if op not in _SINGULAR_OPS and rule.singularity is not None:
-        raise ConfigurationError(f"{op.value} has a bounded kernel; rule must not carry a singularity strategy")
     return rule
 
 
@@ -293,28 +290,9 @@ def _mode_integral(op: Operator, f: FieldFn, z: complex) -> tuple[Integral, bool
     return Integral(complex(kronrod), float(estimate)), settled and radial <= floor
 
 
-def _check_mobius_reach(z: complex, rule: DiskRule) -> None:
-    """Refuse a Mobius rule whose outermost ring misses the kernel's layer.
-
-    Centered at z, the rule's integrand peaks on the ray through z like
-    |1 - |z| r|^-4, at r = 1.  Its outermost Kronrod ring, 1 - g, is
-    trusted only where that profile is still within a factor 2 of its peak:
-    |z| g <= (2^(1/4) - 1)(1 - |z|).  Past that, value and estimate miss the
-    layer together (err/est up to 1.4 at 1.7 g; 1 - |z| < 7.8e-5 for the
-    default 256 radial nodes).
-    """
-    gap = 1.0 - _kronrod01((rule.radial_nodes - 1) // 2)[0][-1]
-    if abs(z) * gap > (2.0**0.25 - 1.0) * (1.0 - abs(z)):
-        raise DomainError(
-            f"a Mobius rule of {rule.radial_nodes} radial nodes reaches 1 - |z| >= "
-            f"{gap / (2.0**0.25 - 1.0 + gap):.3g}; got |z| = {abs(z):.15g}"
-        )
-
-
 def _quadrature(op: Operator, f: FieldFn, z: complex, rule: DiskRule) -> Integral:
     if op in _SINGULAR_OPS:
         if isinstance(rule.singularity, Mobius):
-            _check_mobius_reach(z, rule)
             return _mobius_integral(f, z, 1.0, rule, _mobius_weigh(op, z))
         return integrate_disk_singular(_singular_integrand(op, f, z), z, 1.0, rule)
     inner = _tensor_integral(_bounded_integrand(op, f, z), rule, z)
@@ -337,15 +315,15 @@ def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None)
     the smaller estimate is returned.
 
     An explicit rule takes the quadrature route of the module docstring,
-    validated rather than silently upgraded: too few angular nodes or a
-    mismatched singularity center raise ``ConfigurationError``, and a Mobius
-    rule whose outermost ring misses the kernel's layer at z raises
-    ``DomainError`` before any field evaluation (``_check_mobius_reach``).
+    validated rather than silently upgraded, before any field evaluation:
+    too few angular nodes, a bounded operator's strategy or a mismatched
+    center raise ``ConfigurationError``, and a Mobius rule whose outermost
+    ring misses the kernel's layer at z raises ``DomainError``.
     """
     op = Operator(op)
     z = _check_point(op, z)
     if rule is not None:
-        return _quadrature(op, f, z, _check_rule(op, z, rule))
+        return _quadrature(op, f, z, _check_rule(z, rule))
     modes, resolved = _mode_integral(op, f, z)
     if resolved:
         return modes
@@ -453,9 +431,8 @@ def dbar_identity_residual(
     quadrature noise of four operator evaluations divided by 4h.  When that
     noise term alone exceeds half the comparison scale the step cannot
     resolve the identity and a PrecisionError is raised instead of returning
-    a meaningless number.  For a singular operator an explicit rule is
-    re-sized and re-centered at each shifted point by ``DiskRule.for_point``;
-    an ``AnnulusExclude`` strategy is kept as given.
+    a meaningless number.  An explicit rule goes to ``apply`` as given at
+    each shifted point, only a Mobius strategy re-centered there.
     """
     op = Operator(op)
     if not (h > 0.0):
@@ -466,13 +443,9 @@ def dbar_identity_residual(
     values = []
     noise = 0.0
     for point in shifts:
-        local = rule
-        if rule is not None and op in _SINGULAR_OPS:
-            local = DiskRule.for_point(point, rule.radial_nodes, rule.angular_nodes, singular=True)
-            # an annulus strategy re-centers itself at each shifted point
-            if isinstance(rule.singularity, AnnulusExclude):
-                local = DiskRule(local.radial_nodes, local.angular_nodes, rule.singularity)
-        result = apply(op, f, point, local)
+        if rule is not None and isinstance(rule.singularity, Mobius):
+            rule = replace(rule, singularity=Mobius(point))
+        result = apply(op, f, point, rule)
         values.append(result.value)
         noise += result.abs_error_estimate
 

@@ -67,6 +67,8 @@ _LAYER_FREE = 0.9
 _LAYER_DECAY = 64.0
 # field nodes per call of the integrand
 _BLOCK = 1 << 13
+# _kronrod01 builds a dense Jacobi matrix of about radial_nodes^2 entries
+_MAX_RADIAL = 2048
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ class DiskRule:
     extend the m-node Gauss rule, m = (radial_nodes - 1)//2, with every ring
     count rounded up to even; annulus exclusion sums on radial_nodes Gauss
     rings.  angular_nodes is the outermost ring's count; rules sized for a
-    point past |z| = 0.9 give inner rings fewer.
+    point past |z| = 0.9 give inner rings fewer.  radial_nodes is 8 to 2048.
     """
 
     radial_nodes: int = DEFAULT_RADIAL
@@ -112,31 +114,24 @@ class DiskRule:
     singularity: AnnulusExclude | Mobius | None = None
 
     def __post_init__(self):
-        if self.radial_nodes < 8:
-            raise ConfigurationError(
-                f"radial_nodes must be >= 8, got {self.radial_nodes}"
-            )
+        if not 8 <= self.radial_nodes <= _MAX_RADIAL:
+            bound = ">= 8" if self.radial_nodes < 8 else f"<= {_MAX_RADIAL}"
+            raise ConfigurationError(f"radial_nodes must be {bound}, got {self.radial_nodes}")
         if self.angular_nodes < 16:
             raise ConfigurationError(
                 f"angular_nodes must be >= 16, got {self.angular_nodes}"
             )
 
     @classmethod
-    def for_point(
-        cls,
-        z: complex,
-        radial_nodes: int = DEFAULT_RADIAL,
-        angular_nodes: int = DEFAULT_ANGULAR,
-        singular: bool = False,
-    ) -> "DiskRule":
-        """Rule sized for kernels evaluated at z, resolving its boundary layer.
+    def for_point(cls, z: complex, singular: bool = False) -> "DiskRule":
+        """The default rule widened for kernels at z, Mobius-centered at z if singular.
 
         The angular count is the outermost ring's; when |z| > 0.9 the sums
-        that are given z give each inner ring its own layer's count.
+        that are given z give each inner ring its own layer's count.  Other
+        counts come from ``dataclasses.replace`` on the returned rule.
         """
-        angular = max(angular_nodes, required_angular_nodes(z))
-        sing = Mobius(z) if singular else None
-        return cls(radial_nodes, angular, sing)
+        angular = max(DEFAULT_ANGULAR, _required_angular_nodes(z))
+        return cls(DEFAULT_RADIAL, angular, Mobius(z) if singular else None)
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,7 @@ class Integral:
     abs_error_estimate: float
 
 
-def required_angular_nodes(z: complex) -> int:
+def _required_angular_nodes(z: complex) -> int:
     """Angular nodes the outermost ring needs for kernels evaluated at z.
 
     Kernels like 1/(1 - conj(w) z) concentrate in an angular layer of width
@@ -379,8 +374,10 @@ def _tensor_integral(f: FieldFn, rule: DiskRule, z: complex) -> Integral:
     Kernels (1 - conj(w) z)^-k, k <= 2, amplify the rounding of the nodes
     by k|conj(w) z|/|1 - conj(w) z| <= (1 + r|z|)/(1 - r|z|) on the ring of
     radius r, so each ring's share of the rounding floor carries that factor
-    (exactly 1 at z = 0).
+    (exactly 1 at z = 0).  A rule with a singularity strategy is refused.
     """
+    if rule.singularity is not None:
+        raise ConfigurationError("the tensor rule takes no singularity strategy; use integrate_disk_singular")
 
     def rings(r: np.ndarray, na: int) -> tuple:
         # int f dA = sum_i 2 w_i r_i * (mean over angles of f(r_i e^{i theta}))
@@ -400,13 +397,9 @@ def integrate_disk(f: FieldFn, rule: DiskRule) -> Integral:
     every ring carries the rule's angular count rounded up to even.  The
     error estimate is the distance to the m-node Gauss rings plus the
     distance to every other angle, plus a roundoff floor; it is meaningful
-    for integrands the rule resolves, and a loud red flag otherwise.
+    for integrands the rule resolves, and a loud red flag otherwise.  A
+    rule with a singularity strategy raises ``ConfigurationError``.
     """
-    if rule.singularity is not None:
-        raise ConfigurationError(
-            "integrate_disk handles smooth integrands only; use "
-            "integrate_disk_singular for rules with a singularity strategy"
-        )
     return _tensor_integral(f, rule, 0.0)
 
 
@@ -429,12 +422,25 @@ def _mobius_integral(f: FieldFn, b: complex, s: float, rule: DiskRule, weigh: Ca
     a = 1/conj(b), so each ring of a-radius r gets its own count just as
     in the tensor rule.  weigh(f(w), r, phase, 1 - conj(b) a) multiplies
     the field values by the rest of the integrand, Jacobian and r^s.
+
+    Along the ray through b, |D|^-4 (D = 1 - conj(b) a, which bounds each
+    caller's weight) peaks at r = 1; past |b| (1 - r_out) > (2^(1/4) - 1)
+    (1 - |b|) it has more than doubled beyond the outermost ring r_out =
+    t_out^(1/(2-s)), value and estimate miss the layer together (err/est 3
+    to 9 at 1 - |b| = 1e-6), and the sum raises ``DomainError`` before any
+    field evaluation: 1 - |b| < 7.8e-5 for 256 radial nodes at s = 1.
     """
     if abs(rule.singularity.center - b) > 1e-12:
         raise ConfigurationError(
             f"rule is centered at {rule.singularity.center:.8g} but the singularity is at {b:.8g}"
         )
     beta = 1.0 / (2.0 - s)
+    gap, reach = 1.0 - _kronrod01((rule.radial_nodes - 1) // 2)[0][-1] ** beta, 2.0**0.25 - 1.0
+    if abs(b) * gap > reach * (1.0 - abs(b)):
+        raise DomainError(
+            f"a Mobius rule of {rule.radial_nodes} radial nodes at s = {s:g} reaches "
+            f"1 - |b| >= {gap / (reach + gap):.3g}; got |b| = {abs(b):.15g}"
+        )
 
     def rings(t: np.ndarray, na: int) -> tuple:
         r = np.array([ti**beta for ti in t])

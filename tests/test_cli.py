@@ -147,6 +147,12 @@ class TestVerifyCommand:
         assert out == ""
         assert message in err
 
+    def test_radial_count_past_2048_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "operators", "--radial-nodes", "2049")
+        assert code == 2
+        assert out == ""
+        assert "radial_nodes must be <= 2048, got 2049" in err
+
     def test_large_radial_count_runs(self, capsys):
         # 1024 radial nodes put 511 Gauss rings under the Kronrod rule, past
         # where its construction once failed with a LinAlgError

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every private
-top-level name is read somewhere in the package.
+"""Every module of the package uses each name it imports, every private
+top-level name is read somewhere in the package, and the public names are
+the pinned list below.
 
 A deletion that leaves its imports or its private helpers behind fails here.
 The scans use only the standard library ``ast`` module.  An imported name
@@ -14,6 +15,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import disknorms
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "disknorms"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -103,3 +106,24 @@ def test_scanner_flags_an_unread_private_name():
 def test_package_has_no_unread_private_names():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unread_private_names(sources) == []
+
+
+# 38 public names and __version__; the README and ROADMAP count them, so a
+# name comes or goes only with an edit here
+PUBLIC_NAMES = [
+    "AnnulusExclude", "COUNTEREXAMPLE_NAMES", "ConfigurationError", "ConvergenceError",
+    "DiskNormsError", "DiskRule", "DivergenceError", "DomainError", "EvaluationError",
+    "Integral", "Mobius", "NormKind", "NormQuery", "NormResult", "Operator",
+    "PrecisionError", "Target", "UnsupportedQueryError", "adjoint_pairing_residual",
+    "apply", "closed_form_norm", "counterexample", "counterexample_l2_mass",
+    "dbar_identity_residual", "divergence_ladder", "divergence_slope",
+    "extremal_function", "fatou_limit_integrand", "fatou_limit_integrand_adjoint",
+    "integrate_disk", "integrate_disk_singular", "l2_norm_numeric",
+    "lower_bound_via_extremal", "mode_best_constant", "mode_rayleigh_maximum",
+    "mode_reduce", "riesz_thorin_bound", "truncated_singular_integral", "__version__",
+]
+
+
+def test_public_names_are_pinned():
+    assert disknorms.__all__ == PUBLIC_NAMES
+    assert all(hasattr(disknorms, name) for name in PUBLIC_NAMES)

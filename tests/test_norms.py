@@ -310,6 +310,11 @@ class TestExtremalFamilies:
         off = lower_bound_via_extremal(Operator.CAUCHY, INF, 0.3)
         assert off.value == pytest.approx(profile_K(INF, 0.3), abs=1e-8)
 
+    def test_cauchy_lower_bound_refuses_past_the_rule_reach(self):
+        # the true value is 1.27326, in a layer the default rule's rings miss
+        with pytest.raises(DomainError, match="reaches"):
+            lower_bound_via_extremal(Operator.CAUCHY, INF, 1.0 - 1e-6)
+
     def test_j0_sup_lower_bound_near_boundary(self):
         low = lower_bound_via_extremal(Operator.J0, INF, 0.99)
         assert low.value == pytest.approx(M1_AT_099, abs=1e-7)

@@ -9,6 +9,7 @@ against itself.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,6 +273,16 @@ class TestDbarIdentity:
         rule = DiskRule(64, 128, AnnulusExclude(0.05))
         assert dbar_identity_residual(f, 0.2 + 0.1j, 1e-3, rule, op=op) <= 1e-3
 
+    def test_explicit_rule_is_used_as_given(self):
+        # a rule without a strategy is not turned into a Mobius rule, and
+        # one with too few angles for the shifted points is not widened
+        f = CountingField({(1, 0): 1.0})
+        with pytest.raises(ConfigurationError):
+            dbar_identity_residual(f, 0.2 + 0.1j, 1e-3, DiskRule(64, 128), op=Operator.CAUCHY)
+        with pytest.raises(ConfigurationError):
+            dbar_identity_residual(f, 0.95, 1e-3, DiskRule(64, 512, Mobius(0.95)))
+        assert f.sizes == []
+
     def test_tiny_step_raises_precision_error(self):
         with pytest.raises(PrecisionError):
             dbar_identity_residual(
@@ -464,7 +475,7 @@ class TestMobiusReach:
         z = 0.999j
         f = CountingField({(1, 0): 1.0})
         with pytest.raises(DomainError):
-            apply(Operator.CAUCHY, f, z, DiskRule.for_point(z, 64, singular=True))
+            apply(Operator.CAUCHY, f, z, replace(DiskRule.for_point(z, singular=True), radial_nodes=64))
         assert f.sizes == []
         got = apply(Operator.CAUCHY, f, z, DiskRule.for_point(z, singular=True))
         assert abs(got.value - cauchy_monomial(1, 0, z)) <= got.abs_error_estimate

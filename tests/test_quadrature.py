@@ -17,10 +17,10 @@ from disknorms.quadrature import (
     _angles,
     _gauss01,
     _kronrod01,
+    _required_angular_nodes,
     _ring_counts,
     integrate_disk,
     integrate_disk_singular,
-    required_angular_nodes,
     truncated_singular_integral,
 )
 
@@ -36,6 +36,9 @@ def test_rule_validation():
         AnnulusExclude(0.0)
     with pytest.raises(ConfigurationError):
         Mobius(1.0 + 0.0j)
+    # the Kronrod rule's Jacobi matrix is dense, about radial_nodes^2 entries
+    with pytest.raises(ConfigurationError, match="radial_nodes must be <= 2048, got 2049"):
+        DiskRule(radial_nodes=2049)
     DiskRule(8, 16, AnnulusExclude(0.1))
 
 
@@ -43,8 +46,8 @@ def test_for_point_scales_angular_nodes():
     assert DiskRule.for_point(0.5).angular_nodes == 512
     near = DiskRule.for_point(0.99)
     assert near.angular_nodes >= 6400
-    assert required_angular_nodes(0.999) == 64000
-    assert required_angular_nodes(0.1) == 16
+    assert _required_angular_nodes(0.999) == 64000
+    assert _required_angular_nodes(0.1) == 16
     rule = DiskRule.for_point(0.3 + 0.2j, singular=True)
     assert isinstance(rule.singularity, Mobius)
     assert rule.singularity.center == 0.3 + 0.2j
@@ -238,6 +241,29 @@ class CountingField:
         return self.f(w)
 
 
+# integral of |w - b|^-s over the disk at 1 - |b| = 1e-4 (mpmath, 30 digits)
+NEAR_RIM_ENERGY = {0.5: 1.0492698962455363093, 1.0: 1.2738948682851316473}
+
+
+@pytest.mark.parametrize("s", sorted(NEAR_RIM_ENERGY))
+def test_mobius_sum_answers_within_its_estimate_near_the_rim(s):
+    b = 1.0 - 1e-4
+    got = integrate_disk_singular(np.ones_like, b, s, DiskRule.for_point(b, singular=True))
+    assert abs(got.value - NEAR_RIM_ENERGY[s]) <= got.abs_error_estimate
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("gap", [1e-5, 1e-6])
+def test_mobius_sum_refuses_past_its_reach(s, gap):
+    # the default rule reaches 1 - |b| >= 5.2e-5, 7.8e-5, 1.6e-4 at s = 0.5,
+    # 1, 1.5; beyond, value and estimate miss the layer together
+    b = 1.0 - gap
+    f = CountingField(np.ones_like)
+    with pytest.raises(DomainError, match="reaches 1 - \\|b\\| >="):
+        integrate_disk_singular(f, b, s, DiskRule.for_point(b, singular=True))
+    assert f.sizes == []
+
+
 RING_POINTS = [0.0, 0.5, 0.9, 0.9 + 1e-12, 0.93j, -0.95, 0.99, 0.995 + 0j, 0.999j, 0.9999, 1.0 - 1e-6]
 
 
@@ -250,7 +276,7 @@ def test_ring_counts_keep_every_ring_resolved(nr):
     t, _ = _gauss01(nr)
     for z in RING_POINTS:
         full = DiskRule.for_point(z).angular_nodes
-        for na in {16, 100, DEFAULT_ANGULAR, required_angular_nodes(z), full // 2, full, 3 * full}:
+        for na in {16, 100, DEFAULT_ANGULAR, _required_angular_nodes(z), full // 2, full, 3 * full}:
             for beta in (1.0, 2.0 / 3.0, 2.0):
                 r = t**beta
                 counts = _ring_counts(r, na, z)
@@ -267,7 +293,7 @@ def test_ring_counts_keep_every_ring_resolved(nr):
 
 def test_ring_counts_shrink_inner_rings_near_the_boundary():
     r, _ = _gauss01(256)
-    counts = _ring_counts(r, required_angular_nodes(0.995), 0.995)
+    counts = _ring_counts(r, _required_angular_nodes(0.995), 0.995)
     assert counts[0] == DEFAULT_ANGULAR and counts[-1] == 12800
     assert np.all(np.diff(counts) >= 0)
     assert counts.sum() < 256 * 12800 / 8
