@@ -214,17 +214,9 @@ def cmd_table(args) -> int:
             )
         q = _conjugate_exponent(p)
         header = ["rho", "profile_K", "profile_M", "profile_N"]
-        rows = []
-        for rho in np.arange(0.0, 0.951, 0.05):
-            rho = float(round(rho, 2))
-            rows.append(
-                [
-                    _fmt(rho),
-                    _fmt(profile_K(p, rho)),
-                    _fmt(profile_M(q, rho)),
-                    _fmt(profile_N(q, rho, 1e-10).value),
-                ]
-            )
+        rhos = np.round(np.arange(0.0, 0.951, 0.05), 2)
+        columns = (rhos, profile_K(p, rhos), profile_M(q, rhos), profile_N(q, rhos, 1e-10).value)
+        rows = [[_fmt(x) for x in row] for row in zip(*columns)]
     if args.format == "csv":
         text = _csv_text(header, rows)
     else:

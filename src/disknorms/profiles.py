@@ -3,12 +3,17 @@
 Each profile is the exact angular reduction of a disk integral against one
 of the kernels: K is the q-energy of the Cauchy kernel, M and N are the
 q-energies of the two fractional-integral kernels, and F/H carry the
-monotonicity structure of K.
+monotonicity structure of K.  F, K, M and N take one radius or an array,
+summed as one grid of ``hyp_pfq`` with every check applied to each entry
+and the closed forms at 0 and 1 kept; each entry equals the lone call on
+it, and a scalar in gives a float out.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .specfun import (
@@ -45,9 +50,13 @@ def _check_q(q: float) -> None:
         raise DomainError(f"profile exponent q must lie in [1, 2), got {q}")
 
 
-def _check_rho(rho: float) -> None:
-    if not 0.0 <= rho <= 1.0:
-        raise DomainError(f"radius must lie in [0, 1], got {rho}")
+def _grid(values, name: str) -> np.ndarray:
+    """values as a float array, each entry checked to lie in [0, 1]."""
+    grid = np.atleast_1d(np.asarray(values, dtype=float))
+    outside = ~((grid >= 0.0) & (grid <= 1.0))
+    if outside.any():
+        raise DomainError(f"{name} must lie in [0, 1], got {float(grid[outside][0])!r}")
+    return grid
 
 
 def _check_blowup(q: float, profile: str) -> None:
@@ -59,53 +68,53 @@ def _check_blowup(q: float, profile: str) -> None:
         )
 
 
-def profile_F(q: float, t: float) -> float:
+def profile_F(q: float, t):
     """F(t) = (1-t)^{2-q} 2F1(1-q/2, 2-q/2; 1; t), decreasing on [0, 1].
 
     The hypergeometric factor alone blows up like (1-t)^{q-2} as t -> 1;
     the prefactor cancels that exactly and leaves the finite limit
-    Gamma(2-q) / (Gamma(1-q/2) Gamma(2-q/2)).
+    Gamma(2-q) / (Gamma(1-q/2) Gamma(2-q/2)).  t may be an array.
     """
     _check_q(q)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
-    if t == 1.0:
-        return math.exp(
-            ln_gamma(2.0 - q) - ln_gamma(1.0 - 0.5 * q) - ln_gamma(2.0 - 0.5 * q)
-        )
-    core = hyp_pfq(
-        HypergeometricSpec((1.0 - 0.5 * q, 2.0 - 0.5 * q), (1.0,), t), _INTERNAL_TOL
-    )
-    return (1.0 - t) ** (2.0 - q) * core.value
+    grid = _grid(t, "t")
+    out = np.full(grid.shape, math.exp(ln_gamma(2.0 - q) - ln_gamma(1.0 - 0.5 * q) - ln_gamma(2.0 - 0.5 * q)))
+    inner = grid < 1.0
+    if inner.any():
+        core = hyp_pfq(HypergeometricSpec((1.0 - 0.5 * q, 2.0 - 0.5 * q), (1.0,), grid[inner]), _INTERNAL_TOL)
+        out[inner] = (1.0 - grid[inner]) ** (2.0 - q) * core.value
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def profile_K(p: float, rho: float) -> float:
+def profile_K(p: float, rho):
     """q-energy of the Cauchy kernel at radius rho: 2 F(rho^2) / (2 - q).
 
     Equals the disk integral of |w - rho|^{-q} against normalized area
-    measure, q conjugate to p.  Decreasing in rho; K(0) = 2/(2-q).
+    measure, q conjugate to p.  Decreasing in rho; K(0) = 2/(2-q).  rho
+    may be an array; a refusal names its series argument rho^2.
     """
     if not p > 2:
         raise DomainError(f"profile_K requires p > 2, got {p}")
-    _check_rho(rho)
+    grid = _grid(rho, "radius")
     q = _conjugate_exponent(p)
     _check_blowup(q, "K(0) = 2/(2-q)")
-    return 2.0 * profile_F(q, rho * rho) / (2.0 - q)
+    out = 2.0 * profile_F(q, grid * grid) / (2.0 - q)
+    return float(out[0]) if np.ndim(rho) == 0 else out
 
 
-def profile_M(q: float, rho: float) -> float:
-    """q-energy of the analytic kernel 1/(1 - conj(w) z): rho^q 2F1(q/2,q/2;2;rho^2)."""
+def profile_M(q: float, rho):
+    """q-energy of the analytic kernel 1/(1 - conj(w) z): rho^q 2F1(q/2,q/2;2;rho^2).
+
+    rho may be an array; M(0) = 0, and M(1) is Gauss's sum.
+    """
     _check_q(q)
-    _check_rho(rho)
-    if rho == 0.0:
-        return 0.0
-    if rho == 1.0:
-        body = gauss_2f1_at_1(0.5 * q, 0.5 * q, 2.0)
-    else:
-        body = hyp_pfq(
-            HypergeometricSpec((0.5 * q, 0.5 * q), (2.0,), rho * rho), _INTERNAL_TOL
-        ).value
-    return rho**q * body
+    grid = _grid(rho, "radius")
+    out = np.where(grid == 1.0, gauss_2f1_at_1(0.5 * q, 0.5 * q, 2.0), 0.0)
+    inner = (grid > 0.0) & (grid < 1.0)
+    if inner.any():
+        r = grid[inner]
+        body = hyp_pfq(HypergeometricSpec((0.5 * q, 0.5 * q), (2.0,), r * r), _INTERNAL_TOL)
+        out[inner] = r**q * body.value
+    return float(out[0]) if np.ndim(rho) == 0 else out
 
 
 def _boundary_N(q: float, b: float, tol: float) -> SeriesValue:
@@ -121,7 +130,7 @@ def _boundary_N(q: float, b: float, tol: float) -> SeriesValue:
     return _sum_unit_argument((-a, 1.0, b), (c, c), tol, prefactor)
 
 
-def profile_N(q: float, rho: float, tol: float) -> SeriesValue:
+def profile_N(q: float, rho, tol: float) -> SeriesValue:
     """q-energy of the conjugate-weighted kernel conj(w)/(1 - conj(w) z).
 
     The radial reduction gives 2 sum_n (Gamma(n+q/2)/(n! Gamma(q/2)))^2
@@ -137,22 +146,31 @@ def profile_N(q: float, rho: float, tol: float) -> SeriesValue:
     series goes through the unit-argument kernel behind ``hyp_pfq`` at
     x = 1; tail_bound adds its Gamma-ratio bracket of the remaining tail,
     the rounding of every summed term, and that of the prefactor and a, b, c.
+
+    For an array rho, value and tail_bound are arrays, terms_used the most
+    any entry took; a refusal names its series argument rho^2.
     """
     _check_q(q)
-    _check_rho(rho)
+    grid = _grid(rho, "radius")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    if rho == 1.0:
+    value, bound, terms = np.empty(grid.shape), np.empty(grid.shape), 0
+    edge = grid == 1.0
+    if edge.any():
         _check_blowup(q, "N(1) = A(p)")
-        return _boundary_N(q, 2.0 - q, tol)
-    spec = HypergeometricSpec(
-        (0.5 * q, 0.5 * q, 1.0 + 0.5 * q), (1.0, 2.0 + 0.5 * q), rho * rho
-    )
-    scale = 2.0 / (q + 2.0)
-    body = hyp_pfq(spec, tol)
-    value = scale * body.value
-    # three roundings form scale and value
-    return SeriesValue(value, body.terms_used, scale * body.tail_bound + 2.0 * _EPS * value)
+        boundary = _boundary_N(q, 2.0 - q, tol)
+        value[edge], bound[edge], terms = boundary.value, boundary.tail_bound, boundary.terms_used
+    if not edge.all():
+        r = grid[~edge]
+        scale = 2.0 / (q + 2.0)
+        body = hyp_pfq(HypergeometricSpec((0.5 * q, 0.5 * q, 1.0 + 0.5 * q), (1.0, 2.0 + 0.5 * q), r * r), tol)
+        inner = scale * body.value
+        # three roundings form scale and value
+        value[~edge], bound[~edge] = inner, scale * body.tail_bound + 2.0 * _EPS * inner
+        terms = max(terms, body.terms_used)
+    if np.ndim(rho) == 0:
+        return SeriesValue(float(value[0]), terms, float(bound[0]))
+    return SeriesValue(value, terms, bound)
 
 
 def h_coefficient(q: float, m: int) -> float:

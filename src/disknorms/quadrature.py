@@ -8,7 +8,7 @@ Mobius change of variables that flattens the singularity exactly, or
 exclusion of a small ball around b followed by Richardson extrapolation in
 the exclusion radius.  The tensor and Mobius rules share one ring sum
 (``_polar_sum``) and one radial rule (``_nested``); the annulus grid is
-centered at the singular point, so it keeps its own sum.
+centered at the singular point, so it keeps its own sum (``_annulus_sums``).
 
 The nested rule's radial nodes are the (2m+1)-node Gauss-Kronrod rule, m =
 (radial_nodes - 1)//2 (255 rings for the default 256), which holds the
@@ -69,6 +69,9 @@ _LAYER_DECAY = 64.0
 _BLOCK = 1 << 13
 # _kronrod01 builds a dense Jacobi matrix of about radial_nodes^2 entries
 _MAX_RADIAL = 2048
+# least Gauss nodes of an annulus shell: 16 integrate e^(au) over a log-10
+# shell to a few eps for a <= 8, a field of degree 6 along a ray at s = 0
+_SHELL_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -455,43 +458,59 @@ def _mobius_integral(f: FieldFn, b: complex, s: float, rule: DiskRule, weigh: Ca
     return _nested(rings, rule)
 
 
-def _annulus_sum(
-    g: FieldFn, b: complex, s: float, eps: float, nr: int, na: int
-) -> tuple[complex, float]:
-    """Integral of g(w) |w - b|^-s over the disk minus the ball of radius
-    eps around b, and of its modulus, on nr x na nodes.
+def _annulus_sums(
+    g: FieldFn, b: complex, s: float, epsilons: Sequence[float], nr: int, na: int
+) -> list[tuple[complex, float]]:
+    """Integral of g(w) |w - b|^-s over the disk minus the ball of radius e
+    around b, and of its modulus, for each e of the decreasing epsilons.
 
     Polar coordinates around b: the disk boundary sits at rho_max(theta) =
     -c + sqrt(c^2 + 1 - |b|^2), c = Re(conj(b) e^{i theta}), and log-radial
-    Gauss-Legendre handles the wide range [eps, rho_max], where the area
-    element and the singular factor are rho^(2-s) d(log rho) d(theta).
+    Gauss-Legendre handles each radial range, where the area element and
+    the singular factor are rho^(2-s) d(log rho) d(theta).  [e_0, rho_max]
+    is summed once, on nr nodes, and each shell [e_k, min(e_(k-1), rho_max)]
+    on ceil(nr log(e_(k-1)/e_k) / log(2/e_0)) nodes, at least _SHELL_NODES
+    and at most nr: the disk lies within 2 of b, so no shell is sampled more
+    coarsely in log-radius than the first range at its widest angle.  The
+    k-th result adds shells 1..k to the first range, in order, and each
+    range adds its ring totals in ring order.  Angles come in chunks of at
+    most ``_BLOCK``, rings in blocks of at most ``_BLOCK`` nodes.
     """
-    phase = _angles(na)
-    c = (b.conjugate() * phase).real
-    radicand = np.maximum(c * c + 1.0 - abs(b) ** 2, 0.0)
-    rho_max = -c + np.sqrt(radicand)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        span = np.where(rho_max > eps, np.log(np.maximum(rho_max, eps) / eps), 0.0)
-    active = span > 0.0
-    if not active.any():
-        return 0.0 + 0.0j, 0.0
-    t, wt = _gauss01(nr)
-    phase_a = phase[active]
-    span_a = span[active]
-
-    sums = np.zeros(nr, dtype=complex)
-    abs_sums = np.zeros(nr)
-    for rings, _, cols in _ring_blocks(np.full(nr, span_a.size)):
-        rho = eps * np.exp(t[rings, None] * span_a[cols])
-        vals = _eval_nodes(g, b + rho * phase_a[cols])
-        terms = span_a[cols] * vals * rho * rho * rho**-s
-        sums[rings] += terms.sum(axis=1)
-        abs_sums[rings] += np.abs(terms).sum(axis=1)
+    widest = math.log(2.0 / epsilons[0])
+    ranges = [(epsilons[0], math.inf, nr)] + [
+        (lo, hi, min(nr, max(_SHELL_NODES, math.ceil(nr * math.log(hi / lo) / widest))))
+        for hi, lo in zip(epsilons, epsilons[1:])
+    ]
+    rules = [_gauss01(n) for _, _, n in ranges]
+    sums = [np.zeros(n, dtype=complex) for _, _, n in ranges]
+    abs_sums = [np.zeros(n) for _, _, n in ranges]
+    for start in range(0, na, _BLOCK):
+        phase = _angles(na, start, min(na, start + _BLOCK))
+        c = (b.conjugate() * phase).real
+        radicand = np.maximum(c * c + 1.0 - abs(b) ** 2, 0.0)
+        rho_max = -c + np.sqrt(radicand)
+        for (lo, hi, n), (t, _), ring, ring_abs in zip(ranges, rules, sums, abs_sums):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                span = np.where(rho_max > lo, np.log(np.maximum(np.minimum(rho_max, hi), lo) / lo), 0.0)
+            active = span > 0.0
+            if not active.any():
+                continue
+            phase_a, span_a = phase[active], span[active]
+            step = _BLOCK // span_a.size
+            for i in range(0, n, step):
+                rho = lo * np.exp(t[i : i + step, None] * span_a)
+                vals = _eval_nodes(g, b + rho * phase_a)
+                terms = span_a * vals * rho * rho * rho**-s
+                ring[i : i + step] += terms.sum(axis=1)
+                ring_abs[i : i + step] += np.abs(terms).sum(axis=1)
+    out = []
     total, mass = 0.0 + 0.0j, 0.0
-    for wi, ring, ring_abs in zip(wt, sums, abs_sums):
-        total += (2.0 / na) * wi * complex(ring)
-        mass += (2.0 / na) * wi * float(ring_abs)
-    return total, float(mass)
+    for (_, wt), ring, ring_abs in zip(rules, sums, abs_sums):
+        weights = (2.0 / na) * wt
+        total += complex(np.cumsum(weights * ring)[-1])
+        mass += float(np.cumsum(weights * ring_abs)[-1])
+        out.append((total, mass))
+    return out
 
 
 def integrate_disk_singular(
@@ -505,15 +524,18 @@ def integrate_disk_singular(
     |D|^(s-4), c = 1 - |b|^2, D = 1 - conj(b) a, on the nested rule.
     Annulus exclusion at epsilon, epsilon/2, epsilon/4 applies two-stage
     Richardson extrapolation on the known expansion exponents 2-s and 4-s.
-    Its estimate is the last extrapolation step plus a rounding floor of
-    (roundings per node) eps x A x integral |g| |w - b|^-s, where A =
+    The stages share the sum outside epsilon and add the two shells down to
+    epsilon/4 on their own short rules (``_annulus_sums``).  The estimate is
+    the last extrapolation step plus a rounding floor of (roundings per
+    node) eps x A x integral |g| |w - b|^-s, where A =
     (1 + r1)(1 + r2)/((1 - r1)(1 - r2)), r1 = 2^(s-2), r2 = 2^(s-4), is
     the absolute sum of the Richardson weights.  Each rounding is counted
     as eps: 3 in the node rho = epsilon exp(t span), counted twice because
     rho^(2-s) doubles them at most; 1 in rho^-s; 1 in the field; 4 in the
     products span g rho rho rho^-s; at most 25 in numpy's pairwise sum of
     a ring's block row and 1 per block of the ring; 2 in the ring's weight;
-    radial_nodes in the ring-by-ring sum; 6 in the two Richardson stages.
+    radial_nodes in the ring-by-ring sum (a shell has no more rings); 1 for
+    each shell added; 6 in the two Richardson stages.
     In practice numpy's Gauss-Legendre weights near t = 1 (off by up to
     4e-11 relative at 192 nodes) set the error, about 2e-14 relative; the
     floor has covered them up to 2048 radial nodes.
@@ -544,15 +566,13 @@ def integrate_disk_singular(
             f"around b with |b| = {abs(b):g}"
         )
     nr, na = rule.radial_nodes, rule.angular_nodes
-    t0, _ = _annulus_sum(g, b, s, eps, nr, na)
-    t1, _ = _annulus_sum(g, b, s, eps / 2.0, nr, na)
-    t2, mass = _annulus_sum(g, b, s, eps / 4.0, nr, na)
+    (t0, _), (t1, _), (t2, mass) = _annulus_sums(g, b, s, (eps, eps / 2.0, eps / 4.0), nr, na)
     r1 = 2.0 ** (s - 2.0)
     first = [(t1 - r1 * t0) / (1.0 - r1), (t2 - r1 * t1) / (1.0 - r1)]
     r2 = 2.0 ** (s - 4.0)
     value = (first[1] - r2 * first[0]) / (1.0 - r2)
     amplification = (1.0 + r1) * (1.0 + r2) / ((1.0 - r1) * (1.0 - r2))
-    roundings = 45 + nr + -(-na // _BLOCK)
+    roundings = 45 + nr + 2 + -(-na // _BLOCK)
     floor = roundings * _EPS * amplification * mass
     return Integral(value, abs(value - first[1]) + floor)
 
@@ -567,7 +587,9 @@ def truncated_singular_integral(
 
     Returns the truncated integrals for each epsilon; no extrapolation is
     performed, so a non-integrable singularity shows up as values that keep
-    climbing as epsilon falls.  b may sit on the boundary.
+    climbing as epsilon falls.  b may sit on the boundary.  The disk outside
+    the largest epsilon is summed once on the rule, and each shell between
+    consecutive epsilons on its own short rule (``_annulus_sums``).
     """
     eps = [float(e) for e in epsilon_list]
     if not eps:
@@ -581,4 +603,4 @@ def truncated_singular_integral(
         raise DomainError(f"truncation center must lie in the closed disk, |b| = {abs(b):g}")
     if rule is None:
         rule = DiskRule()
-    return [_annulus_sum(f, b, 0.0, e, rule.radial_nodes, rule.angular_nodes)[1] for e in eps]
+    return [mass for _, mass in _annulus_sums(f, b, 0.0, eps, rule.radial_nodes, rule.angular_nodes)]

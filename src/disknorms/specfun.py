@@ -1,4 +1,4 @@
-"""Scalar special functions backing the norm formulas.
+"""Special functions backing the norm formulas.
 
 Log-gamma plumbing, generalized hypergeometric series with explicit tail
 bounds, the smallest Bessel J0 zero, Catalan's constant, and Riemann zeta.
@@ -6,11 +6,11 @@ Everything here is pure and thread-safe.
 
 Hypergeometric series are summed in numpy blocks: the exact term ratio of a
 whole block is formed in one expression and the terms are its cumulative
-product, carried on from the block before.  Below unit argument the tail
-bound is a geometric tail once the ratio is provably monotone; at unit
-argument the tail is bracketed between two Gamma-ratio tails that match the
-terms through their n^-2 order.  Both add a count of every rounding behind
-the summed terms.
+product, carried on from the block before, one row for each argument of a
+grid.  Below unit argument the tail bound is a geometric tail once the
+ratio is provably monotone; at unit argument the tail is bracketed between
+two Gamma-ratio tails that match the terms through their n^-2 order.  Both
+add a count of every rounding behind the summed terms.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ _UNIT_BLOCK = 4096
 _RATIO_ROUNDINGS = 2
 _SUM_ROUNDINGS = 32
 _SCALE_ROUNDINGS = 64
+# terms held at once by a grid's block: about 2 MB a row-chunk array
+_GRID_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,13 @@ class SeriesValue:
 
 @dataclass(frozen=True)
 class HypergeometricSpec:
-    """Parameters of pFq(upper; lower; argument) with argument in [0, 1]."""
+    """Parameters of pFq(upper; lower; argument), each argument in [0, 1].
+
+    A grid of arguments (any sequence or array) is kept as a flat tuple."""
 
     upper: tuple[float, ...]
     lower: tuple[float, ...]
-    argument: float
+    argument: float | tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple(float(a) for a in self.upper))
@@ -71,8 +75,11 @@ class HypergeometricSpec:
         for b in self.lower:
             if b <= 0 and b == int(b):
                 raise DomainError(f"lower parameter {b} is a nonpositive integer")
-        if not 0.0 <= self.argument <= 1.0:
-            raise DomainError(f"argument {self.argument} outside [0, 1]")
+        grid = np.asarray(self.argument, dtype=float)
+        outside = ~((grid >= 0.0) & (grid <= 1.0))
+        if outside.any():
+            raise DomainError(f"argument {float(grid[outside][0])!r} outside [0, 1]")
+        object.__setattr__(self, "argument", tuple(grid.ravel().tolist()) if grid.ndim else float(grid))
 
 
 def ln_gamma(x: float) -> float:
@@ -91,9 +98,9 @@ def gamma_sign(x: float) -> float:
     return -1.0 if int(math.floor(x)) % 2 else 1.0
 
 
-def _check_finite(x: float, terms: int) -> None:
+def _check_finite(x, terms: int) -> None:
     # the summation kernels let numpy overflow quietly, then refuse here
-    if not math.isfinite(x):
+    if not np.isfinite(x).all():
         raise PrecisionError(
             f"series terms overflow double precision within {terms} terms"
         )
@@ -216,77 +223,85 @@ def _sum_unit_argument(upper, lower, tol, scale=1.0):
 
 
 def _sum_blocked(upper, lower, x, tol):
-    """Sum pFq(upper; lower; x) for p <= q + 1 in numpy blocks (see hyp_pfq).
+    """Sum pFq(upper; lower; x) for p <= q + 1 at every entry of the array x.
 
-    R bounds every ratio past n because, once a+n and c+n are positive,
-    each factor (a+m)/(c+m) is monotone in m and so stays below
-    max((a+n)/(c+n), 1); a lower parameter left unpaired gives 1/(c+n).
+    Returns rows of values, terms used and tail bounds.  The entries share
+    one block schedule, each with its own carry, sums, floor and tail, and
+    each leaves at the block where its own bound meets its target.  R bounds
+    every ratio past n because, once a+n and c+n are positive, each factor
+    (a+m)/(c+m) is monotone in m and so stays below max((a+n)/(c+n), 1); a
+    lower parameter left unpaired gives 1/(c+n).
     """
     denominators = sorted(lower + (1.0,))
     pairs = list(zip(sorted(upper), denominators))
     unpaired = denominators[len(pairs):]
     last = min(_stops(upper), default=math.inf)
-    if x == 0.0 or last == 0:
-        return SeriesValue(1.0, 1, 0.0)
+    values, used, bounds = np.ones(x.size), np.ones(x.size, dtype=int), np.zeros(x.size)
+    live = np.flatnonzero(x != 0.0) if last > 0 else np.empty(0, dtype=int)
     settled = max(-c for c in upper + tuple(denominators))
     roundings = _RATIO_ROUNDINGS + 2 * (len(upper) + len(lower))
-    total = carry = 1.0  # t_0
-    n0 = 0  # index of the last summed term
-    size = _FIRST_BLOCK
-    blocks = 0
-    sum_err = 0.0  # roundings of the carries, block sums and their total
-    weighted = 0.0  # sum of n |t_n|: t_n carries n ratios
-    while True:
+    total, carry = np.ones(live.size), np.ones(live.size)  # t_0
+    n0, size, blocks = 0, _FIRST_BLOCK, 0  # n0: index of the last summed term
+    sum_err = np.zeros(live.size)  # roundings of the carries, block sums and their total
+    weighted = np.zeros(live.size)  # sum of n |t_n|: t_n carries n ratios
+    while live.size:
         blocks += 1
         n = np.arange(n0, min(n0 + size, last), dtype=float)
-        num = np.full(len(n), x)
-        for a in upper:
-            num *= a + n
         den = n + 1.0
         for b in lower:
             den *= b + n
-        terms = carry * np.cumprod(num / den)  # t_{n0+1} .. t_{n0+len(n)}
-        mags = np.abs(terms)
-        total += float(terms.sum())
-        sum_err += (_SUM_ROUNDINGS + blocks) * float(mags.sum()) + abs(total)
-        weighted += float(np.dot(n + 1.0, mags))
+        step = max(1, _GRID_CELLS // len(n))
+        for lo in range(0, live.size, step):
+            rows = slice(lo, lo + step)
+            num = np.repeat(x[live[rows], None], len(n), axis=1)
+            for a in upper:
+                num *= a + n
+            num /= den
+            terms = np.cumprod(num, axis=1)  # t_{n0+1} .. t_{n0+len(n)}
+            terms *= carry[rows, None]
+            mags = np.abs(terms)
+            total[rows] += terms.sum(axis=1)
+            sum_err[rows] += (_SUM_ROUNDINGS + blocks) * mags.sum(axis=1) + np.abs(total[rows])
+            mags *= n + 1.0
+            weighted[rows] += mags.sum(axis=1)
+            carry[rows] = terms[:, -1]
         _check_finite(total + weighted, n0 + len(n))
         n0 += len(n)
-        carry = float(terms[-1])
         floor = _EPS * (sum_err + roundings * weighted)
-        tail = math.inf
-        if n0 == last:
-            tail = 0.0
-        elif n0 > settled:
+        tail = np.full(live.size, 0.0 if n0 == last else math.inf)
+        if n0 != last and n0 > settled:
             # R, raised past the roundings of its own evaluation
-            ratio_sup = x
+            ratio_sup = x[live]
             for a, c in pairs:
-                ratio_sup *= max((a + n0) / (c + n0), 1.0)
+                ratio_sup = ratio_sup * max((a + n0) / (c + n0), 1.0)
             for c in unpaired:
-                ratio_sup /= c + n0
-            ratio_sup *= 1.0 + roundings * _EPS
-            if ratio_sup < 1.0:
-                tail = abs(carry) * ratio_sup / (1.0 - ratio_sup)
-                tail *= 1.0 + _EPS * (roundings * n0 + blocks + 4)
+                ratio_sup = ratio_sup / (c + n0)
+            ratio_sup = ratio_sup * (1.0 + roundings * _EPS)
+            below = ratio_sup < 1.0
+            tail[below] = np.abs(carry[below]) * ratio_sup[below] / (1.0 - ratio_sup[below])
+            tail[below] *= 1.0 + _EPS * (roundings * n0 + blocks + 4)
         bound = tail + floor
-        target = tol * max(1.0, abs(total))
-        if bound <= target:
-            return SeriesValue(total, n0 + 1, bound)
+        target = tol * np.maximum(1.0, np.abs(total))
+        done = bound <= target
+        values[live[done]], used[live[done]], bounds[live[done]] = total[done], n0 + 1, bound[done]
         # Every later term adds at least roundings * (n0+1) * eps times its
         # size to the floor and at most its size to |value|, so once that
         # rate reaches tol, or once the tail is bounded, a floor above the
         # target can never fall below it again.
-        hopeless = floor > target and (
-            roundings * _EPS * (n0 + 1) >= tol
-            or floor > tol * max(1.0, abs(total) + tail)
+        hopeless = (floor > target) & (
+            (roundings * _EPS * (n0 + 1) >= tol) | (floor > tol * np.maximum(1.0, np.abs(total) + tail))
         )
-        if hopeless or not math.isfinite(floor) or n0 + 1 > TERM_CAP:
+        refused = ~done & (hopeless | ~np.isfinite(floor) | (n0 + 1 > TERM_CAP))
+        if refused.any():
+            i = int(np.argmax(refused))
             raise PrecisionError(
-                f"tolerance {tol:g} unreachable: bound {bound:g} after "
-                f"{n0 + 1} terms, rounding floor {floor:g}",
-                best=SeriesValue(total, n0 + 1, bound),
+                f"tolerance {tol:g} unreachable at argument {float(x[live[i]])!r}: bound "
+                f"{bound[i]:g} after {n0 + 1} terms, rounding floor {floor[i]:g}",
+                best=SeriesValue(float(total[i]), n0 + 1, float(bound[i])),
             )
+        live, total, carry, sum_err, weighted = (a[~done] for a in (live, total, carry, sum_err, weighted))
         size = min(2 * size, _LAST_BLOCK)
+    return np.array([values, used, bounds])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused, not warned
@@ -310,18 +325,32 @@ def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
     Gamma(n+beta+s), which matches the terms through n^-2.  A tolerance
     that no block up to TERM_CAP can reach is refused once the first
     bracket forms.
+
+    A grid of arguments is summed in one pass: value and tail_bound are
+    arrays, each entry bit-identical to a call on that argument alone, and
+    terms_used is the most terms any entry took.  Every check applies to
+    each entry; a refusal names the entry's argument.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-    p, q, x = len(spec.upper), len(spec.lower), spec.argument
-    if p > q + 1 and x > 0.0:
+    p, q = len(spec.upper), len(spec.lower)
+    x = np.atleast_1d(np.asarray(spec.argument, dtype=float))
+    if p > q + 1 and (x > 0.0).any():
         raise ConvergenceError(
             f"{p}F{q} has zero radius of convergence for positive argument"
         )
     # a terminating series is a polynomial, summed to its last term below
-    if x == 1.0 and p == q + 1 and not _stops(spec.upper):
-        return _sum_unit_argument(spec.upper, spec.lower, tol)
-    return _sum_blocked(spec.upper, spec.lower, x, tol)
+    unit = (x == 1.0) & (p == q + 1) & (not _stops(spec.upper))
+    out = np.empty((3, x.size))  # value, terms used, tail bound
+    if unit.any():
+        edge = _sum_unit_argument(spec.upper, spec.lower, tol)
+        out[:, unit] = [[edge.value], [edge.terms_used], [edge.tail_bound]]
+    if not unit.all():
+        out[:, ~unit] = _sum_blocked(spec.upper, spec.lower, x[~unit], tol)
+    value, used, bound = out
+    if isinstance(spec.argument, tuple):
+        return SeriesValue(value, int(used.max()), bound)
+    return SeriesValue(float(value[0]), int(used[0]), float(bound[0]))
 
 
 def gauss_2f1_at_1(a: float, b: float, c: float) -> float:

@@ -227,19 +227,11 @@ def suite_profiles(cfg: VerifyConfig) -> List[ReportRow]:
     rhos = np.linspace(0.0, 1.0, 100)
     for q in (1.0, 1.25, 1.5, 1.75):
         p = math.inf if q == 1.0 else q / (q - 1.0)
-        K = [profile_K(p, float(r)) for r in rhos]
-        M = [profile_M(q, float(r)) for r in rhos]
-        N = [profile_N(q, float(r), 1e-10).value for r in rhos[:-1]]
-        N.append(profile_N(q, 1.0, 1e-7).value)
-        F = [profile_F(q, float(t)) for t in rhos]
+        N = np.append(profile_N(q, rhos[:-1], 1e-10).value, profile_N(q, 1.0, 1e-7).value)
+        # the steps that break K and F decreasing, M and N increasing
+        rises = (np.diff(profile_K(p, rhos)), -np.diff(profile_M(q, rhos)), -np.diff(N), np.diff(profile_F(q, rhos)))
         a_min = min(h_coefficient(q, m) for m in range(100))
-        violation = max(
-            max(K[i + 1] - K[i] for i in range(99)),
-            max(M[i] - M[i + 1] for i in range(99)),
-            max(N[i] - N[i + 1] for i in range(99)),
-            max(F[i + 1] - F[i] for i in range(99)),
-            -a_min,
-        )
+        violation = max(max(r.max() for r in rises), -a_min)
         rows.append(
             _ceiling(
                 f"profile monotonicity on a 100-point grid, q={q:g}",

@@ -330,9 +330,10 @@ class TestAdjointPairing:
         with pytest.raises(ConfigurationError):
             adjoint_pairing_residual(lambda w: w, lambda w: w, DiskRule(32, 64, Mobius(0.1)))
 
-    @pytest.mark.parametrize("nr, na", [(8, 16), (16, 48), (32, 64), (13, 37), (48, 96)])
+    @pytest.mark.parametrize("nr, na", [(8, 16), (16, 48), (32, 64), (13, 37), (48, 96), (64, 32)])
     def test_matches_dense_kernel_sum(self, nr, na):
-        # (48, 96) spans several blocks of inner rings in the FFT route
+        # (48, 96) and (64, 32) span several blocks of ring pairs, and at
+        # (64, 32) most pairs carry the wrap term (ts)^na > 2^-60
         rng = np.random.default_rng(nr * 1000 + na)
         for _ in range(3):
             f, g = (
@@ -350,6 +351,22 @@ class TestAdjointPairing:
             for _ in range(2)
         )
         assert adjoint_pairing_residual(f, g, DiskRule(128, 256)) <= 1e-6
+
+    def test_memory_of_one_call_stays_small(self):
+        # inner spectra are summed before one inverse FFT per outer ring, and
+        # only the ring pairs that carry the wrap term take their own: the
+        # parent route held 5.9 MB at the default 32 x 64 rule
+        import tracemalloc
+
+        f = poly_field({(2, 1): 1.0, (0, 0): 0.5j, (4, 0): 0.3})
+        g = poly_field({(1, 0): 1.0, (0, 1): 0.5, (1, 3): -0.2j})
+        tracemalloc.start()
+        try:
+            adjoint_pairing_residual(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_each_field_is_evaluated_once(self):
         # f and g are each sampled once, on the inner and outer nodes together

@@ -240,6 +240,55 @@ def test_monotonicity_grids():
         assert all(F[i] > F[i + 1] for i in range(len(F) - 1))
         a = [pf.h_coefficient(q, m) for m in range(100)]
         assert all(v >= 0.0 for v in a)
+        # the same grids in one call each
+        assert (np.diff(pf.profile_K(p, rhos)) < 0.0).all()
+        assert (np.diff(pf.profile_M(q, rhos)) > 0.0).all()
+        inner = pf.profile_N(q, rhos[:-1], 1e-10).value
+        assert (np.diff(np.append(inner, pf.profile_N(q, 1.0, 1e-7).value)) > 0.0).all()
+        assert (np.diff(pf.profile_F(q, rhos)) < 0.0).all()
+
+
+@pytest.mark.parametrize("q", [1.0, 1.25, 1.5, 1.75, 1.9])
+def test_grid_calls_equal_lone_calls(q):
+    # every entry of a grid is summed exactly as a lone call on it, the
+    # closed forms at 0 and 1 included
+    rhos = np.linspace(0.0, 1.0, 100)
+    p = math.inf if q == 1.0 else q / (q - 1.0)
+    for profile, args in (
+        (pf.profile_F, (q,)),
+        (pf.profile_K, (p,)),
+        (pf.profile_M, (q,)),
+    ):
+        grid = profile(*args, rhos)
+        assert isinstance(grid, np.ndarray) and grid.shape == rhos.shape
+        lone = [profile(*args, float(r)) for r in rhos]
+        assert all(isinstance(v, float) for v in lone)
+        assert grid.tolist() == lone
+    grid = pf.profile_N(q, rhos, 1e-10)
+    lone = [pf.profile_N(q, float(r), 1e-10) for r in rhos]
+    assert grid.value.tolist() == [n.value for n in lone]
+    assert grid.tail_bound.tolist() == [n.tail_bound for n in lone]
+    assert grid.terms_used == max(n.terms_used for n in lone)
+
+
+def test_grid_calls_check_every_entry():
+    with pytest.raises(DomainError, match="1.25"):
+        pf.profile_K(3.0, [0.2, 1.25, 0.4])
+    with pytest.raises(DomainError):
+        pf.profile_M(1.5, np.array([0.1, -0.2]))
+    with pytest.raises(DomainError):
+        pf.profile_F(1.5, [0.5, math.nan])
+    # a rho = 1 entry past the cutoff is refused; the interior alone answers
+    q = 1.9999995
+    with pytest.raises(DomainError, match="N\\(1\\) = A\\(p\\) diverges"):
+        pf.profile_N(q, [0.3, 0.5, 1.0], 1e-10)
+    assert pf.profile_N(q, [0.3, 0.5], 1e-10).value[1] == pf.profile_N(q, 0.5, 1e-10).value
+    # the lone call refuses at 0.9995, and so does any grid holding it
+    with pytest.raises(PrecisionError):
+        pf.profile_K(math.inf, 0.9995)
+    with pytest.raises(PrecisionError, match=repr(0.9995 * 0.9995)) as exc:
+        pf.profile_K(math.inf, [0.2, 0.9995, 0.5])
+    assert math.isfinite(exc.value.best.value)
 
 
 def test_a_p_constant():

@@ -229,6 +229,74 @@ def test_truncated_boundary_center():
     assert 0.9 < vals[0] < vals[1] < 1.0
 
 
+# Frozen from the route that summed every epsilon on the full radial rule:
+# the truncated ladders of the counterexamples at 256 x 512, and the three
+# Richardson stages T(0.05), T(0.025), T(0.0125) of one singular integrand
+# at 192 x 96 (value, mass)
+LADDERS = {
+    "CAUCHY_P2": [3.247937411396056, 3.926152659863081, 4.431703733909276, 4.83490249718079, 5.170295529962137],
+    "J0_P2": [1.8860980997225136, 2.223881084798864, 2.4756692173804637, 2.6764811014317105, 2.8435225533052075],
+    "J0STAR_P2": [1.2636859893068746, 1.5996858258799689, 1.8513424981278908, 2.0521439871035003, 2.2191845793810923],
+}
+STAGES = [
+    (1.0778093460065918 - 2.7060373599482714j, 2.9952282348035952),
+    (1.1412563017609436 - 2.8377745505221963j, 3.1414560609523687),
+    (1.1776970086132403 - 2.9134376975742984j, 3.22543839615319),
+]
+
+
+@pytest.mark.parametrize("name", list(LADDERS))
+def test_truncation_ladders_match_the_full_rule_on_every_epsilon(name):
+    from disknorms.norms import divergence_ladder
+
+    _, got = divergence_ladder(name, rule=DiskRule(256, 512))
+    assert np.allclose(got, LADDERS[name], rtol=1e-13, atol=0.0)
+
+
+def test_richardson_stages_match_the_full_rule_on_every_epsilon():
+    from disknorms.quadrature import _annulus_sums
+
+    def g(w):
+        return (0.3 - 1.1j) + (0.7 + 0.2j) * np.asarray(w) - 0.4j * np.conj(w)
+
+    got = _annulus_sums(g, 0.25 - 0.3j, 1.2, (0.05, 0.025, 0.0125), 192, 96)
+    for (value, mass), (ref_value, ref_mass) in zip(got, STAGES):
+        assert abs(value - ref_value) <= 1e-13 * abs(ref_value)
+        assert abs(mass - ref_mass) <= 1e-13 * ref_mass
+
+
+def test_annulus_error_within_its_estimate_against_a_fine_mobius_rule():
+    # the verify row's integrands, against 512 radial nodes on the exact route
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        b = complex(*(0.6 * rng.uniform(-1, 1, 2) / math.sqrt(2.0)))
+        s = float(rng.uniform(0.5, 1.5))
+        c0, c1, c2 = rng.normal(size=3) + 1j * rng.normal(size=3)
+
+        def g(w, c0=c0, c1=c1, c2=c2):
+            return c0 + c1 * np.asarray(w) + c2 * np.conj(w)
+
+        annulus = integrate_disk_singular(g, b, s, DiskRule(192, 96, AnnulusExclude(0.05)))
+        fine = integrate_disk_singular(g, b, s, DiskRule(512, 96, Mobius(b))).value
+        assert abs(annulus.value - fine) <= annulus.abs_error_estimate
+
+
+def test_annulus_memory_does_not_grow_with_the_angular_count():
+    # angles are taken in chunks of at most 8192: 250,000 angles at once
+    # took 22 MB
+    import tracemalloc
+
+    rule = DiskRule(8, 250_000, AnnulusExclude(0.05))
+    tracemalloc.start()
+    try:
+        got = integrate_disk_singular(np.ones_like, 0.3, 1.0, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert abs(got.value - pf.profile_K(math.inf, 0.3)) <= got.abs_error_estimate
+
+
 class CountingField:
     """Wrap a field and record the number of nodes of every call."""
 

@@ -1,4 +1,4 @@
-"""Tests for the scalar special-function layer.
+"""Tests for the special-function layer.
 
 Frozen reference values were produced with mpmath at 30 significant digits
 and are quoted to 20 digits.
@@ -183,6 +183,42 @@ def test_interior_work_is_whole_blocks():
     # blocks stop doubling at 2^14 terms: 64 + ... + 2^14 and one more
     got = sf.hyp_pfq(_profile_series("M", 1.0, 0.9999), 1e-10)
     assert got.terms_used == 1 + (2**15 - 64) + 2**14
+
+
+def test_argument_grid_sums_each_entry_as_a_lone_call():
+    # one grid, entries leaving at different blocks (0 at once, 0.999 after
+    # about 2^15 terms), a terminating series, and x = 1 on both routes
+    xs = [0.0, 0.25, 0.9, 0.999, 0.5, 1e-300]
+    for upper, lower, grid in (
+        ((0.5, 0.5), (1.0,), xs),
+        ((-0.5, 1.5), (1.0,), xs),
+        ((-3.0, 0.7), (1.2,), xs + [1.0]),  # terminating: a polynomial at 1 too
+        ((0.5, 0.5, 1.5), (1.0, 2.5), xs + [1.0]),  # the unit-argument kernel at 1
+        ((), (1.5,), xs + [1.0]),  # p < q + 1 sums at 1 in blocks
+    ):
+        spec = sf.HypergeometricSpec(upper, lower, np.array(grid))
+        assert spec.argument == tuple(grid)
+        got = sf.hyp_pfq(spec, 1e-12)
+        lone = [sf.hyp_pfq(sf.HypergeometricSpec(upper, lower, x), 1e-12) for x in grid]
+        assert all(isinstance(r.value, float) and isinstance(r.terms_used, int) for r in lone)
+        assert got.value.tolist() == [r.value for r in lone]
+        assert got.tail_bound.tolist() == [r.tail_bound for r in lone]
+        assert got.terms_used == max(r.terms_used for r in lone)
+
+
+def test_argument_grid_checks_every_entry():
+    with pytest.raises(DomainError, match="1.5"):
+        sf.HypergeometricSpec((0.5,), (1.0,), [0.2, 1.5])
+    with pytest.raises(ConvergenceError):
+        sf.hyp_pfq(sf.HypergeometricSpec((1.0, 1.0, 1.0), (1.5,), [0.0, 0.5]), 1e-8)
+    assert sf.hyp_pfq(sf.HypergeometricSpec((1.0, 1.0, 1.0), (1.5,), [0.0]), 1e-8).value.tolist() == [1.0]
+    with pytest.raises(PrecisionError, match="overflow"):
+        sf.hyp_pfq(sf.HypergeometricSpec((-1e5, 1.0), (1.0,), [0.1, 0.3]), 1e-10)
+    # the refusal names the entry that cannot reach the tolerance
+    near = 1.0 - 2e-7
+    with pytest.raises(PrecisionError, match=repr(near)) as exc:
+        sf.hyp_pfq(sf.HypergeometricSpec((0.5, 1.5), (1.0,), [0.3, near]), 1e-12)
+    assert exc.value.best.terms_used < 10_000
 
 
 def test_interior_sign_changes_and_lower_order_series():
