@@ -48,7 +48,6 @@ def _option(flag: str, convert: Callable, valid: Callable, what: str) -> Callabl
 _parse_p = _option("--p", float, lambda v: not math.isnan(v), "a real number or 'inf'")
 _parse_seed = _option("--seed", int, lambda v: v >= 0, "an integer >= 0")
 _parse_tol = _option("--tol", float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-_parse_epsilon = _option("--epsilon", float, lambda v: 0.0 < v < 0.5, "a number in (0, 0.5)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,10 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--tol", type=_parse_tol, default=None,
                         help="override every row tolerance with one absolute value")
     verify.add_argument("--seed", type=_parse_seed, default=42)
-    verify.add_argument("--epsilon", type=_parse_epsilon, default=0.05,
-                        help="truncation radius for counterexample mass rows")
-    verify.add_argument("--radial-nodes", type=int, default=None)
-    verify.add_argument("--angular-nodes", type=int, default=None)
     verify.add_argument("--out", default=None, metavar="PATH")
 
     table = sub.add_parser("table", help="emit a curve table (CSV or JSON)")
@@ -133,13 +128,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = VerifyConfig(
-        seed=args.seed,
-        epsilon=args.epsilon,
-        radial_nodes=args.radial_nodes,
-        angular_nodes=args.angular_nodes,
-    )
-    rows = run_suite(args.suite, cfg, tol_override=args.tol)
+    rows = run_suite(args.suite, VerifyConfig(seed=args.seed), tol_override=args.tol)
     n_pass = sum(r.passed for r in rows)
     if args.format == "csv":
         text = _csv_text(

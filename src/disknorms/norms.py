@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -537,15 +537,15 @@ def counterexample(name: str) -> Tuple[FieldFn, float, str]:
 def divergence_ladder(
     name: str,
     epsilons: Tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-    rule: Optional[DiskRule] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Truncated pairing mass at each epsilon, with its transformed coordinate.
 
     Returns (x, values) where x is the iterated-log coordinate in which the
-    divergence law is affine with unit slope.
+    divergence law is affine with unit slope.  The masses are
+    ``truncated_singular_integral``'s on its default rule.
     """
     _, anchor, integrand, transform, _ = _lookup(name)
-    values = truncated_singular_integral(integrand, anchor, list(epsilons), rule)
+    values = truncated_singular_integral(integrand, anchor, list(epsilons))
     x = np.asarray([transform(e) for e in epsilons])
     return x, np.asarray(values)
 
@@ -553,21 +553,20 @@ def divergence_ladder(
 def divergence_slope(
     name: str,
     epsilons: Tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-    rule: Optional[DiskRule] = None,
 ) -> float:
-    """Least-squares slope of the truncated mass against its iterated-log law."""
-    x, values = divergence_ladder(name, epsilons, rule)
+    """Least-squares slope of the truncated mass against its iterated-log law
+    (``divergence_ladder``)."""
+    x, values = divergence_ladder(name, epsilons)
     slope, _ = np.polyfit(x, values, 1)
     return float(slope)
 
 
-def counterexample_l2_mass(
-    name: str, rule: Optional[DiskRule] = None, epsilon: float = 0.05
-) -> float:
+def counterexample_l2_mass(name: str, epsilon: float = 0.05) -> float:
     """Numerical squared L^2 norm of a counterexample density.
 
     Splits the mass at radius epsilon around the anchor: outside by
-    quadrature, inside by the closed-form ball mass 2/log(3/eps).  For the
+    quadrature (``truncated_singular_integral`` on its default rule),
+    inside by the closed-form ball mass 2/log(3/eps).  For the
     interior anchor the split is exact; for boundary anchors only part of
     the ball lies in the disk, so the returned value is an upper estimate,
     which is the useful direction for checking the ceiling.
@@ -577,7 +576,7 @@ def counterexample_l2_mass(
     def squared(w):
         return np.abs(density(w)) ** 2
 
-    outside = truncated_singular_integral(squared, anchor, [epsilon], rule)[0]
+    outside = truncated_singular_integral(squared, anchor, [epsilon])[0]
     return outside + 2.0 / (_LOG3 - math.log(epsilon))
 
 

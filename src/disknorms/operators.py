@@ -37,15 +37,13 @@ field's angular bandwidth, not by 1/(1-|z|).  A field the engine does not
 resolve falls back to the quadrature rule ``DiskRule.for_point`` builds.
 
 An explicit rule takes the quadrature route.  Singular operators (cauchy,
-cdelta) must then be given a rule whose singularity strategy is centered at
-the evaluation point; the bounded three refuse rules with a strategy
-attached.  On the Mobius rule the kernel, the Jacobian and the polar r
-collapse to one closed-form weight per node (``_mobius_weigh``), so w - z is
-never formed by subtraction; an ``AnnulusExclude`` rule integrates the
-kernel times the field times |w - z| through ``integrate_disk_singular`` at
-s = 1, which supplies |w - z|^-1.  Near the boundary every kernel develops a
-thin angular layer, so rules are validated against the same angular-node
-floor the quadrature module uses.
+cdelta) must then be given a Mobius rule centered at the evaluation point;
+the bounded three refuse rules with a strategy attached.  On the Mobius
+rule the kernel, the Jacobian and the polar r collapse to one closed-form
+weight per node (``_mobius_weigh``), so w - z is never formed by
+subtraction.  Near the boundary every kernel develops a thin angular layer;
+the quadrature module's tensor and Mobius sums refuse a rule with too few
+angles for it, and the Mobius sum one whose outermost ring misses it.
 
 The tensor and Mobius rules sum on the quadrature module's one radial rule:
 2m+1 Gauss-Kronrod rings, m = (radial_nodes - 1)//2, with even ring counts,
@@ -76,10 +74,8 @@ from .quadrature import (
     _gauss01,
     _kronrod01,
     _mobius_integral,
-    _required_angular_nodes,
     _tensor_integral,
     _unit_gap,
-    integrate_disk_singular,
 )
 
 __all__ = [
@@ -131,19 +127,6 @@ def _check_point(op: Operator, z: complex) -> complex:
     return z
 
 
-def _check_rule(z: complex, rule: DiskRule) -> DiskRule:
-    """The given rule checked against z's boundary layer.  Its strategy is
-    checked by the sum that uses it: the tensor sum refuses one, the Mobius
-    sum checks its center and reach, integrate_disk_singular the rest."""
-    need = _required_angular_nodes(z)
-    if rule.angular_nodes < need:
-        raise ConfigurationError(
-            f"rule has {rule.angular_nodes} angular nodes but |z| = {abs(z):.6g} "
-            f"requires at least {need}"
-        )
-    return rule
-
-
 def _bounded_integrand(op: Operator, f: FieldFn, z: complex) -> FieldFn:
     if op is Operator.BERGMAN:
         return lambda w: f(w) / (1.0 - np.conj(w) * z) ** 2
@@ -153,14 +136,6 @@ def _bounded_integrand(op: Operator, f: FieldFn, z: complex) -> FieldFn:
     if op is Operator.J0_STAR:
         return lambda w: np.conj(w) * f(w) / (1.0 - np.conj(w) * z)
     raise ConfigurationError(f"{op!r} is not a bounded operator")
-
-
-def _singular_integrand(op: Operator, f: FieldFn, z: complex) -> FieldFn:
-    """Kernel times f, times |w - z|: integrate_disk_singular at s = 1
-    supplies the factor |w - z|^-1."""
-    if op is Operator.CAUCHY:
-        return lambda w: f(w) / (w - z) * np.abs(w - z)
-    return lambda w: f(w) * (1.0 / (z - w) + np.conj(w) / (1.0 - np.conj(w) * z)) * np.abs(w - z)
 
 
 def _mobius_weigh(op: Operator, z: complex):
@@ -295,10 +270,11 @@ def _mode_integral(op: Operator, f: FieldFn, z: complex) -> tuple[Integral, bool
 
 
 def _quadrature(op: Operator, f: FieldFn, z: complex, rule: DiskRule) -> Integral:
+    """The quadrature route; the sum it takes checks the rest of the rule."""
     if op in _SINGULAR_OPS:
-        if isinstance(rule.singularity, Mobius):
-            return _mobius_integral(f, z, 1.0, rule, _mobius_weigh(op, z))
-        return integrate_disk_singular(_singular_integrand(op, f, z), z, 1.0, rule)
+        if not isinstance(rule.singularity, Mobius):
+            raise ConfigurationError(f"{op.value} takes a Mobius rule centered at the evaluation point")
+        return _mobius_integral(f, z, 1.0, rule, _mobius_weigh(op, z))
     inner = _tensor_integral(_bounded_integrand(op, f, z), rule, z)
     if op is Operator.J0:
         return Integral(z * inner.value, abs(z) * inner.abs_error_estimate)
@@ -320,14 +296,16 @@ def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None)
 
     An explicit rule takes the quadrature route of the module docstring,
     validated rather than silently upgraded, before any field evaluation:
-    too few angular nodes, a bounded operator's strategy or a mismatched
-    center raise ``ConfigurationError``, and a Mobius rule whose outermost
-    ring misses the kernel's layer at z raises ``DomainError``.
+    a singular operator's rule without a Mobius strategy, a bounded
+    operator's with one, a mismatched center or too few angular nodes raise
+    ``ConfigurationError``, and a Mobius rule whose outermost ring misses
+    the kernel's layer at z raises ``DomainError``.  The tensor and Mobius
+    sums make these checks; only the first is made here.
     """
     op = Operator(op)
     z = _check_point(op, z)
     if rule is not None:
-        return _quadrature(op, f, z, _check_rule(z, rule))
+        return _quadrature(op, f, z, rule)
     modes, resolved = _mode_integral(op, f, z)
     if resolved:
         return modes

@@ -22,14 +22,16 @@ The rule is exact to degree 3m+1 in r.
 
 A rule sized for a point z near the boundary (``DiskRule.for_point``) has
 the angular count of its outermost ring, where the kernel's boundary layer
-is thinnest.  Inner rings get their own layer's count instead: the trapezoid
-rule on a ring of radius r aliases a Fourier mode m with weight r^|m|, so a
-ring needs only about 64/log(1/r) angles (capped by the rule's count, and
-never fewer than the default 512) to push that weight below e^-64
-(Trefethen & Weideman, SIAM Review 2014).  Rules for |z| <= 0.9 keep the
-full count on every ring.  Fields are evaluated once per block of
-consecutive rings with equal counts, at most 2^13 nodes per call, so memory
-stays bounded at any distance from the boundary.
+is thinnest; the tensor and Mobius sums, which are given z, refuse a rule
+with fewer angles than that (``_check_angles``).  Inner rings get their own
+layer's count instead: the trapezoid rule on a ring of radius r aliases a
+Fourier mode m with weight r^|m|, so a ring needs only about 64/log(1/r)
+angles (capped by the rule's count, and never fewer than the default 512)
+to push that weight below e^-64 (Trefethen & Weideman, SIAM Review 2014).
+Rules for |z| <= 0.9 keep the full count on every ring.  Fields are
+evaluated once per block of consecutive rings with equal counts, at most
+2^13 nodes per call, so memory stays bounded at any distance from the
+boundary.
 
 Near the boundary almost every ring has its own count and so its own table
 of unit-circle nodes.  A table of more than 512 nodes is a coarse x fine
@@ -153,7 +155,19 @@ def _required_angular_nodes(z: complex) -> int:
     r = abs(z)
     if r <= _LAYER_FREE:
         return 16
+    if r >= 1.0:
+        raise DomainError(f"no angular count resolves the layer of a point on the unit circle, |z| = {r:g}")
     return max(16, int(math.ceil(_LAYER_DECAY / (1.0 - r))))
+
+
+def _check_angles(rule: DiskRule, z: complex) -> None:
+    """Refuse a rule whose outermost ring has fewer angles than z's layer needs."""
+    need = _required_angular_nodes(z)
+    if rule.angular_nodes < need:
+        raise ConfigurationError(
+            f"rule has {rule.angular_nodes} angular nodes but |z| = {abs(z):.6g} "
+            f"requires at least {need}"
+        )
 
 
 def _ring_counts(r: np.ndarray, na: int, z: complex) -> np.ndarray:
@@ -377,10 +391,12 @@ def _tensor_integral(f: FieldFn, rule: DiskRule, z: complex) -> Integral:
     Kernels (1 - conj(w) z)^-k, k <= 2, amplify the rounding of the nodes
     by k|conj(w) z|/|1 - conj(w) z| <= (1 + r|z|)/(1 - r|z|) on the ring of
     radius r, so each ring's share of the rounding floor carries that factor
-    (exactly 1 at z = 0).  A rule with a singularity strategy is refused.
+    (exactly 1 at z = 0).  A rule with a singularity strategy, or with
+    fewer angles than z's layer needs, is refused.
     """
     if rule.singularity is not None:
         raise ConfigurationError("the tensor rule takes no singularity strategy; use integrate_disk_singular")
+    _check_angles(rule, z)
 
     def rings(r: np.ndarray, na: int) -> tuple:
         # int f dA = sum_i 2 w_i r_i * (mean over angles of f(r_i e^{i theta}))
@@ -431,12 +447,16 @@ def _mobius_integral(f: FieldFn, b: complex, s: float, rule: DiskRule, weigh: Ca
     (1 - |b|) it has more than doubled beyond the outermost ring r_out =
     t_out^(1/(2-s)), value and estimate miss the layer together (err/est 3
     to 9 at 1 - |b| = 1e-6), and the sum raises ``DomainError`` before any
-    field evaluation: 1 - |b| < 7.8e-5 for 256 radial nodes at s = 1.
+    field evaluation: 1 - |b| < 7.8e-5 for 256 radial nodes at s = 1.  A
+    rule centered elsewhere, or whose outermost ring has fewer angles than
+    b's layer needs (``_required_angular_nodes``), raises
+    ``ConfigurationError`` first.
     """
     if abs(rule.singularity.center - b) > 1e-12:
         raise ConfigurationError(
             f"rule is centered at {rule.singularity.center:.8g} but the singularity is at {b:.8g}"
         )
+    _check_angles(rule, b)
     beta = 1.0 / (2.0 - s)
     gap, reach = 1.0 - _kronrod01((rule.radial_nodes - 1) // 2)[0][-1] ** beta, 2.0**0.25 - 1.0
     if abs(b) * gap > reach * (1.0 - abs(b)):
@@ -521,11 +541,15 @@ def integrate_disk_singular(
     The rule supplies the singular factor in its own coordinates, and its
     strategy picks the method.  Mobius substitution (center must match b)
     flattens the singularity exactly: each node weighs g by c^(2-s)
-    |D|^(s-4), c = 1 - |b|^2, D = 1 - conj(b) a, on the nested rule.
+    |D|^(s-4), c = 1 - |b|^2, D = 1 - conj(b) a, on the nested rule.  Its
+    outermost ring must carry the angles of b's boundary layer, as in
+    ``DiskRule.for_point(b)``; fewer raise ``ConfigurationError`` before any
+    field evaluation.
     Annulus exclusion at epsilon, epsilon/2, epsilon/4 applies two-stage
-    Richardson extrapolation on the known expansion exponents 2-s and 4-s.
-    The stages share the sum outside epsilon and add the two shells down to
-    epsilon/4 on their own short rules (``_annulus_sums``).  The estimate is
+    Richardson extrapolation on the expansion exponents 2-s and 4-s, which
+    hold for a g smooth at b.  The stages share the sum outside epsilon and
+    add the two shells down to epsilon/4 on their own short rules
+    (``_annulus_sums``).  The estimate is
     the last extrapolation step plus a rounding floor of (roundings per
     node) eps x A x integral |g| |w - b|^-s, where A =
     (1 + r1)(1 + r2)/((1 - r1)(1 - r2)), r1 = 2^(s-2), r2 = 2^(s-4), is

@@ -84,16 +84,6 @@ class ReportRow:
 @dataclass(frozen=True)
 class VerifyConfig:
     seed: int = 42
-    epsilon: float = 0.05
-    radial_nodes: Optional[int] = None
-    angular_nodes: Optional[int] = None
-
-    def rule(self, radial_default: int, angular_default: int, strategy=None) -> DiskRule:
-        return DiskRule(
-            radial_default if self.radial_nodes is None else self.radial_nodes,
-            angular_default if self.angular_nodes is None else self.angular_nodes,
-            strategy,
-        )
 
 
 def _status(err: float, tol: float) -> str:
@@ -212,7 +202,7 @@ def suite_profiles(cfg: VerifyConfig) -> List[ReportRow]:
                 _direct_boundary_series(q),
                 accel.value,
                 accel.tail_bound + 1e-8,
-                "accelerated summation vs Richardson-extrapolated raw series",
+                "Thomae's transformation vs Richardson-extrapolated raw series",
             )
         )
         rows.append(
@@ -250,7 +240,7 @@ def suite_operators(cfg: VerifyConfig) -> List[ReportRow]:
     rng = np.random.default_rng(cfg.seed)
 
     # monomial exactness: GL-64 x 64 angles integrates w^a conj(w)^b exactly
-    rule = cfg.rule(64, 64)
+    rule = DiskRule(64, 64)
     worst = 0.0
     for a in range(11):
         for b in range(11):
@@ -278,8 +268,8 @@ def suite_operators(cfg: VerifyConfig) -> List[ReportRow]:
             w = np.asarray(w, dtype=complex)
             return c0 + c1 * w + c2 * np.conj(w)
 
-        via_mobius = integrate_disk_singular(g, b, s, cfg.rule(192, 96, Mobius(b)))
-        via_annulus = integrate_disk_singular(g, b, s, cfg.rule(192, 96, AnnulusExclude(0.05)))
+        via_mobius = integrate_disk_singular(g, b, s, DiskRule(192, 96, Mobius(b)))
+        via_annulus = integrate_disk_singular(g, b, s, DiskRule(192, 96, AnnulusExclude(0.05)))
         diff = abs(via_mobius.value - via_annulus.value)
         budget = via_mobius.abs_error_estimate + via_annulus.abs_error_estimate
         excess = max(excess, diff - budget)
@@ -295,7 +285,6 @@ def suite_operators(cfg: VerifyConfig) -> List[ReportRow]:
     )
 
     # adjoint pairing on 20 seeded polynomial pairs of total degree <= 4
-    pair_rule = cfg.rule(32, 64)
     idx = [(a, b) for a in range(5) for b in range(5) if a + b <= 4]
     worst = 0.0
     for _ in range(20):
@@ -321,7 +310,7 @@ def suite_operators(cfg: VerifyConfig) -> List[ReportRow]:
 
             return poly
 
-        worst = max(worst, adjoint_pairing_residual(make(cf), make(cg), pair_rule))
+        worst = max(worst, adjoint_pairing_residual(make(cf), make(cg)))
     rows.append(
         _match(
             "adjoint pairing residual on 20 seeded polynomial pairs",
@@ -388,7 +377,7 @@ def suite_norms(cfg: VerifyConfig) -> List[ReportRow]:
         q = p / (p - 1.0)
         closed = closed_form_norm(NormQuery(Operator.CAUCHY, p, Target.L_INFINITY)).value
         quad = integrate_disk_singular(
-            np.ones_like, 0.0, q, cfg.rule(256, 512, Mobius(0.0))
+            np.ones_like, 0.0, q, DiskRule(256, 512, Mobius(0.0))
         ).value.real ** (1.0 - 1.0 / p)
         rows.append(
             _match(
@@ -454,7 +443,7 @@ def suite_norms(cfg: VerifyConfig) -> List[ReportRow]:
     )
     # the quadrature rule, not the default mode engine, which would compare
     # the reduction with itself; for |z| <= 0.9 it is DiskRule.for_point's
-    fid_rule = cfg.rule(256, 512)
+    fid_rule = DiskRule(256, 512)
     worst = max(
         abs(apply(Operator.J0_STAR, g, complex(z), fid_rule).value - c * complex(z) ** (d - 1))
         for z in zs
@@ -537,9 +526,8 @@ def suite_norms(cfg: VerifyConfig) -> List[ReportRow]:
 def suite_counterexamples(cfg: VerifyConfig) -> List[ReportRow]:
     rows: List[ReportRow] = []
     ceiling = 2.0 / math.log(1.5)
-    mass_rule = cfg.rule(256, 512)
     for name in ("CAUCHY_P2", "J0_P2", "J0STAR_P2"):
-        mass = counterexample_l2_mass(name, rule=mass_rule, epsilon=cfg.epsilon)
+        mass = counterexample_l2_mass(name)
         rows.append(
             _ceiling(
                 f"squared L2 mass under the ball-mass ceiling, {name}",
@@ -550,7 +538,7 @@ def suite_counterexamples(cfg: VerifyConfig) -> List[ReportRow]:
             )
         )
     for name in ("CAUCHY_P2", "J0_P2", "J0STAR_P2"):
-        slope = divergence_slope(name, rule=mass_rule)
+        slope = divergence_slope(name)
         rows.append(
             _match(
                 f"divergence-law slope in iterated-log coordinates, {name}",

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, formats, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -14,6 +15,10 @@ import pytest
 from disknorms import cli
 from disknorms.cli import main
 from disknorms.profiles import profile_K, profile_M, profile_N
+
+
+# the verify subcommand's option strings, in the order the parser adds them
+VERIFY_OPTIONS = ["-h", "--help", "--suite", "--format", "--tol", "--seed", "--out"]
 
 
 def run_cli(capsys, *argv):
@@ -134,35 +139,6 @@ class TestVerifyCommand:
         assert "FAIL" in out
 
     @pytest.mark.parametrize(
-        "flag, message",
-        [
-            ("--radial-nodes", "radial_nodes must be >= 8, got 0"),
-            ("--angular-nodes", "angular_nodes must be >= 16, got 0"),
-        ],
-    )
-    def test_zero_node_count_is_refused(self, capsys, flag, message):
-        # 0 is a given count, not a missing one
-        code, out, err = run_cli(capsys, "verify", "--suite", "operators", flag, "0")
-        assert code == 2
-        assert out == ""
-        assert message in err
-
-    def test_radial_count_past_2048_is_refused(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--suite", "operators", "--radial-nodes", "2049")
-        assert code == 2
-        assert out == ""
-        assert "radial_nodes must be <= 2048, got 2049" in err
-
-    def test_large_radial_count_runs(self, capsys):
-        # 1024 radial nodes put 511 Gauss rings under the Kronrod rule, past
-        # where its construction once failed with a LinAlgError
-        code, out, _ = run_cli(capsys, "verify", "--suite", "norms", "--radial-nodes", "1024",
-                               "--format", "csv")
-        assert code in (0, 1)
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert rows and all(row["status"] in ("PASS", "FAIL") for row in rows)
-
-    @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--seed", "-3", "--seed must be an integer >= 0, got '-3'"),
@@ -181,16 +157,11 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert message in captured.err
 
-    @pytest.mark.parametrize("value", ["0.7", "0.5", "0", "-1", "nan", "inf"])
-    def test_bad_epsilon_is_refused_before_any_suite_runs(self, capsys, value):
-        # only the counterexamples suite reads --epsilon; every suite must
-        # still be spared a run that ends in a refusal
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "all", "--epsilon", value])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2
-        assert captured.out == ""
-        assert f"--epsilon must be a number in (0, 0.5), got {value!r}" in captured.err
+    def test_verify_options_are_pinned(self):
+        # a verify knob comes back only with an edit here
+        sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = [flag for action in sub.choices["verify"]._actions for flag in action.option_strings]
+        assert options == VERIFY_OPTIONS
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.csv"

@@ -525,6 +525,12 @@ class TestCounterexamples:
         m2 = counterexample_l2_mass("CAUCHY_P2", epsilon=0.02)
         assert abs(m1 - m2) < 1e-4
 
+    @pytest.mark.parametrize("value", [0.7, 0.5, 0.0, -1.0, math.nan, math.inf])
+    def test_bad_split_radius_is_refused(self, value):
+        # the split radius must leave a truncated disk to sum
+        with pytest.raises(DomainError, match=r"all epsilons must lie in \(0, 0.5\)"):
+            counterexample_l2_mass("CAUCHY_P2", epsilon=value)
+
     def test_ladder_coordinates(self):
         eps = (1e-2, 1e-3, 1e-4)
         x, vals = divergence_ladder("CAUCHY_P2", eps)

@@ -42,6 +42,28 @@ def test_rule_validation():
     DiskRule(8, 16, AnnulusExclude(0.1))
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("radial_nodes", "radial_nodes must be >= 8, got 0"),
+        ("angular_nodes", "angular_nodes must be >= 16, got 0"),
+    ],
+)
+def test_zero_node_count_is_refused(field, message):
+    # 0 is a given count, not a missing one
+    with pytest.raises(ConfigurationError, match=message):
+        DiskRule(**{field: 0})
+
+
+def test_large_radial_count_runs():
+    # 1024 radial nodes put 511 Gauss rings under the Kronrod rule, past
+    # where its construction once failed with a LinAlgError
+    got = integrate_disk(lambda w: (w * np.conj(w)) ** 4, DiskRule(1024, 16))
+    assert abs(got.value - 0.2) <= 1e-14
+    got = integrate_disk_singular(np.ones_like, 0.3, 1.5, DiskRule(1024, 64, Mobius(0.3)))
+    assert abs(got.value - pf.profile_K(3.0, 0.3)) <= 1e-6
+
+
 def test_for_point_scales_angular_nodes():
     assert DiskRule.for_point(0.5).angular_nodes == 512
     near = DiskRule.for_point(0.99)
@@ -249,7 +271,7 @@ STAGES = [
 def test_truncation_ladders_match_the_full_rule_on_every_epsilon(name):
     from disknorms.norms import divergence_ladder
 
-    _, got = divergence_ladder(name, rule=DiskRule(256, 512))
+    _, got = divergence_ladder(name)
     assert np.allclose(got, LADDERS[name], rtol=1e-13, atol=0.0)
 
 
@@ -329,6 +351,27 @@ def test_mobius_sum_refuses_past_its_reach(s, gap):
     f = CountingField(np.ones_like)
     with pytest.raises(DomainError, match="reaches 1 - \\|b\\| >="):
         integrate_disk_singular(f, b, s, DiskRule.for_point(b, singular=True))
+    assert f.sizes == []
+
+
+def test_under_angled_mobius_rule_is_refused():
+    # 1 - |b| = 1e-3 needs 64,000 angles on the outermost ring; 512 gave
+    # 4.5645 +- 3.4728 against K(3, 0.999) = 2.2613822211
+    b = 0.999
+    f = CountingField(np.ones_like)
+    with pytest.raises(ConfigurationError, match="requires at least 64000"):
+        integrate_disk_singular(f, b, 1.5, DiskRule(256, 512, Mobius(b)))
+    assert f.sizes == []
+    got = integrate_disk_singular(np.ones_like, b, 1.5, DiskRule.for_point(b, singular=True))
+    assert abs(got.value - pf.profile_K(3.0, b)) <= got.abs_error_estimate
+
+
+def test_mobius_rule_for_a_point_on_the_circle_is_refused():
+    # a center within 1e-12 of b passes the center check, but no angular
+    # count resolves the layer of a point with |b| = 1
+    f = CountingField(np.ones_like)
+    with pytest.raises(DomainError, match="on the unit circle"):
+        integrate_disk_singular(f, 1.0, 1.0, DiskRule(64, 128, Mobius(1.0 - 1e-13)))
     assert f.sizes == []
 
 
