@@ -238,8 +238,6 @@ def _j0star_p_to_sup(p: float) -> NormResult:
                       err)
 
 
-_NO_P_TO_SUP = "no p-to-sup entry for operator {!r}; the catalog covers cauchy, j0 and j0star only"
-
 # (operator, target) -> the rule for every exponent without an exact entry:
 # a function of p, or the refusal message
 _INTERIOR = {
@@ -260,8 +258,11 @@ _INTERIOR = {
     (Operator.CAUCHY, Target.L_INFINITY): _cauchy_p_to_sup,
     (Operator.J0, Target.L_INFINITY): _j0_p_to_sup,
     (Operator.J0_STAR, Target.L_INFINITY): _j0star_p_to_sup,
-    (Operator.C_DELTA, Target.L_INFINITY): _NO_P_TO_SUP.format("cdelta"),
-    (Operator.BERGMAN, Target.L_INFINITY): _NO_P_TO_SUP.format("bergman"),
+    (Operator.C_DELTA, Target.L_INFINITY): "no p-to-sup entry for operator 'cdelta'; "
+                                           "the catalog covers cauchy, j0 and j0star only",
+    (Operator.BERGMAN, Target.L_INFINITY): "operator 'bergman' is unbounded from L^p to L^infinity "
+                                           "for every p > 2: ||K_z||_q >= ||K_z||_1 = "
+                                           "log(1/(1 - |z|^2))/|z|^2, which grows without bound",
 }
 
 

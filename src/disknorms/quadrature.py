@@ -6,9 +6,9 @@ of two dedicated strategies, each of which supplies the factor |w - b|^{-s}
 in its own coordinates, so that no caller forms w - b by subtraction: a
 Mobius change of variables that flattens the singularity exactly, or
 exclusion of a small ball around b followed by Richardson extrapolation in
-the exclusion radius.  The tensor and Mobius rules share one ring sum
-(``_polar_sum``) and one radial rule (``_nested``); the annulus grid is
-centered at the singular point, so it keeps its own sum (``_annulus_sums``).
+the exclusion radius.  Every rule shares one ring sum (``_polar_sum``) and
+one radial rule (``_nested``); the annulus grid, centered at the singular
+point, sums each of its radial ranges through them too.
 
 The nested rule's radial nodes are the (2m+1)-node Gauss-Kronrod rule, m =
 (radial_nodes - 1)//2 (255 rings for the default 256), which holds the
@@ -43,14 +43,13 @@ passes c^(2-s) |D|^(s-4), with c = 1 - |b|^2 and D = 1 - conj(b) a, and
 ``apply`` passes the closed-form kernel times Jacobian of cauchy and cdelta.
 The estimates' rounding floor, 8 eps times the integral of |integrand|,
 weights each tensor ring by the conditioning (1 + r|z|)/(1 - r|z|) of the
-kernels (1 - conj(w) z)^-k at z, exactly 1 at z = 0.  The annulus route
-counts its roundings instead (``integrate_disk_singular``).
+kernels (1 - conj(w) z)^-k at z, exactly 1 at z = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -71,8 +70,9 @@ _LAYER_DECAY = 64.0
 _BLOCK = 1 << 13
 # _kronrod01 builds a dense Jacobi matrix of about radial_nodes^2 entries
 _MAX_RADIAL = 2048
-# least Gauss nodes of an annulus shell: 16 integrate e^(au) over a log-10
-# shell to a few eps for a <= 8, a field of degree 6 along a ray at s = 0
+# least radial nodes of an annulus shell: its 15 Kronrod rings integrate
+# e^(au) over a log-10 shell to a few eps for a <= 8, a field of degree 6
+# along a ray at s = 0
 _SHELL_NODES = 16
 
 
@@ -107,11 +107,12 @@ class Mobius:
 class DiskRule:
     """Node counts of a polar rule and its singularity strategy.
 
-    The tensor and Mobius rules sum on the 2m+1 Gauss-Kronrod rings that
-    extend the m-node Gauss rule, m = (radial_nodes - 1)//2, with every ring
-    count rounded up to even; annulus exclusion sums on radial_nodes Gauss
-    rings.  angular_nodes is the outermost ring's count; rules sized for a
-    point past |z| = 0.9 give inner rings fewer.  radial_nodes is 8 to 2048.
+    Every strategy sums on the 2m+1 Gauss-Kronrod rings that extend the
+    m-node Gauss rule, m = (radial_nodes - 1)//2, with every ring count
+    rounded up to even; annulus exclusion sums each radial range on such
+    rings, its shells on fewer.  angular_nodes is the outermost ring's
+    count; rules sized for a point past |z| = 0.9 give inner rings fewer.
+    radial_nodes is 8 to 2048.
     """
 
     radial_nodes: int = DEFAULT_RADIAL
@@ -478,59 +479,66 @@ def _mobius_integral(f: FieldFn, b: complex, s: float, rule: DiskRule, weigh: Ca
     return _nested(rings, rule)
 
 
-def _annulus_sums(
-    g: FieldFn, b: complex, s: float, epsilons: Sequence[float], nr: int, na: int
-) -> list[tuple[complex, float]]:
+def _annulus_stages(
+    g: FieldFn, b: complex, s: float, epsilons: Sequence[float], rule: DiskRule
+) -> list[Integral]:
     """Integral of g(w) |w - b|^-s over the disk minus the ball of radius e
-    around b, and of its modulus, for each e of the decreasing epsilons.
+    around b, for each e of the decreasing epsilons.
 
     Polar coordinates around b: the disk boundary sits at rho_max(theta) =
-    -c + sqrt(c^2 + 1 - |b|^2), c = Re(conj(b) e^{i theta}), and log-radial
-    Gauss-Legendre handles each radial range, where the area element and
-    the singular factor are rho^(2-s) d(log rho) d(theta).  [e_0, rho_max]
-    is summed once, on nr nodes, and each shell [e_k, min(e_(k-1), rho_max)]
-    on ceil(nr log(e_(k-1)/e_k) / log(2/e_0)) nodes, at least _SHELL_NODES
-    and at most nr: the disk lies within 2 of b, so no shell is sampled more
-    coarsely in log-radius than the first range at its widest angle.  The
-    k-th result adds shells 1..k to the first range, in order, and each
-    range adds its ring totals in ring order.  Angles come in chunks of at
-    most ``_BLOCK``, rings in blocks of at most ``_BLOCK`` nodes.
+    -c + sqrt(c^2 + 1 - |b|^2), c = Re(conj(b) e^{i theta}), and each radial
+    range is one nested rule (``_nested``) in log-radius, where the area
+    element and the singular factor are rho^(2-s) d(log rho) d(theta).
+    [e_0, rho_max] is summed once, on radial_nodes, and each shell [e_k,
+    min(e_(k-1), rho_max)] on ceil(radial_nodes log(e_(k-1)/e_k) /
+    log(2/e_0)) nodes, at least _SHELL_NODES and at most radial_nodes: the
+    disk lies within 2 of b, so no shell is sampled more coarsely in
+    log-radius than the first range at its widest angle.  The k-th result
+    adds shells 1..k to the first range, values and estimates alike.  g is
+    never evaluated where a range is empty: at |b| = 1 such nodes lie
+    outside the disk.
     """
+    nr = rule.radial_nodes
     widest = math.log(2.0 / epsilons[0])
     ranges = [(epsilons[0], math.inf, nr)] + [
         (lo, hi, min(nr, max(_SHELL_NODES, math.ceil(nr * math.log(hi / lo) / widest))))
         for hi, lo in zip(epsilons, epsilons[1:])
     ]
-    rules = [_gauss01(n) for _, _, n in ranges]
-    sums = [np.zeros(n, dtype=complex) for _, _, n in ranges]
-    abs_sums = [np.zeros(n) for _, _, n in ranges]
-    for start in range(0, na, _BLOCK):
-        phase = _angles(na, start, min(na, start + _BLOCK))
-        c = (b.conjugate() * phase).real
-        radicand = np.maximum(c * c + 1.0 - abs(b) ** 2, 0.0)
-        rho_max = -c + np.sqrt(radicand)
-        for (lo, hi, n), (t, _), ring, ring_abs in zip(ranges, rules, sums, abs_sums):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                span = np.where(rho_max > lo, np.log(np.maximum(np.minimum(rho_max, hi), lo) / lo), 0.0)
-            active = span > 0.0
-            if not active.any():
-                continue
-            phase_a, span_a = phase[active], span[active]
-            step = _BLOCK // span_a.size
-            for i in range(0, n, step):
-                rho = lo * np.exp(t[i : i + step, None] * span_a)
-                vals = _eval_nodes(g, b + rho * phase_a)
-                terms = span_a * vals * rho * rho * rho**-s
-                ring[i : i + step] += terms.sum(axis=1)
-                ring_abs[i : i + step] += np.abs(terms).sum(axis=1)
-    out = []
-    total, mass = 0.0 + 0.0j, 0.0
-    for (_, wt), ring, ring_abs in zip(rules, sums, abs_sums):
-        weights = (2.0 / na) * wt
-        total += complex(np.cumsum(weights * ring)[-1])
-        mass += float(np.cumsum(weights * ring_abs)[-1])
-        out.append((total, mass))
-    return out
+    gap = 1.0 - abs(b) ** 2
+    stages = []
+    for lo, hi, n in ranges:
+
+        def rings(t: np.ndarray, na: int, lo=lo, hi=hi) -> tuple:
+            # int = (1/pi) int dtheta int_0^1 span rho^(2-s) g dt, rho = lo e^(t span);
+            # memo: the last angles, those from the first with a nonempty range
+            # (down to an even column) to the last, and their runs (i, j, span)
+            memo = [None]
+
+            def block(rings, phase):
+                if memo[0] is not phase:
+                    c = (b.conjugate() * phase).real
+                    rho_max = -c + np.sqrt(np.maximum(c * c + gap, 0.0))
+                    active = np.concatenate(([False], rho_max > lo, [False]))
+                    edges = np.flatnonzero(active[1:] != active[:-1]).reshape(-1, 2)
+                    first, last = (edges[0, 0] // 2 * 2, edges[-1, 1]) if edges.size else (0, 0)
+                    runs = [(i - first, j - first, np.log(np.minimum(rho_max[i:j], hi) / lo)) for i, j in edges]
+                    memo[:] = phase, phase[first:last], runs
+                # zero columns outside the memo's angles are left out; the first
+                # is even, so even columns stay even angles
+                _, angles, runs = memo
+                vals = np.zeros((rings.stop - rings.start, angles.size), dtype=complex)
+                for i, j, span in runs:
+                    rho = lo * np.exp(t[rings, None] * span)
+                    np.multiply(_eval_nodes(g, b + rho * angles[i:j]), span * rho ** (2.0 - s), out=vals[:, i:j])
+                return vals
+
+            return block, np.full(t.size, na), 2.0, 1.0
+
+        part = _nested(rings, replace(rule, radial_nodes=n))
+        if stages:
+            part = Integral(stages[-1].value + part.value, stages[-1].abs_error_estimate + part.abs_error_estimate)
+        stages.append(part)
+    return stages
 
 
 def integrate_disk_singular(
@@ -547,22 +555,13 @@ def integrate_disk_singular(
     field evaluation.
     Annulus exclusion at epsilon, epsilon/2, epsilon/4 applies two-stage
     Richardson extrapolation on the expansion exponents 2-s and 4-s, which
-    hold for a g smooth at b.  The stages share the sum outside epsilon and
-    add the two shells down to epsilon/4 on their own short rules
-    (``_annulus_sums``).  The estimate is
-    the last extrapolation step plus a rounding floor of (roundings per
-    node) eps x A x integral |g| |w - b|^-s, where A =
+    hold for a g smooth at b.  The stages share the nested sum outside
+    epsilon and add the two shells down to epsilon/4 on their own shorter
+    nested rules (``_annulus_stages``).  The estimate is the last
+    extrapolation step plus A times the last stage's estimate, where A =
     (1 + r1)(1 + r2)/((1 - r1)(1 - r2)), r1 = 2^(s-2), r2 = 2^(s-4), is
-    the absolute sum of the Richardson weights.  Each rounding is counted
-    as eps: 3 in the node rho = epsilon exp(t span), counted twice because
-    rho^(2-s) doubles them at most; 1 in rho^-s; 1 in the field; 4 in the
-    products span g rho rho rho^-s; at most 25 in numpy's pairwise sum of
-    a ring's block row and 1 per block of the ring; 2 in the ring's weight;
-    radial_nodes in the ring-by-ring sum (a shell has no more rings); 1 for
-    each shell added; 6 in the two Richardson stages.
-    In practice numpy's Gauss-Legendre weights near t = 1 (off by up to
-    4e-11 relative at 192 nodes) set the error, about 2e-14 relative; the
-    floor has covered them up to 2048 radial nodes.
+    the absolute sum of the Richardson weights: each stage's estimate adds
+    to the one before, so the last bounds them all.
     """
     if not 0.0 < s < 2.0:
         raise DomainError(f"singularity exponent s = {s:g} is not integrable")
@@ -589,16 +588,13 @@ def integrate_disk_singular(
             f"excluded ball of radius {eps:g} does not fit inside the disk "
             f"around b with |b| = {abs(b):g}"
         )
-    nr, na = rule.radial_nodes, rule.angular_nodes
-    (t0, _), (t1, _), (t2, mass) = _annulus_sums(g, b, s, (eps, eps / 2.0, eps / 4.0), nr, na)
-    r1 = 2.0 ** (s - 2.0)
+    stages = _annulus_stages(g, b, s, (eps, eps / 2.0, eps / 4.0), rule)
+    t0, t1, t2 = (stage.value for stage in stages)
+    r1, r2 = 2.0 ** (s - 2.0), 2.0 ** (s - 4.0)
     first = [(t1 - r1 * t0) / (1.0 - r1), (t2 - r1 * t1) / (1.0 - r1)]
-    r2 = 2.0 ** (s - 4.0)
     value = (first[1] - r2 * first[0]) / (1.0 - r2)
     amplification = (1.0 + r1) * (1.0 + r2) / ((1.0 - r1) * (1.0 - r2))
-    roundings = 45 + nr + 2 + -(-na // _BLOCK)
-    floor = roundings * _EPS * amplification * mass
-    return Integral(value, abs(value - first[1]) + floor)
+    return Integral(value, abs(value - first[1]) + amplification * stages[-1].abs_error_estimate)
 
 
 def truncated_singular_integral(
@@ -612,8 +608,9 @@ def truncated_singular_integral(
     Returns the truncated integrals for each epsilon; no extrapolation is
     performed, so a non-integrable singularity shows up as values that keep
     climbing as epsilon falls.  b may sit on the boundary.  The disk outside
-    the largest epsilon is summed once on the rule, and each shell between
-    consecutive epsilons on its own short rule (``_annulus_sums``).
+    the largest epsilon is summed once on the rule's nested rings, and each
+    shell between consecutive epsilons on its own shorter nested rule
+    (``_annulus_stages``); the values are the stages' integrals of |f|.
     """
     eps = [float(e) for e in epsilon_list]
     if not eps:
@@ -627,4 +624,4 @@ def truncated_singular_integral(
         raise DomainError(f"truncation center must lie in the closed disk, |b| = {abs(b):g}")
     if rule is None:
         rule = DiskRule()
-    return [mass for _, mass in _annulus_sums(f, b, 0.0, eps, rule.radial_nodes, rule.angular_nodes)]
+    return [stage.value.real for stage in _annulus_stages(lambda w: np.abs(f(w)), b, 0.0, eps, rule)]

@@ -86,7 +86,8 @@ CATALOG_ROWS = [
     ("cdelta", 3.0, "linf", None, None, None,
      "no p-to-sup entry for operator 'cdelta'; the catalog covers cauchy, j0 and j0star only"),
     ("bergman", 3.0, "linf", None, None, None,
-     "no p-to-sup entry for operator 'bergman'; the catalog covers cauchy, j0 and j0star only"),
+     "operator 'bergman' is unbounded from L^p to L^infinity for every p > 2: "
+     "||K_z||_q >= ||K_z||_1 = log(1/(1 - |z|^2))/|z|^2, which grows without bound"),
 ]
 
 # (p, value, error_estimate, kind, provenance) of riesz_thorin_bound

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -251,6 +253,24 @@ def test_truncated_boundary_center():
     assert 0.9 < vals[0] < vals[1] < 1.0
 
 
+@pytest.mark.parametrize("na", [256, 20000])
+def test_truncation_at_any_quarter_turn_of_the_circle_agrees(na):
+    # the nonempty angles are one run at b = 1, wrap around angle 0 at
+    # b = -1, and leave whole 8192-angle chunks empty at 20000 angles;
+    # no node outside the disk is ever evaluated
+    reach = []
+
+    def f(w):
+        reach.append(np.abs(w).max())
+        return np.abs(w) ** 2
+
+    ref = truncated_singular_integral(f, 1.0, [0.2, 0.05], DiskRule(16, na))
+    for b in (-1.0, 1j, -1j):
+        got = truncated_singular_integral(f, b, [0.2, 0.05], DiskRule(16, na))
+        assert np.allclose(got, ref, rtol=1e-14, atol=0.0), b
+    assert max(reach) <= 1.0 + 1e-12
+
+
 # Frozen from the route that summed every epsilon on the full radial rule:
 # the truncated ladders of the counterexamples at 256 x 512, and the three
 # Richardson stages T(0.05), T(0.025), T(0.0125) of one singular integrand
@@ -276,15 +296,14 @@ def test_truncation_ladders_match_the_full_rule_on_every_epsilon(name):
 
 
 def test_richardson_stages_match_the_full_rule_on_every_epsilon():
-    from disknorms.quadrature import _annulus_sums
+    from disknorms.quadrature import _annulus_stages
 
     def g(w):
         return (0.3 - 1.1j) + (0.7 + 0.2j) * np.asarray(w) - 0.4j * np.conj(w)
 
-    got = _annulus_sums(g, 0.25 - 0.3j, 1.2, (0.05, 0.025, 0.0125), 192, 96)
-    for (value, mass), (ref_value, ref_mass) in zip(got, STAGES):
-        assert abs(value - ref_value) <= 1e-13 * abs(ref_value)
-        assert abs(mass - ref_mass) <= 1e-13 * ref_mass
+    got = _annulus_stages(g, 0.25 - 0.3j, 1.2, (0.05, 0.025, 0.0125), DiskRule(192, 96))
+    for stage, (ref_value, _) in zip(got, STAGES):
+        assert abs(stage.value - ref_value) <= 1e-13 * abs(ref_value)
 
 
 def test_annulus_error_within_its_estimate_against_a_fine_mobius_rule():
@@ -317,6 +336,79 @@ def test_annulus_memory_does_not_grow_with_the_angular_count():
         tracemalloc.stop()
     assert peak < 4e6
     assert abs(got.value - pf.profile_K(math.inf, 0.3)) <= got.abs_error_estimate
+
+
+# Rules too coarse for the field: before the annulus stages summed on the
+# nested rule, their estimate had no quadrature term and missed the error
+# by 5x to 3e12x on each of these cases
+UNDER_RESOLVED_FIELDS = {
+    "exp(3w)": lambda w: np.exp(3.0 * np.asarray(w)),
+    "w^9": lambda w: np.asarray(w) ** 9,
+    "|w|^12": lambda w: np.abs(w) ** 12,
+    "cos(6 Re w)": lambda w: np.cos(6.0 * np.real(w)),
+}
+UNDER_RESOLVED = [
+    ("exp(3w)", 8, 16, 0.3, 1.0), ("exp(3w)", 16, 16, 0.3, 1.0), ("exp(3w)", 64, 16, 0.3, 1.0),
+    ("exp(3w)", 8, 16, 0.5 + 0.2j, 0.6), ("exp(3w)", 16, 16, 0.5 + 0.2j, 0.6),
+    ("exp(3w)", 64, 16, 0.5 + 0.2j, 0.6), ("exp(3w)", 8, 16, 0.0, 1.5),
+    ("exp(3w)", 16, 16, 0.0, 1.5), ("exp(3w)", 64, 16, 0.0, 1.5),
+    ("w^9", 8, 16, 0.3, 1.0), ("w^9", 16, 16, 0.3, 1.0), ("w^9", 64, 16, 0.3, 1.0),
+    ("w^9", 8, 16, 0.5 + 0.2j, 0.6), ("w^9", 16, 16, 0.5 + 0.2j, 0.6),
+    ("w^9", 16, 64, 0.5 + 0.2j, 0.6), ("w^9", 32, 32, 0.5 + 0.2j, 0.6),
+    ("w^9", 64, 16, 0.5 + 0.2j, 0.6),
+    ("|w|^12", 8, 16, 0.3, 1.0), ("|w|^12", 8, 16, 0.5 + 0.2j, 0.6), ("|w|^12", 8, 16, 0.0, 1.5),
+    ("|w|^12", 16, 16, 0.0, 1.5), ("|w|^12", 16, 64, 0.0, 1.5),
+    ("cos(6 Re w)", 8, 16, 0.3, 1.0), ("cos(6 Re w)", 8, 16, 0.5 + 0.2j, 0.6),
+]
+
+
+@lru_cache(maxsize=None)
+def _fine_mobius(name, b, s):
+    rule = replace(DiskRule.for_point(b, True), radial_nodes=512, angular_nodes=1024)
+    return integrate_disk_singular(UNDER_RESOLVED_FIELDS[name], b, s, rule).value
+
+
+@pytest.mark.parametrize("name, nr, na, b, s", UNDER_RESOLVED)
+def test_annulus_estimate_covers_under_resolved_rules(name, nr, na, b, s):
+    got = integrate_disk_singular(UNDER_RESOLVED_FIELDS[name], b, s, DiskRule(nr, na, AnnulusExclude(0.05)))
+    assert abs(got.value - _fine_mobius(name, b, s)) <= got.abs_error_estimate
+
+
+def test_every_rule_sums_through_the_nested_ring_sum(monkeypatch):
+    # one ring sum for every polar rule: each field node is evaluated
+    # inside quadrature._nested, so a private per-rule sum cannot come back
+    from disknorms import quadrature
+    from disknorms.operators import apply
+
+    depth, calls, outside = [0], [0], []
+    nested = quadrature._nested
+
+    def counting(rings, rule):
+        depth[0] += 1
+        calls[0] += 1
+        try:
+            return nested(rings, rule)
+        finally:
+            depth[0] -= 1
+
+    def field(w):
+        if not depth[0]:
+            outside.append(np.size(w))
+        return 1.0 + 0.5 * np.asarray(w) - 0.25j * np.conj(w)
+
+    monkeypatch.setattr(quadrature, "_nested", counting)
+    runs = {
+        "tensor": (lambda: integrate_disk(field, DiskRule(16, 32)), 1),
+        "mobius": (lambda: integrate_disk_singular(field, 0.3, 1.0, DiskRule(16, 32, Mobius(0.3))), 1),
+        "annulus": (lambda: integrate_disk_singular(field, 0.3, 1.0, DiskRule(16, 32, AnnulusExclude(0.05))), 3),
+        "truncated": (lambda: truncated_singular_integral(field, 1.0, [0.1, 0.01], DiskRule(16, 32)), 2),
+        "apply": (lambda: apply("j0", field, 0.3, DiskRule(16, 32)), 1),
+    }
+    for name, (run, sums) in runs.items():
+        calls[0] = 0
+        run()
+        assert calls[0] == sums, name
+    assert not outside
 
 
 class CountingField:
@@ -420,7 +512,8 @@ def test_integrate_disk_keeps_the_full_count_on_every_ring():
 
 def test_rings_wider_than_a_block_are_summed_in_chunks():
     # 20000 angles per ring: each ring is split into angular chunks of at
-    # most 8192 nodes, in the tensor rule and in annulus exclusion alike
+    # most 8192 nodes, in the tensor rule and in annulus exclusion alike,
+    # on the nested rule's 2m+1 rings: 7 for 8 radial nodes, 15 for 16
     f = CountingField(lambda w: (w * np.conj(w)) ** 2 + w**3)
     got = integrate_disk(f, DiskRule(8, 20000))
     assert abs(got.value - 1.0 / 3.0) <= 1e-13
@@ -428,7 +521,7 @@ def test_rings_wider_than_a_block_are_summed_in_chunks():
     one = CountingField(lambda w: np.ones_like(w))
     vals = truncated_singular_integral(one, 0.3, [0.1], DiskRule(16, 20000))
     assert abs(vals[0] - 0.99) <= 1e-12
-    assert max(one.sizes) <= 8192 and sum(one.sizes) == 16 * 20000
+    assert max(one.sizes) <= 8192 and sum(one.sizes) == 15 * 20000
 
 
 def test_angle_tables_up_to_512_nodes_are_numpys():
