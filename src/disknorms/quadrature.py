@@ -18,7 +18,9 @@ trapezoid rule at half the count.  One set of field values gives the value,
 the Kronrod rings at all angles, and both halves of its estimate: the
 distance to the Gauss rings and the distance to the Kronrod rings at every
 other angle, summed so that a radial and an angular error cannot cancel.
-The rule is exact to degree 3m+1 in r.
+The rule is exact to degree 3m+1 in r.  Both radial rules come from their
+Jacobi matrices: Gauss nodes are eigenvalues polished by a Newton step,
+Kronrod's matrix is Laurie's, every weight a Christoffel number (``_christoffel``).
 
 A rule sized for a point z near the boundary (``DiskRule.for_point``) has
 the angular count of its outermost ring, where the kernel's boundary layer
@@ -186,72 +188,87 @@ def _ring_counts(r: np.ndarray, na: int, z: complex) -> np.ndarray:
     return np.minimum(na, np.maximum(min(na, DEFAULT_ANGULAR), need)).astype(int)
 
 
+def _christoffel(x: np.ndarray, root_b: np.ndarray) -> np.ndarray:
+    """The Christoffel numbers 1/sum_{k<m} p_k(x)^2 at x, m = len(root_b), of the orthonormal
+    recurrence of the Jacobi matrix with diagonal 1/2 and off-diagonal root_b[1:]:
+    root_b[k+1] p_{k+1} = (x - 1/2) p_k - root_b[k] p_{k-1}, p_0 = 1/root_b[0]."""
+    prev, p = 0.0, np.full(len(x), 1.0 / root_b[0])
+    norm = p * p
+    for i in range(len(root_b) - 1):
+        prev, p = p, ((x - 0.5) * p - root_b[i] * prev) / root_b[i + 1]
+        norm += p * p
+    return 1.0 / norm
+
+
 @lru_cache(maxsize=64)
 def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """The n-node Gauss-Legendre rule on [0, 1], from its Jacobi matrix, b_k = k^2/(4(4k^2-1)), b_0 = 1.
+
+    The nodes are its eigenvalues, each moved by one Newton step on p_n of
+    ``_christoffel``'s recurrence (root_b[n] = 1 moves no zero); the weights
+    are its Christoffel numbers, mirrored past 1/2: a node near 1 is stored
+    within eps/2, which its weight amplifies (2e-12 relative at n = 256).
+    """
+    k = np.arange(n, dtype=float)
+    root_b = np.sqrt(np.where(k > 0, k * k / (4.0 * (4.0 * k * k - 1.0)), 1.0))
+    x = np.linalg.eigvalsh(np.diag(np.full(n, 0.5)) + np.diag(root_b[1:], -1))
+    y, prev, p, dprev, dp = x - 0.5, 0.0, 1.0 / root_b[0], 0.0, 0.0
+    for i, c in enumerate(np.append(root_b[1:], 1.0)):
+        prev, p, dprev, dp = p, (y * p - root_b[i] * prev) / c, dp, (p + y * dp - root_b[i] * dprev) / c
+    x -= p / dp
+    w = _christoffel(x, root_b)
+    w[::-1][: n // 2] = w[: n // 2]
+    return x, w
 
 
-def _rescale(a: np.ndarray) -> None:
-    """Scale a in place by the power of two that puts its largest entry in [1/2, 1)."""
-    a *= 2.0 ** -math.frexp(np.abs(a).max())[1]
+def _laurie_b(n: int) -> list:
+    """Recurrence coefficients b_0..b_2n of the (2n+1)-node Kronrod rule on [0, 1].
+
+    Laurie's algorithm (Math. Comp. 66, 1997) on Python floats; the weight is
+    symmetric, so only its b-updates remain.  Its sums shrink by about 16 a
+    step, so each step scales what later steps read by a power of two.
+    """
+    b = [k * k / (4.0 * (4.0 * k * k - 1.0)) for k in map(float, range(1, -(-3 * n // 2) + 1))]
+    b = [1.0] + b + [0.0] * (2 * n - len(b))
+    s, t = [0.0] * (n // 2 + 2), [0.0] * (n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for j in range((m + 1) // 2, -1, -1):
+            u += b[j + n + 1] * s[j] - b[m - j] * s[j + 1]
+            s[j + 1] = u
+        scale = 2.0 ** -math.frexp(max(map(abs, s)))[1]
+        s, t = t, [v * scale for v in s]
+    s[1:] = s[:-1]
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for i in range((m - 1) // 2 + n - m):
+            u += b[n - 1 - i] * s[i + 2] - b[i + m + 2] * s[i + 1]
+            s[i + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[i + 1] / s[i + 2]
+        scale = 2.0 ** -math.frexp(max(map(abs, s[: i + 3])))[1]
+        s[: i + 3] = [v * scale for v in s[: i + 3]]
+        s, t = t, s
+    return b
 
 
 @lru_cache(maxsize=64)
 def _kronrod01(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (2n+1)-node Gauss-Kronrod rule on [0, 1] that extends ``_gauss01(n)``.
 
-    Returns the nodes, the Kronrod weights, and the Gauss weights placed at
-    the Gauss nodes, which are the odd positions (zeros elsewhere).  The
-    rule is exact to degree 3n+1.  The off-diagonal of the Kronrod Jacobi
-    matrix comes from Laurie's algorithm (Math. Comp. 66, 1997) on the
-    shifted Legendre recurrence b_k = k^2/(4(4k^2-1)), b_0 = 1; the weight
-    is symmetric about 1/2, so every diagonal entry is 1/2 and only the
-    algorithm's b-updates remain.  Each of its inner loops reads only old
-    values, so it is one cumulative sum, reversed in the first phase.  Those
-    sums shrink by about b ~ 1/16 a step, and only ratios within one array
-    are used, so each step scales the part of its array that later steps
-    read by an exact power of two (``_rescale``); unscaled, they leave the
-    normal range past n = 257 and the rule loses its exactness.  The
-    new nodes are eigenvalues of that matrix, and every weight is the
-    Christoffel number 1/sum_k p_k(x)^2 of its orthonormal recurrence, so
-    no eigenvectors are formed.
+    Returns the nodes, the Kronrod weights, and the Gauss weights at the
+    odd positions (zeros elsewhere), exact to degree 3n+1.  The nodes are
+    the eigenvalues of the Jacobi matrix of ``_laurie_b``, the Gauss nodes
+    at the odd positions; the weights are ``_christoffel``'s.
     """
-    size = 2 * n + 1
-    k = np.arange(size, dtype=float)
-    b = np.where(k <= -(-3 * n // 2), k * k / (4.0 * (4.0 * k * k - 1.0)), 0.0)
-    b[0] = 1.0
-    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        j = np.arange((m + 1) // 2, -1, -1)
-        s[j + 1] = np.cumsum(b[j + n + 1] * s[j] - b[m - j] * s[j + 1])
-        _rescale(s)
-        s, t = t, s
-    s[1 : n // 2 + 2] = s[: n // 2 + 1].copy()
-    for m in range(n - 1, 2 * n - 2):
-        j = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        i = n - 1 - m + j
-        s[i + 1] = np.cumsum(b[m - j] * s[i + 2] - b[j + n + 1] * s[i + 1])
-        if m % 2:
-            b[(m + 1) // 2 + n + 1] = s[i[-1] + 1] / s[i[-1] + 2]
-        _rescale(s[: i[-1] + 3])  # the entries later steps read
-        s, t = t, s
-    root_b = np.sqrt(b)
-    jacobi = np.zeros((size, size))
-    jacobi.flat[:: size + 1] = 0.5
-    jacobi.flat[size :: size + 1] = root_b[1:]
-    x = np.linalg.eigvalsh(jacobi)
     gauss_x, gauss_w = _gauss01(n)
+    root_b = np.sqrt(_laurie_b(n))
+    x = np.linalg.eigvalsh(np.diag(np.full(2 * n + 1, 0.5)) + np.diag(root_b[1:], -1))
     x[1::2] = gauss_x
-    prev, p = np.zeros(size), np.full(size, 1.0 / root_b[0])
-    norm = p * p
-    for i in range(size - 1):
-        prev, p = p, ((x - 0.5) * p - root_b[i] * prev) / root_b[i + 1]
-        norm += p * p
-    wg = np.zeros(size)
+    wg = np.zeros(2 * n + 1)
     wg[1::2] = gauss_w
-    return x, 1.0 / norm, wg
+    return x, _christoffel(x, root_b), wg
 
 
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])

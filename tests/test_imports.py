@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
-top-level name is read somewhere in the package, and the public names are
-the pinned list below.
+top-level name is read somewhere in the package, the public names are
+the pinned list below, and a process that runs the package never loads
+``numpy.polynomial`` or ``numpy.random``.
 
 A deletion that leaves its imports or its private helpers behind fails here.
 The scans use only the standard library ``ast`` module.  An imported name
@@ -12,6 +13,9 @@ module imports it from there, or any module reads an attribute of that name.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +131,23 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert disknorms.__all__ == PUBLIC_NAMES
     assert all(hasattr(disknorms, name) for name in PUBLIC_NAMES)
+
+
+def test_a_default_apply_and_every_suite_load_no_polynomial_or_random_module():
+    # each cost 5-17 ms cold on first use; the radial rules come from their
+    # own recurrences and verify draws from the standard library (numpy 2,
+    # the floor in pyproject.toml, loads neither inside ``import numpy``)
+    script = (
+        "import sys\n"
+        "import disknorms\n"
+        "from disknorms.verify import run_suite\n"
+        "disknorms.apply(disknorms.Operator.CAUCHY, lambda w: w * w + 1.0, 0.3 + 0.2j)\n"
+        "run_suite('all')\n"
+        "print(sorted(m for m in ('numpy.polynomial', 'numpy.random') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]", done.stdout

@@ -1,5 +1,6 @@
 """Tests for the norm catalog, extremal families, modes and counterexamples."""
 
+import functools
 import math
 import sys
 
@@ -29,7 +30,7 @@ from disknorms.norms import (
 )
 from disknorms.operators import Operator, apply
 from disknorms.profiles import profile_K, profile_M, profile_N
-from disknorms import quadrature
+from disknorms import norms, operators, quadrature, verify
 from disknorms.quadrature import DiskRule, integrate_disk, integrate_disk_singular
 from disknorms.specfun import bessel_j0_smallest_zero
 from disknorms.verify import VerifyConfig, suite_norms
@@ -428,19 +429,23 @@ class TestModes:
 
     def test_norms_suite_builds_only_the_shared_radial_rules(self, monkeypatch):
         # every radial sum of the norms suite runs on the cached 256-node
-        # rule (or the default rule's 128-node half); a larger Gauss rule
-        # would cost a dense eigen-solve
+        # rule (or the default rule's 127-node Gauss half); a larger Gauss
+        # rule would cost a dense eigen-solve.  Every module that binds
+        # _gauss01 gets the recording build, and the Kronrod rules are
+        # rebuilt, so the sizes do not depend on what ran before
         sizes = []
-        leggauss = np.polynomial.legendre.leggauss
+        build = quadrature._gauss01.__wrapped__
 
+        @functools.lru_cache(maxsize=None)
         def recording(n):
             sizes.append(n)
-            return leggauss(n)
+            return build(n)
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", recording)
-        quadrature._gauss01.cache_clear()
+        for module in (quadrature, norms, operators, verify):
+            monkeypatch.setattr(module, "_gauss01", recording)
+        quadrature._kronrod01.cache_clear()
         suite_norms(VerifyConfig())
-        assert sizes and set(sizes) <= {128, 256}, sorted(set(sizes))
+        assert sizes and set(sizes) <= {127, 256}, sorted(set(sizes))
 
     def test_rayleigh_decreasing_in_mode(self):
         vals = [mode_rayleigh_maximum(d) for d in range(1, 9)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -19,6 +20,7 @@ from disknorms.quadrature import (
     _angles,
     _gauss01,
     _kronrod01,
+    _laurie_b,
     _required_angular_nodes,
     _ring_counts,
     integrate_disk,
@@ -628,6 +630,62 @@ def test_kronrod_rule_against_40_digits(n):
         nodes, weights = _mp_kronrod(mp, n)
         assert max(abs(xi - float(ni)) for xi, ni in zip(x, nodes)) <= 1e-15
         assert max(float(abs((wi - vi) / vi)) for wi, vi in zip(wk, weights)) <= 1e-12
+
+
+# 40-digit mpmath Newton iterates on the Legendre recurrence, frozen:
+# (index, node, weight) on [0, 1] for the nodes nearest 0 and the middle;
+# the rule is symmetric about 1/2, so node n-1-i is 1 - node i, same weight
+GAUSS_LITERALS = {
+    16: [
+        (0, "0.0052995325041750337019229132748337", "0.013576229705877047425890286228009"),
+        (1, "0.027712488463383711961005792232696", "0.031126761969323946431421918497189"),
+        (2, "0.067184398806084128059766051143803", "0.047579255841246392404962553801123"),
+        (8, "0.54750625491881872009265966771248", "0.094725305227534248142698361604142"),
+    ],
+    127: [
+        (0, "0.000088934792346926866324417713292178", "0.00022822863054793331395968259632455"),
+        (1, "0.00046853282234405243084205840232816", "0.00053113834347692434798261799266047"),
+        (2, "0.0011512169050976894627914875508253", "0.00083417440625859683805144314573748"),
+        (63, "0.5", "0.012319876461980547209789708738751"),
+    ],
+    256: [
+        (0, "0.000021974990503884632599394915792032", "0.000056394508911136087756269438624919"),
+        (1, "0.00011578129536840694756070724405849", "0.00013126747214822295314372878124975"),
+        (2, "0.00028453126686929587957290914447086", "0.00020623162721308816421609291886794"),
+        (128, "0.50306195618759476475058508248113", "0.0061238358201448779520351632448592"),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(GAUSS_LITERALS))
+def test_gauss_rule_against_30_digits(n):
+    # numpy's leggauss weights nearest the ends missed by 1.7e-11 (n = 127)
+    # and 2.1e-11 (n = 256); unpolished eigenvalues missed nodes by 6.7e-16
+    mp = pytest.importorskip("mpmath")
+    x, w = _gauss01(n)
+    assert x.shape == w.shape == (n,)
+    with mp.workdps(30):
+        for i, node, weight in GAUSS_LITERALS[n]:
+            node, weight = mp.mpf(node), mp.mpf(weight)
+            for j, exact in ((i, node), (n - 1 - i, 1 - node)):
+                assert abs(x[j] - exact) <= 1e-16, (j, float(x[j] - exact))
+                assert abs(w[j] - weight) <= 5e-12 * weight, (j, float((w[j] - weight) / weight))
+
+
+# sha256 of the little-endian float64 bytes of b_0..b_2n, as the numpy form
+# of Laurie's algorithm (one cumulative sum per step) gave them
+LAURIE_SHA256 = {
+    16: "9329c04d7f39875260795e8c6aa218beb5576894958f877be5978a7d819bebf6",
+    127: "d84b5547e324832703152631a25240fd99a6285e45fe4379e91feb606a2926bd",
+    1023: "c6152ca91f6216262400fbe8943343cf08264431a4e89f7990e17d47da837136",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LAURIE_SHA256))
+def test_laurie_coefficients_are_bit_identical(n):
+    b = _laurie_b(n)
+    assert len(b) == 2 * n + 1
+    assert hashlib.sha256(np.asarray(b, dtype="<f8").tobytes()).hexdigest() == LAURIE_SHA256[n]
 
 
 def test_nested_rule_splits_chunked_rings_into_global_even_angles():
