@@ -47,7 +47,7 @@ from .quadrature import (
     integrate_disk_singular,
     truncated_singular_integral,
 )
-from .specfun import bessel_j0_smallest_zero, catalan_constant
+from .specfun import _EPS, bessel_j0_smallest_zero, catalan_constant
 
 __all__ = [
     "Target",
@@ -71,7 +71,6 @@ __all__ = [
     "fatou_limit_integrand_adjoint",
 ]
 
-_EPS = 2.220446049250313e-16
 _INF = math.inf
 
 

@@ -37,13 +37,13 @@ field's angular bandwidth, not by 1/(1-|z|).  A field the engine does not
 resolve falls back to the quadrature rule ``DiskRule.for_point`` builds.
 
 An explicit rule takes the quadrature route.  Singular operators (cauchy,
-cdelta) must then be given a Mobius rule centered at the evaluation point;
-the bounded three refuse rules with a strategy attached.  On the Mobius
-rule the kernel, the Jacobian and the polar r collapse to one closed-form
-weight per node (``_mobius_weigh``), so w - z is never formed by
-subtraction.  Near the boundary every kernel develops a thin angular layer;
-the quadrature module's tensor and Mobius sums refuse a rule with too few
-angles for it, and the Mobius sum one whose outermost ring misses it.
+cdelta) must then be given a Mobius rule, which is summed at the
+evaluation point; the bounded three refuse rules with a strategy attached.
+On the Mobius rule the kernel, the Jacobian and the polar r collapse to one
+closed-form weight per node (``_mobius_weigh``), so w - z is never formed
+by subtraction.  Near the boundary every kernel develops a thin angular
+layer; the quadrature module's tensor and Mobius sums refuse a rule with too
+few angles for it, and the Mobius sum one whose outermost ring misses it.
 
 The tensor and Mobius rules sum on the quadrature module's one radial rule:
 2m+1 Gauss-Kronrod rings, m = (radial_nodes - 1)//2, with even ring counts,
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -139,7 +138,7 @@ def _bounded_integrand(op: Operator, f: FieldFn, z: complex) -> FieldFn:
 
 
 def _mobius_weigh(op: Operator, z: complex):
-    """Kernel x Jacobian x r of the Mobius rule centered at z, in closed form.
+    """Kernel x Jacobian x r of the Mobius rule at z, in closed form.
 
     With a = r e^{i theta}, D = 1 - conj(z) a and c = 1 - |z|^2 the node is
     w = (z - a)/D, so w - z = -a c/D and 1 - conj(w) z = c/conj(D); the
@@ -273,7 +272,7 @@ def _quadrature(op: Operator, f: FieldFn, z: complex, rule: DiskRule) -> Integra
     """The quadrature route; the sum it takes checks the rest of the rule."""
     if op in _SINGULAR_OPS:
         if not isinstance(rule.singularity, Mobius):
-            raise ConfigurationError(f"{op.value} takes a Mobius rule centered at the evaluation point")
+            raise ConfigurationError(f"{op.value} takes a Mobius rule")
         return _mobius_integral(f, z, 1.0, rule, _mobius_weigh(op, z))
     inner = _tensor_integral(_bounded_integrand(op, f, z), rule, z)
     if op is Operator.J0:
@@ -297,7 +296,7 @@ def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None)
     An explicit rule takes the quadrature route of the module docstring,
     validated rather than silently upgraded, before any field evaluation:
     a singular operator's rule without a Mobius strategy, a bounded
-    operator's with one, a mismatched center or too few angular nodes raise
+    operator's with one, or too few angular nodes raise
     ``ConfigurationError``, and a Mobius rule whose outermost ring misses
     the kernel's layer at z raises ``DomainError``.  The tensor and Mobius
     sums make these checks; only the first is made here.
@@ -415,7 +414,7 @@ def dbar_identity_residual(
     noise term alone exceeds half the comparison scale the step cannot
     resolve the identity and a PrecisionError is raised instead of returning
     a meaningless number.  An explicit rule goes to ``apply`` as given at
-    each shifted point, only a Mobius strategy re-centered there.
+    each shifted point.
     """
     op = Operator(op)
     if not (h > 0.0):
@@ -426,8 +425,6 @@ def dbar_identity_residual(
     values = []
     noise = 0.0
     for point in shifts:
-        if rule is not None and isinstance(rule.singularity, Mobius):
-            rule = replace(rule, singularity=Mobius(point))
         result = apply(op, f, point, rule)
         values.append(result.value)
         noise += result.abs_error_estimate

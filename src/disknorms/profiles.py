@@ -20,7 +20,6 @@ from .specfun import (
     _EPS,
     HypergeometricSpec,
     SeriesValue,
-    gamma_sign,
     gauss_2f1_at_1,
     hyp_pfq,
     ln_gamma,
@@ -179,7 +178,7 @@ def h_coefficient(q: float, m: int) -> float:
     a_m = -Gamma(1+m-q/2) Gamma(2+m-q/2)
           / (Gamma(1+m) Gamma(2+m) Gamma(2-q/2) Gamma(-q/2)),
     computed in log space.  Gamma(-q/2) < 0 for q in (0, 2), which makes
-    every a_m nonnegative.
+    every a_m nonnegative, so only the magnitude is formed.
     """
     _check_q(q)
     if m < 0:
@@ -193,7 +192,7 @@ def h_coefficient(q: float, m: int) -> float:
         - ln_gamma(2.0 - half)
         - math.lgamma(-half)
     )
-    return -gamma_sign(-half) * math.exp(log_mag)
+    return math.exp(log_mag)
 
 
 def a_p_constant(p: float, tol: float) -> SeriesValue:

@@ -93,16 +93,8 @@ class AnnulusExclude:
 
 @dataclass(frozen=True)
 class Mobius:
-    """Pull the integrand back through the disk automorphism centered here."""
-
-    center: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", complex(self.center))
-        if abs(self.center) >= 1.0:
-            raise ConfigurationError(
-                f"Mobius center must be interior, got |center| = {abs(self.center):g}"
-            )
+    """Pull the integrand back through the disk automorphism that sends 0 to
+    the singular point the sum is given."""
 
 
 @dataclass(frozen=True)
@@ -132,14 +124,14 @@ class DiskRule:
 
     @classmethod
     def for_point(cls, z: complex, singular: bool = False) -> "DiskRule":
-        """The default rule widened for kernels at z, Mobius-centered at z if singular.
+        """The default rule widened for kernels at z, with a Mobius strategy if singular.
 
         The angular count is the outermost ring's; when |z| > 0.9 the sums
         that are given z give each inner ring its own layer's count.  Other
         counts come from ``dataclasses.replace`` on the returned rule.
         """
         angular = max(DEFAULT_ANGULAR, _required_angular_nodes(z))
-        return cls(DEFAULT_RADIAL, angular, Mobius(z) if singular else None)
+        return cls(DEFAULT_RADIAL, angular, Mobius() if singular else None)
 
 
 @dataclass(frozen=True)
@@ -450,7 +442,7 @@ def _unit_gap(z: complex) -> float:
 
 
 def _mobius_integral(f: FieldFn, b: complex, s: float, rule: DiskRule, weigh: Callable) -> Integral:
-    """The Mobius rule's integral of f times weigh's factor, center checked against b.
+    """The Mobius rule's integral of f times weigh's factor, singular at b.
 
     w = (b - a)/(1 - conj(b) a) sends a = 0 to the singular point; the
     Jacobian is (1-|b|^2)^2/|1 - conj(b) a|^4.  In polar a-coordinates the
@@ -466,14 +458,9 @@ def _mobius_integral(f: FieldFn, b: complex, s: float, rule: DiskRule, weigh: Ca
     t_out^(1/(2-s)), value and estimate miss the layer together (err/est 3
     to 9 at 1 - |b| = 1e-6), and the sum raises ``DomainError`` before any
     field evaluation: 1 - |b| < 7.8e-5 for 256 radial nodes at s = 1.  A
-    rule centered elsewhere, or whose outermost ring has fewer angles than
-    b's layer needs (``_required_angular_nodes``), raises
-    ``ConfigurationError`` first.
+    rule whose outermost ring has fewer angles than b's layer needs
+    (``_required_angular_nodes``) raises ``ConfigurationError`` first.
     """
-    if abs(rule.singularity.center - b) > 1e-12:
-        raise ConfigurationError(
-            f"rule is centered at {rule.singularity.center:.8g} but the singularity is at {b:.8g}"
-        )
     _check_angles(rule, b)
     beta = 1.0 / (2.0 - s)
     gap, reach = 1.0 - _kronrod01((rule.radial_nodes - 1) // 2)[0][-1] ** beta, 2.0**0.25 - 1.0
@@ -564,12 +551,11 @@ def integrate_disk_singular(
     """Integral of g(w) |w - b|^{-s} over the disk, s in (0, 2).
 
     The rule supplies the singular factor in its own coordinates, and its
-    strategy picks the method.  Mobius substitution (center must match b)
-    flattens the singularity exactly: each node weighs g by c^(2-s)
-    |D|^(s-4), c = 1 - |b|^2, D = 1 - conj(b) a, on the nested rule.  Its
-    outermost ring must carry the angles of b's boundary layer, as in
-    ``DiskRule.for_point(b)``; fewer raise ``ConfigurationError`` before any
-    field evaluation.
+    strategy picks the method.  Mobius substitution at b flattens the
+    singularity exactly: each node weighs g by c^(2-s) |D|^(s-4), c = 1 -
+    |b|^2, D = 1 - conj(b) a, on the nested rule.  Its outermost ring must
+    carry the angles of b's boundary layer, as in ``DiskRule.for_point(b)``;
+    fewer raise ``ConfigurationError`` before any field evaluation.
     Annulus exclusion at epsilon, epsilon/2, epsilon/4 applies two-stage
     Richardson extrapolation on the expansion exponents 2-s and 4-s, which
     hold for a g smooth at b.  The stages share the nested sum outside
@@ -628,6 +614,8 @@ def truncated_singular_integral(
     the largest epsilon is summed once on the rule's nested rings, and each
     shell between consecutive epsilons on its own shorter nested rule
     (``_annulus_stages``); the values are the stages' integrals of |f|.
+    The rule gives node counts only: one with a singularity strategy
+    raises ``ConfigurationError``.
     """
     eps = [float(e) for e in epsilon_list]
     if not eps:
@@ -641,4 +629,6 @@ def truncated_singular_integral(
         raise DomainError(f"truncation center must lie in the closed disk, |b| = {abs(b):g}")
     if rule is None:
         rule = DiskRule()
+    if rule.singularity is not None:
+        raise ConfigurationError("the truncation ladder takes no singularity strategy")
     return [stage.value.real for stage in _annulus_stages(lambda w: np.abs(f(w)), b, 0.0, eps, rule)]

@@ -89,15 +89,6 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def gamma_sign(x: float) -> float:
-    """Sign of Gamma(x) for non-integer x (and +1 for positive x)."""
-    if x > 0:
-        return 1.0
-    if x == int(x):
-        raise DomainError(f"Gamma sign undefined at the pole x = {x}")
-    return -1.0 if int(math.floor(x)) % 2 else 1.0
-
-
 def _check_finite(x, terms: int) -> None:
     # the summation kernels let numpy overflow quietly, then refuse here
     if not np.isfinite(x).all():

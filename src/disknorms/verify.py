@@ -263,6 +263,7 @@ def suite_operators(cfg: VerifyConfig) -> List[ReportRow]:
 
     # Mobius substitution vs annulus exclusion on seeded singular integrands
     excess = 0.0
+    mobius = DiskRule(192, 96, Mobius())
     for _ in range(10):
         b = complex(*(0.6 * rng.uniform(-1, 1) / math.sqrt(2.0) for _ in range(2)))
         s = rng.uniform(0.5, 1.5)
@@ -272,7 +273,7 @@ def suite_operators(cfg: VerifyConfig) -> List[ReportRow]:
             w = np.asarray(w, dtype=complex)
             return c0 + c1 * w + c2 * np.conj(w)
 
-        via_mobius = integrate_disk_singular(g, b, s, DiskRule(192, 96, Mobius(b)))
+        via_mobius = integrate_disk_singular(g, b, s, mobius)
         via_annulus = integrate_disk_singular(g, b, s, DiskRule(192, 96, AnnulusExclude(0.05)))
         diff = abs(via_mobius.value - via_annulus.value)
         budget = via_mobius.abs_error_estimate + via_annulus.abs_error_estimate
@@ -376,12 +377,11 @@ def suite_norms(cfg: VerifyConfig) -> List[ReportRow]:
         )
     )
 
+    mobius = DiskRule(256, 512, Mobius())
     for p in (3.0, 4.0, 10.0):
         q = p / (p - 1.0)
         closed = closed_form_norm(NormQuery(Operator.CAUCHY, p, Target.L_INFINITY)).value
-        quad = integrate_disk_singular(
-            np.ones_like, 0.0, q, DiskRule(256, 512, Mobius(0.0))
-        ).value.real ** (1.0 - 1.0 / p)
+        quad = integrate_disk_singular(np.ones_like, 0.0, q, mobius).value.real ** (1.0 - 1.0 / p)
         rows.append(
             _match(
                 f"p-to-sup closed form vs center energy by quadrature, p={p:g}",

@@ -9,8 +9,10 @@ started to pass, the suite would flag that too.  See README for the
 analysis.
 """
 
+import csv
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,7 +224,7 @@ def _assert_substitution_and_exclusion_agree(seed):
             w = np.asarray(w, dtype=complex)
             return c0 + c1 * w + c2 * np.conj(w)
 
-        via_mobius = integrate_disk_singular(g, b, s, DiskRule(192, 96, Mobius(b)))
+        via_mobius = integrate_disk_singular(g, b, s, DiskRule(192, 96, Mobius()))
         via_annulus = integrate_disk_singular(g, b, s, DiskRule(192, 96, AnnulusExclude(0.05)))
         budget = via_mobius.abs_error_estimate + via_annulus.abs_error_estimate
         assert abs(via_mobius.value - via_annulus.value) <= budget
@@ -262,3 +264,16 @@ def test_runtime_target_full_verify_suite():
     # exactly one designed failure: the criterion-5 proximity clause
     failed = [r.label for r in rows if not r.passed]
     assert failed == ["M1(0.99) within 2% of 4/pi"]
+
+
+@pytest.mark.parametrize("seed", [42, 0])
+def test_verify_rows_match_the_benchmark_reference(seed):
+    # the benchmark fails every verify run whose labels differ from this
+    # file's, in order; the labels do not depend on the seed
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "verify_seed42.csv"
+    with path.open(newline="") as handle:
+        labels = [row["label"] for row in csv.DictReader(handle)]
+    assert len(labels) == 52
+    rows = run_suite("all", VerifyConfig(seed=seed))
+    assert [r.label for r in rows] == labels
+    assert {r.label for r in rows if r.status != "PASS"} == {"M1(0.99) within 2% of 4/pi"}

@@ -110,13 +110,9 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             apply(Operator.CAUCHY, lambda w: w, 0.2, DiskRule(64, 128))
 
-    def test_mismatched_mobius_center(self):
-        with pytest.raises(ConfigurationError):
-            apply(Operator.CAUCHY, lambda w: w, 0.2, DiskRule(64, 128, Mobius(0.3)))
-
     def test_bounded_op_rejects_singular_rule(self):
         with pytest.raises(ConfigurationError):
-            apply(Operator.J0, lambda w: w, 0.2, DiskRule(64, 128, Mobius(0.2)))
+            apply(Operator.J0, lambda w: w, 0.2, DiskRule(64, 128, Mobius()))
 
     def test_explicit_rule_must_cover_boundary_layer(self):
         # |z| = 0.95 needs ceil(64 / 0.05) = 1280 angular nodes
@@ -131,7 +127,7 @@ class TestValidation:
 class TestMonomialImages:
     def test_cauchy_monomials(self):
         for z in Z_POINTS:
-            rule = DiskRule(64, 128, Mobius(z))
+            rule = DiskRule(64, 128, Mobius())
             for j in range(4):
                 for k in range(4):
                     got = apply(Operator.CAUCHY, poly_field({(j, k): 1.0}), z, rule)
@@ -215,9 +211,9 @@ def test_cdelta_decomposition_random_fields():
         z = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
         if abs(z) > 0.75:
             z *= 0.75 / abs(z)
-        combined = apply(Operator.C_DELTA, f, z, DiskRule(48, 96, Mobius(z)))
+        combined = apply(Operator.C_DELTA, f, z, DiskRule(48, 96, Mobius()))
         adjoint = apply(Operator.J0_STAR, f, z, DiskRule(48, 96))
-        cauchy = apply(Operator.CAUCHY, f, z, DiskRule(48, 96, Mobius(z)))
+        cauchy = apply(Operator.CAUCHY, f, z, DiskRule(48, 96, Mobius()))
         diff = abs(combined.value - (adjoint.value - cauchy.value))
         budget = (
             combined.abs_error_estimate
@@ -236,7 +232,7 @@ def test_linearity():
     fg = lambda w: alpha * f(w) + beta * g(w)
     for op in Operator:
         for z in (0.25 + 0.3j, -0.5 + 0.1j):
-            rule = DiskRule(48, 96, Mobius(z)) if op in (Operator.CAUCHY, Operator.C_DELTA) else DiskRule(48, 96)
+            rule = DiskRule(48, 96, Mobius()) if op in (Operator.CAUCHY, Operator.C_DELTA) else DiskRule(48, 96)
             lhs = apply(op, fg, z, rule).value
             rhs = alpha * apply(op, f, z, rule).value + beta * apply(op, g, z, rule).value
             assert abs(lhs - rhs) < 1e-9, (op, z)
@@ -258,12 +254,11 @@ class TestDbarIdentity:
 
     @pytest.mark.parametrize("op", [Operator.C_DELTA, Operator.CAUCHY])
     def test_explicit_mobius_rule_matches_default(self, op):
-        # the Mobius strategy re-centers at each shifted point, wherever the
-        # given rule was centered; the default runs the mode engine instead
+        # one Mobius rule runs at each shifted point; the default runs the
+        # mode engine instead
         f = poly_field({(1, 0): 1.0, (0, 2): 0.5})
         z = 0.2 + 0.1j
-        explicit = dbar_identity_residual(f, z, 1e-3, DiskRule(256, 512, Mobius(z)), op=op)
-        assert explicit == dbar_identity_residual(f, z, 1e-3, DiskRule(256, 512, Mobius(0.0)), op=op)
+        explicit = dbar_identity_residual(f, z, 1e-3, DiskRule(256, 512, Mobius()), op=op)
         assert abs(explicit - dbar_identity_residual(f, z, 1e-3, op=op)) <= 1e-9
 
     @pytest.mark.parametrize("op", [Operator.C_DELTA, Operator.CAUCHY])
@@ -286,7 +281,7 @@ class TestDbarIdentity:
         with pytest.raises(ConfigurationError):
             dbar_identity_residual(f, 0.2 + 0.1j, 1e-3, DiskRule(64, 128), op=Operator.CAUCHY)
         with pytest.raises(ConfigurationError):
-            dbar_identity_residual(f, 0.95, 1e-3, DiskRule(64, 512, Mobius(0.95)))
+            dbar_identity_residual(f, 0.95, 1e-3, DiskRule(64, 512, Mobius()))
         assert f.sizes == []
 
     def test_tiny_step_raises_precision_error(self):
@@ -295,7 +290,7 @@ class TestDbarIdentity:
                 lambda w: np.ones_like(w),
                 0.2 + 0.1j,
                 1e-13,
-                rule=DiskRule(16, 32, Mobius(0.2 + 0.1j)),
+                rule=DiskRule(16, 32, Mobius()),
             )
 
     def test_bad_step_rejected(self):
@@ -334,7 +329,7 @@ class TestAdjointPairing:
 
     def test_rejects_singular_rule(self):
         with pytest.raises(ConfigurationError):
-            adjoint_pairing_residual(lambda w: w, lambda w: w, DiskRule(32, 64, Mobius(0.1)))
+            adjoint_pairing_residual(lambda w: w, lambda w: w, DiskRule(32, 64, Mobius()))
 
     @pytest.mark.parametrize("nr, na", [(8, 16), (16, 48), (32, 64), (13, 37), (48, 96), (64, 32)])
     def test_matches_dense_kernel_sum(self, nr, na):

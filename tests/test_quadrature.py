@@ -38,8 +38,6 @@ def test_rule_validation():
         AnnulusExclude(0.6)
     with pytest.raises(ConfigurationError):
         AnnulusExclude(0.0)
-    with pytest.raises(ConfigurationError):
-        Mobius(1.0 + 0.0j)
     # the Kronrod rule's Jacobi matrix is dense, about radial_nodes^2 entries
     with pytest.raises(ConfigurationError, match="radial_nodes must be <= 2048, got 2049"):
         DiskRule(radial_nodes=2049)
@@ -64,7 +62,7 @@ def test_large_radial_count_runs():
     # where its construction once failed with a LinAlgError
     got = integrate_disk(lambda w: (w * np.conj(w)) ** 4, DiskRule(1024, 16))
     assert abs(got.value - 0.2) <= 1e-14
-    got = integrate_disk_singular(np.ones_like, 0.3, 1.5, DiskRule(1024, 64, Mobius(0.3)))
+    got = integrate_disk_singular(np.ones_like, 0.3, 1.5, DiskRule(1024, 64, Mobius()))
     assert abs(got.value - pf.profile_K(3.0, 0.3)) <= 1e-6
 
 
@@ -76,7 +74,6 @@ def test_for_point_scales_angular_nodes():
     assert _required_angular_nodes(0.1) == 16
     rule = DiskRule.for_point(0.3 + 0.2j, singular=True)
     assert isinstance(rule.singularity, Mobius)
-    assert rule.singularity.center == 0.3 + 0.2j
 
 
 def test_integrate_disk_trivials():
@@ -149,13 +146,11 @@ def test_singular_requires_strategy_and_valid_exponent():
     f = np.ones_like
     with pytest.raises(ConfigurationError):
         integrate_disk_singular(f, 0.0, 1.0, DiskRule(8, 16))
-    rule = DiskRule(8, 16, Mobius(0.0))
+    rule = DiskRule(8, 16, Mobius())
     with pytest.raises(DomainError):
         integrate_disk_singular(f, 0.0, 2.0, rule)
     with pytest.raises(DomainError):
         integrate_disk_singular(f, 0.0, -0.5, rule)
-    with pytest.raises(ConfigurationError):
-        integrate_disk_singular(f, 0.3, 1.0, rule)  # center mismatch
     with pytest.raises(ConfigurationError):
         # excluded ball pokes out of the disk
         integrate_disk_singular(f, 0.8, 1.0, DiskRule(8, 16, AnnulusExclude(0.3)))
@@ -163,7 +158,7 @@ def test_singular_requires_strategy_and_valid_exponent():
 
 def test_singular_radial_powers_at_origin():
     # the rule supplies |w|^-s; g = 1
-    rule = DiskRule(32, 32, Mobius(0.0))
+    rule = DiskRule(32, 32, Mobius())
     got = integrate_disk_singular(np.ones_like, 0.0, 1.0, rule)
     assert abs(got.value - 2.0) <= 1e-12
     got = integrate_disk_singular(np.ones_like, 0.0, 4.0 / 3.0, rule)
@@ -174,12 +169,12 @@ def test_singular_radial_powers_at_origin():
 def test_singular_off_center_matches_profile():
     # q = 1 Cauchy-kernel energy at rho = 0.3, profile route as oracle
     expected = pf.profile_K(math.inf, 0.3)
-    got = integrate_disk_singular(np.ones_like, 0.3, 1.0, DiskRule(64, 64, Mobius(0.3)))
+    got = integrate_disk_singular(np.ones_like, 0.3, 1.0, DiskRule(64, 64, Mobius()))
     assert abs(got.value - expected) <= 1e-5
     got = integrate_disk_singular(np.ones_like, 0.3, 1.0, DiskRule(64, 128, AnnulusExclude(0.05)))
     assert abs(got.value - expected) <= 1e-5
     # and the q = 3/2 case against the closed form
-    got = integrate_disk_singular(np.ones_like, 0.3, 1.5, DiskRule(64, 64, Mobius(0.3)))
+    got = integrate_disk_singular(np.ones_like, 0.3, 1.5, DiskRule(64, 64, Mobius()))
     assert abs(got.value - pf.profile_K(3.0, 0.3)) <= 1e-6
 
 
@@ -197,7 +192,7 @@ def test_mobius_annulus_agreement_seeded():
             return 1.0 + c1 * w + c2 * w * w
 
         eps = min(0.05, (1.0 - abs(b)) / 3.0)
-        via_m = integrate_disk_singular(g, b, s, DiskRule(96, 128, Mobius(b)))
+        via_m = integrate_disk_singular(g, b, s, DiskRule(96, 128, Mobius()))
         via_a = integrate_disk_singular(g, b, s, DiskRule(96, 128, AnnulusExclude(eps)))
         tol = max(via_m.abs_error_estimate, via_a.abs_error_estimate) + 1e-10
         assert abs(via_m.value - via_a.value) <= tol
@@ -245,6 +240,16 @@ def test_truncated_validation():
         truncated_singular_integral(f, 0.0, [0.1, 0.1])
     with pytest.raises(DomainError):
         truncated_singular_integral(f, 2.0, [0.1])
+
+
+@pytest.mark.parametrize("strategy", [Mobius(), AnnulusExclude(0.4)])
+def test_truncation_refuses_a_rule_with_a_strategy(strategy):
+    # the ladder reads only the rule's node counts, so a strategy would go
+    # unheeded: both rules would return the plain rule's T(0.1) = 0.99
+    f = CountingField(np.ones_like)
+    with pytest.raises(ConfigurationError, match="no singularity strategy"):
+        truncated_singular_integral(f, 0.0, [0.1], DiskRule(64, 32, strategy))
+    assert f.sizes == []
 
 
 def test_truncated_boundary_center():
@@ -320,7 +325,7 @@ def test_annulus_error_within_its_estimate_against_a_fine_mobius_rule():
             return c0 + c1 * np.asarray(w) + c2 * np.conj(w)
 
         annulus = integrate_disk_singular(g, b, s, DiskRule(192, 96, AnnulusExclude(0.05)))
-        fine = integrate_disk_singular(g, b, s, DiskRule(512, 96, Mobius(b))).value
+        fine = integrate_disk_singular(g, b, s, DiskRule(512, 96, Mobius())).value
         assert abs(annulus.value - fine) <= annulus.abs_error_estimate
 
 
@@ -401,7 +406,7 @@ def test_every_rule_sums_through_the_nested_ring_sum(monkeypatch):
     monkeypatch.setattr(quadrature, "_nested", counting)
     runs = {
         "tensor": (lambda: integrate_disk(field, DiskRule(16, 32)), 1),
-        "mobius": (lambda: integrate_disk_singular(field, 0.3, 1.0, DiskRule(16, 32, Mobius(0.3))), 1),
+        "mobius": (lambda: integrate_disk_singular(field, 0.3, 1.0, DiskRule(16, 32, Mobius())), 1),
         "annulus": (lambda: integrate_disk_singular(field, 0.3, 1.0, DiskRule(16, 32, AnnulusExclude(0.05))), 3),
         "truncated": (lambda: truncated_singular_integral(field, 1.0, [0.1, 0.01], DiskRule(16, 32)), 2),
         "apply": (lambda: apply("j0", field, 0.3, DiskRule(16, 32)), 1),
@@ -454,18 +459,37 @@ def test_under_angled_mobius_rule_is_refused():
     b = 0.999
     f = CountingField(np.ones_like)
     with pytest.raises(ConfigurationError, match="requires at least 64000"):
-        integrate_disk_singular(f, b, 1.5, DiskRule(256, 512, Mobius(b)))
+        integrate_disk_singular(f, b, 1.5, DiskRule(256, 512, Mobius()))
     assert f.sizes == []
     got = integrate_disk_singular(np.ones_like, b, 1.5, DiskRule.for_point(b, singular=True))
     assert abs(got.value - pf.profile_K(3.0, b)) <= got.abs_error_estimate
 
 
 def test_mobius_rule_for_a_point_on_the_circle_is_refused():
-    # a center within 1e-12 of b passes the center check, but no angular
-    # count resolves the layer of a point with |b| = 1
+    # the closed disk admits b = 1, but no angular count resolves the
+    # layer of a point on the circle
     f = CountingField(np.ones_like)
     with pytest.raises(DomainError, match="on the unit circle"):
-        integrate_disk_singular(f, 1.0, 1.0, DiskRule(64, 128, Mobius(1.0 - 1e-13)))
+        integrate_disk_singular(f, 1.0, 1.0, DiskRule(64, 128, Mobius()))
+    assert f.sizes == []
+
+
+def test_one_mobius_rule_runs_at_every_point_it_is_given():
+    # the strategy holds no point: a rule sized for 0.3 is the rule sized
+    # for any b with |b| <= 0.9 (512 angles each), and it is refused where
+    # b's layer needs more angles than it has
+    def g(w):
+        return 1.0 + 0.5 * np.asarray(w) - 0.25j * np.conj(w)
+
+    rule = DiskRule.for_point(0.3, singular=True)
+    for b in (0.3, -0.5 + 0.2j):
+        own = DiskRule.for_point(b, singular=True)
+        assert own == rule and own.angular_nodes == 512
+        got, want = (integrate_disk_singular(g, b, 1.2, r) for r in (rule, own))
+        assert (got.value, got.abs_error_estimate) == (want.value, want.abs_error_estimate)
+    f = CountingField(g)
+    with pytest.raises(ConfigurationError, match="requires at least 1280"):
+        integrate_disk_singular(f, 0.95, 1.2, rule)
     assert f.sizes == []
 
 

@@ -128,16 +128,6 @@ def test_ln_gamma_matches_factorials():
         sf.ln_gamma(-2.5)
 
 
-def test_gamma_sign_reflection():
-    # Gamma alternates sign between consecutive negative integers
-    assert sf.gamma_sign(2.5) == 1.0
-    assert sf.gamma_sign(-0.5) == -1.0  # Gamma(-1/2) = -2 sqrt(pi)
-    assert sf.gamma_sign(-1.5) == 1.0  # Gamma(-3/2) = 4 sqrt(pi)/3
-    assert sf.gamma_sign(-2.5) == -1.0
-    with pytest.raises(DomainError):
-        sf.gamma_sign(-3.0)
-
-
 def test_spec_validation():
     with pytest.raises(DomainError):
         sf.HypergeometricSpec((0.5,), (-1.0,), 0.5)
