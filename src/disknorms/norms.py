@@ -311,7 +311,7 @@ def extremal_function(op: Operator, p: float, b: complex) -> FieldFn:
             f"extremal families exist only for p > 2 (or infinity); got p = {p:g}"
         )
     b = complex(b)
-    if abs(b) >= 1.0:
+    if not abs(b) < 1.0:
         raise DomainError(f"anchor must be interior, got |b| = {abs(b):.6g}")
     q = _conjugate_exponent(p)
 

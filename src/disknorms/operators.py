@@ -90,7 +90,7 @@ _BOUNDARY_MARGIN = 1e-6
 # the mode engine's rings per radial interval (2*16 + 1 Gauss-Kronrod) and
 # its angular counts, doubled from the first up to the last
 _MODE_RINGS = 16
-_MODE_START = 16
+_MODE_START = 32
 _MODE_CAP = 2048
 # the check grid's turn in units of its angle step: irrational, so that a
 # mode aliased on both grids lands with another phase
@@ -117,8 +117,8 @@ def _eval_scalar(f: FieldFn, z: complex) -> complex:
 
 def _check_point(op: Operator, z: complex) -> complex:
     z = complex(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"evaluation point |z| = {abs(z):.6g} is outside the open disk")
+    if not abs(z) < 1.0:
+        raise DomainError(f"evaluation point |z| = {abs(z):.6g} is not inside the open disk")
     if op not in _SINGULAR_OPS and abs(z) > 1.0 - _BOUNDARY_MARGIN:
         raise DomainError(
             f"{op.value} evaluation restricted to |z| <= {1.0 - _BOUNDARY_MARGIN}; got |z| = {abs(z):.9g}"
@@ -172,24 +172,28 @@ def _mode_integral(op: Operator, f: FieldFn, z: complex) -> tuple[Integral, bool
     f is sampled on the 33 Gauss-Kronrod rings of ``_kronrod01(16)``: over
     [0, 1] for the bounded operators, and over [0, |z|] and [|z|, 1] for
     cauchy and cdelta, whose j0star part uses the same samples.  Each ring
-    has N angles, N = 16, 32, ... up to 2048; each doubling evaluates only
-    the new odd angles, and one FFT per level gives the modes f_n(rho) for
-    |n| < N/2.  A level's value K sums the mode series above on the Kronrod
-    rings, its G on the Gauss rings among them, and the level before is
-    K_half.  The rounding floor is 8 eps times the sum of |terms| and of
-    each ring's largest |f| times its |multipliers|, the FFT's error in
-    every mode.  A level settles once |K - K_half| is within the floor and
-    every mode with |n| >= N/4 is within 16 eps of the largest field value.
-    A mode beyond N/2 can alias to the same low mode on N and N/2 angles
-    and pass both tests, so a settled level is checked on N/2 more angles
-    turned by an irrational fraction of their step, where such a mode lands
-    with another phase: every mode with |n| < N/4 must agree within the
-    same 16 eps.  The doubling stops at a settled level or at the cap.  The
-    estimate is |K - G| + |K - K_half| + floor, plus the check's largest
-    disagreement times the multipliers; the flag says that f was resolved:
-    the level settled and |K - G| too is within the floor.  The first K_half
-    is formed once its level's high modes pass.  No field call covers more
-    than ``_BLOCK`` nodes.
+    has N angles, N = 32, 64, ... up to 2048, and one FFT per level gives
+    the modes f_n(rho) for |n| < N/2.  A level's value K sums the mode
+    series above on the Kronrod rings, its G on the Gauss rings among them,
+    and K_half sums it, with the same multipliers, over the folded spectrum
+    X[k] + X[k + N/2], which is exactly the DFT of the even angles.  The
+    rounding floor is 8 eps times the sum of |terms| and of each ring's
+    largest |f| times its |multipliers|, the FFT's error in every mode.  A
+    level settles once every mode with |n| >= N/4 is within 16 eps of the
+    largest field value and |K - K_half| is within the floor.  A mode beyond
+    N/2 can alias to the same low mode on N and N/2 angles and pass both
+    tests, so a settled level is checked on N/2 more angles turned by an
+    irrational fraction of their step, where such a mode lands with another
+    phase: every mode with |n| < N/4 must agree within the same 16 eps.
+    The first field call takes the 32 angles and the 16 that check them, so
+    a field of angular bandwidth below 8 settles on one call; each doubling
+    evaluates only the new odd angles, and its check once it settles.  The
+    doubling stops at a settled level or at the cap; only a level whose high
+    modes pass, or the cap, forms the sums.  The estimate is |K - G| + |K -
+    K_half| + floor, plus the check's largest disagreement times the
+    multipliers; the flag says that f was resolved: the level settled and
+    |K - G| too is within the floor.  No field call covers more than
+    ``_BLOCK`` nodes.
     """
     t, wk, wg = _kronrod01(_MODE_RINGS)
     r = abs(z)
@@ -202,11 +206,15 @@ def _mode_integral(op: Operator, f: FieldFn, z: complex) -> tuple[Integral, bool
         ratio = np.concatenate([unit.conjugate() * t, unit * r / rho[t.size :]])
         outer = np.arange(rho.size) >= t.size
         wk, wg = (np.concatenate([r * w, (1.0 - r) * w]) for w in (wk, wg))
-    x = rho * z
+    x, inner = rho * z, ~outer[:, None]
 
     def sample(angles):
         rows = max(1, _BLOCK // angles.size)
         return np.concatenate([_eval_nodes(f, rho[i : i + rows, None] * angles) for i in range(0, rho.size, rows)])
+
+    def turned(count):
+        # the angle by which the check grid of a level of count angles is turned
+        return 2.0 * math.pi * _MODE_TURN / (count // 2)
 
     def powers(base, count):
         # base^k for k < count as (base^m)^q base^j, k = q m + j: 2 sqrt(count) powers a ring
@@ -214,56 +222,66 @@ def _mode_integral(op: Operator, f: FieldFn, z: complex) -> tuple[Integral, bool
         coarse, fine = (base[:, None] ** m) ** np.arange(-(-count // m)), base[:, None] ** np.arange(m)
         return (coarse[:, :, None] * fine[:, None, :]).reshape(rho.size, -1)[:, :count]
 
-    def level(vals):
-        count = vals.shape[1]
-        spectrum = np.fft.fft(vals, axis=1) / count
+    def series(count):
+        # (multiplier, mode coefficient) pairs of the modes n < count/2 - 1
         n = np.arange(count // 2 - 1)
-        same, up = spectrum[:, n], spectrum[:, n + 1]
-        parts = []  # (multiplier, mode coefficient) pairs
+        parts = []
         if op is not Operator.CAUCHY:
             xn = powers(x, n.size)
         if op is Operator.J0:
-            parts.append((2.0 * z * rho[:, None] * xn, same))
+            parts.append((2.0 * z * rho[:, None] * xn, lambda s, n: s[:, n]))
         elif op is Operator.BERGMAN:
-            parts.append((2.0 * (n + 1) * rho[:, None] * xn, same))
+            parts.append((2.0 * (n + 1) * rho[:, None] * xn, lambda s, n: s[:, n]))
         elif op is not Operator.CAUCHY:
-            parts.append((2.0 * rho[:, None] ** 2 * xn, up))
+            parts.append((2.0 * rho[:, None] ** 2 * xn, lambda s, n: s[:, n + 1]))
         if singular:
             sign = 2.0 if op is Operator.CAUCHY else -2.0
-            inner, table = ~outer[:, None], powers(ratio, n.size + 1)
-            parts.append(
-                (sign * np.where(inner, -table[:, 1:], table[:, :-1]), np.where(inner, spectrum[:, -n], up))
-            )
-        terms = sum(m * c for m, c in parts)
-        sums = terms.sum(axis=1)
-        # each term's roundings, and the FFT's: about eps max|f| in every mode
-        reach = sum(np.abs(m) for m, _ in parts).sum(axis=1)
-        floor = 8.0 * _EPS * np.dot(wk, np.abs(terms).sum(axis=1) + np.abs(vals).max(axis=1) * reach)
-        return spectrum, np.dot(wk, sums), np.dot(wg, sums), floor, np.dot(wk, reach)
+            table = powers(ratio, n.size + 1)
+            around = lambda s, n: np.where(inner, s[:, -n], s[:, n + 1])
+            parts.append((sign * np.where(inner, -table[:, 1:], table[:, :-1]), around))
+        return parts
+
+    def terms(parts, spectrum):
+        # the series on the modes n < L/2 - 1 of a spectrum of even length L,
+        # one multiplier column a mode; the coefficients are bound before the
+        # products, or numpy writes a product into a coefficient's temporary,
+        # column-major buffer and the rows are summed in another order
+        n = np.arange(spectrum.shape[1] // 2 - 1)
+        pairs = [(m, coefficient(spectrum, n)) for m, coefficient in parts]
+        return sum(m * c for m, c in pairs)
 
     count = _MODE_START
-    vals = sample(_angles(count))
-    half = None
+    both = sample(np.concatenate([_angles(count), _angles(count // 2) * np.exp(1j * turned(count))]))
+    vals, check = both[:, :count], both[:, count:]
     while True:
-        spectrum, kronrod, gauss, floor, reach = level(vals)
+        spectrum = np.fft.fft(vals, axis=1) / count
         small = 16.0 * _EPS * np.abs(vals).max()
         quarter, alias = count // 4, 0.0
         settled = np.abs(spectrum[:, quarter : count - quarter + 1]).max() <= small
-        if settled and half is None:
-            half = level(vals[:, ::2])[1]
-        settled = settled and abs(kronrod - half) <= floor
+        if settled or count == _MODE_CAP:
+            parts = series(count)
+            full = terms(parts, spectrum)
+            sums = full.sum(axis=1)
+            kronrod = np.dot(wk, sums)
+            folded = spectrum[:, : 2 * quarter] + spectrum[:, 2 * quarter :]
+            half = np.dot(wk, terms([(m[:, : quarter - 1], c) for m, c in parts], folded).sum(axis=1))
+            # each term's roundings, and the FFT's: about eps max|f| in every mode
+            reach = sum(np.abs(m) for m, _ in parts).sum(axis=1)
+            floor = 8.0 * _EPS * np.dot(wk, np.abs(full).sum(axis=1) + np.abs(vals).max(axis=1) * reach)
+            settled = settled and abs(kronrod - half) <= floor
         if settled:
-            n = np.arange(1 - quarter, quarter)
-            turn = 2.0 * math.pi * _MODE_TURN / (count // 2)
-            check = np.fft.fft(sample(_angles(count // 2) * np.exp(1j * turn)), axis=1) / (count // 2)
-            gap = np.abs(check[:, n] * np.exp(-1j * turn * n) - spectrum[:, n]).max()
-            settled, alias = gap <= small, gap * reach
+            n, turn = np.arange(1 - quarter, quarter), turned(count)
+            if check is None:
+                check = sample(_angles(count // 2) * np.exp(1j * turn))
+            turned_spectrum = np.fft.fft(check, axis=1) / (count // 2)
+            gap = np.abs(turned_spectrum[:, n] * np.exp(-1j * turn * n) - spectrum[:, n]).max()
+            settled, alias = gap <= small, gap * np.dot(wk, reach)
         if settled or count == _MODE_CAP:
             break
         odd = sample(_angles(2 * count)[1::2])
         vals = np.stack([vals, odd], axis=2).reshape(rho.size, 2 * count)
-        count, half = 2 * count, kronrod
-    radial = abs(kronrod - gauss)
+        count, check = 2 * count, None
+    radial = abs(kronrod - np.dot(wg, sums))
     estimate = radial + abs(kronrod - half) + floor + alias
     return Integral(complex(kronrod), float(estimate)), settled and radial <= floor
 
@@ -283,15 +301,18 @@ def _quadrature(op: Operator, f: FieldFn, z: complex, rule: DiskRule) -> Integra
 def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None) -> Integral:
     """Evaluate one operator at an interior point.
 
-    ``rule=None`` evaluates by angular modes (``_mode_integral``): a field
-    of angular bandwidth B costs 33 rings (66 for cauchy and cdelta) times
-    1.5 times the first power of two from 16 above 4B angles (the half is
-    the aliasing check) at every |z|, so a degree-4 polynomial costs 1,584
-    or 3,168 field nodes, and cauchy and cdelta answer up to the rim.  If the modes do not resolve f (a field
-    with its own layer near the rim needs more than 2048 angles, one
-    singular inside the disk more than 33 rings), the quadrature rule of
-    ``DiskRule.for_point`` runs too, where it reaches, and the result with
-    the smaller estimate is returned.
+    ``rule=None`` evaluates by angular modes (``_mode_integral``) at a cost
+    set by the field's angular bandwidth B at every |z|, on 33 rings (66
+    for cauchy and cdelta at z != 0): a field settles at the first N = 32,
+    64, ... angles with B <= N/4 - 2 (B <= N/4 - 1 for j0star).  The first
+    field call takes 32 angles and the 16 that check them for aliasing, so
+    a field with B <= 6, such as a polynomial of degree 6, costs that one
+    call of 1,584 or 3,168 nodes; a wider one costs 1.5 N + 16 angles a
+    ring.  cauchy and cdelta answer up to the rim.  If the modes do not
+    resolve f (a field with its own layer near the rim needs more than
+    2048 angles, one singular inside the disk more than 33 rings), the
+    quadrature rule of ``DiskRule.for_point`` runs too, where it reaches,
+    and the result with the smaller estimate is returned.
 
     An explicit rule takes the quadrature route of the module docstring,
     validated rather than silently upgraded, before any field evaluation:

@@ -150,8 +150,8 @@ def _required_angular_nodes(z: complex) -> int:
     r = abs(z)
     if r <= _LAYER_FREE:
         return 16
-    if r >= 1.0:
-        raise DomainError(f"no angular count resolves the layer of a point on the unit circle, |z| = {r:g}")
+    if not r < 1.0:
+        raise DomainError(f"no angular count resolves the layer of a point on the unit circle or past it, |z| = {r:g}")
     return max(16, int(math.ceil(_LAYER_DECAY / (1.0 - r))))
 
 
@@ -564,12 +564,19 @@ def integrate_disk_singular(
     extrapolation step plus A times the last stage's estimate, where A =
     (1 + r1)(1 + r2)/((1 - r1)(1 - r2)), r1 = 2^(s-2), r2 = 2^(s-4), is
     the absolute sum of the Richardson weights: each stage's estimate adds
-    to the one before, so the last bounds them all.
+    to the one before, so the last bounds them all.  The exponents are
+    checked on the stage ratio (t1 - t0)/(t2 - t1), which is 1/r1 when the
+    first leads: if the differences stand 100 times above the last stage's
+    estimate and the ratio is further than 3/5 of 1/r1 from it, the 4-s
+    term would carry more of t1 - t0 than the 2-s term, and the estimate
+    is widened by |t2 - t1|, which covers any single exponent at or above
+    2-s.  A g whose angular factor cancels the 2-s term, such as f(w) |w -
+    b|/(w - b) at s = 1, has ratio 4, not 2.
     """
     if not 0.0 < s < 2.0:
         raise DomainError(f"singularity exponent s = {s:g} is not integrable")
     b = complex(b)
-    if abs(b) > 1.0:
+    if not abs(b) <= 1.0:
         raise DomainError(f"singular point must lie in the closed disk, |b| = {abs(b):g}")
     sing = rule.singularity
     if sing is None:
@@ -597,7 +604,11 @@ def integrate_disk_singular(
     first = [(t1 - r1 * t0) / (1.0 - r1), (t2 - r1 * t1) / (1.0 - r1)]
     value = (first[1] - r2 * first[0]) / (1.0 - r2)
     amplification = (1.0 + r1) * (1.0 + r2) / ((1.0 - r1) * (1.0 - r2))
-    return Integral(value, abs(value - first[1]) + amplification * stages[-1].abs_error_estimate)
+    estimate = abs(value - first[1]) + amplification * stages[-1].abs_error_estimate
+    d1, d2 = t1 - t0, t2 - t1
+    if abs(d2) > 100.0 * stages[-1].abs_error_estimate and abs(r1 * d1 - d2) > 0.6 * abs(d2):
+        estimate += abs(d2)
+    return Integral(value, estimate)
 
 
 def truncated_singular_integral(
@@ -625,7 +636,7 @@ def truncated_singular_integral(
     if any(eps[i + 1] >= eps[i] for i in range(len(eps) - 1)):
         raise DomainError("epsilons must be strictly decreasing")
     b = complex(b)
-    if abs(b) > 1.0 + 1e-12:
+    if not abs(b) <= 1.0 + 1e-12:
         raise DomainError(f"truncation center must lie in the closed disk, |b| = {abs(b):g}")
     if rule is None:
         rule = DiskRule()

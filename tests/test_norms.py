@@ -269,6 +269,10 @@ class TestExtremalFamilies:
             extremal_function(Operator.J0, 3.0, 0.0)
         with pytest.raises(DomainError):
             extremal_function(Operator.J0_STAR, INF, 0.0)
+        # at p = infinity no profile reads |b|, so only the anchor check sees a NaN
+        for op in (Operator.CAUCHY, Operator.J0, Operator.J0_STAR):
+            with pytest.raises(DomainError):
+                extremal_function(op, INF, complex("nan"))
 
     def test_cauchy_member_unit_norm(self):
         # |f|^p has an anchor singularity of exponent q; the rule supplies

@@ -100,6 +100,21 @@ class TestValidation:
             with pytest.raises(DomainError):
                 apply(op, lambda w: w, 1.0 + 0.0j)
 
+    @pytest.mark.parametrize("z", [complex("nan"), complex(0.3, math.nan), complex(math.inf, 0.0)], ids=str)
+    def test_non_finite_point_is_refused_before_any_field_call(self, z):
+        # NaN passed |z| >= 1: apply ran the mode engine, then raised a bare
+        # ValueError from the fallback rule
+        for op in Operator:
+            for rule in (None, DiskRule.for_point(0.0, singular=op in (Operator.CAUCHY, Operator.C_DELTA))):
+                f = CountingField({(1, 0): 1.0})
+                with pytest.raises(DomainError):
+                    apply(op, f, z, rule)
+                assert f.sizes == [], (op, rule)
+            f = CountingField({(1, 0): 1.0})
+            with pytest.raises(DomainError):
+                dbar_identity_residual(f, z, 1e-3, op=op)
+            assert f.sizes == []
+
     def test_bounded_ops_need_interior_margin(self):
         z = (1.0 - 1e-7) + 0.0j
         for op in (Operator.J0, Operator.J0_STAR, Operator.BERGMAN):
@@ -645,21 +660,27 @@ class TestWork:
 
     @pytest.mark.parametrize("op", list(Operator))
     def test_default_work_does_not_depend_on_the_radius(self, op):
-        # a degree-4 polynomial settles at 32 angles on 33 rings, or on 66
-        # for cauchy and cdelta (split at |z|), at any distance from the rim
+        # polynomials of degree 4 and 6 settle at 32 angles on 33 rings, or
+        # on 66 for cauchy and cdelta (split at |z| > 0), at any distance
+        # from the rim: one call takes the 32 angles and the 16 turned ones
+        # that check them.  Degree 6 is the most one call resolves for every
+        # operator: K_half on 16 angles sums modes n <= 6 only
         singular = op in (Operator.CAUCHY, Operator.C_DELTA)
-        gaps = (0.5, 1e-6, 1e-8, 1e-12) if singular else (0.5, 1e-2, 1e-6)
-        for gap in gaps:
-            f = CountingField(self.COEFFS)
-            apply(op, f, (1.0 - gap) * complex(math.cos(0.7), math.sin(0.7)))
-            # 16 angles, the 16 odd ones of 32, and 16 turned ones checking 32
-            assert f.sizes == [528 * (1 + singular)] * 3, (op, gap)
+        radii = (0.0, 0.5) + (SINGULAR_RADII if singular else BOUNDED_RADII)
+        rng = np.random.default_rng(6)
+        degree6 = {(a, b): complex(*rng.normal(size=2)) for a in range(7) for b in range(7 - a)}
+        for coeffs in (self.COEFFS, degree6):
+            for radius in radii:
+                f = CountingField(coeffs)
+                apply(op, f, radius * complex(math.cos(0.7), math.sin(0.7)))
+                assert f.sizes == [1584 * (1 + (singular and radius > 0))], (op, radius)
 
     @pytest.mark.parametrize("op", [Operator.J0_STAR, Operator.C_DELTA])
     def test_doublings_evaluate_no_node_twice(self, op):
         # exp(2w + conj(w)) has modes above the rounding level past |n| = 16,
-        # so it takes 128 angles: 16 at first, then only the new odd angles
-        # of 32, 64 and 128, and 64 turned ones that check 128
+        # so it takes 128 angles: 32 and the 16 turned ones that would have
+        # checked them at first, then only the new odd angles of 64 and 128,
+        # and 64 turned ones that check 128
         seen = []
 
         def f(w):
@@ -668,14 +689,15 @@ class TestWork:
 
         apply(op, f, 0.6 + 0.3j)
         rings = 33 * (1 + (op is Operator.C_DELTA))
-        assert [v.size for v in seen] == [rings * n for n in (16, 16, 32, 64, 64)]
+        assert [v.size for v in seen] == [rings * n for n in (48, 32, 64, 64)]
         nodes = np.concatenate(seen)
         assert np.unique(nodes).size == nodes.size
 
     def test_default_calls_stay_bounded_at_the_cap(self):
         # sign(Im w) never settles (its modes fall like 1/n), so the modes
         # double to 2048 angles, the odd 1024 of each ring taken 8 rings a
-        # call, and then the quadrature runs too
+        # call, and then the quadrature runs too; the first call's 16 check
+        # angles a ring are the only ones spent on no level
         sizes = []
 
         def f(w):
@@ -684,12 +706,16 @@ class TestWork:
 
         apply(Operator.BERGMAN, f, 0.0)
         assert max(sizes) <= 8192
-        assert sum(sizes) == 33 * 2048 + 130_560
+        assert sum(sizes) == 33 * (2048 + 16) + 130_560
 
 
-# monomials w^d conj(w)^e whose mode d - e lies past N/2 of the first levels:
-# w^13 lands on mode -3 at both 16 and 8 angles, w^16 on mode 0
-ALIASED = [(13, 0), (16, 0), (19, 0), (40, 0), (0, 13), (0, 16), (17, 1), (3, 19)]
+# monomials w^d conj(w)^e whose mode d - e lies past N/2 of a level and its
+# half, so that both pass the level's tests: w^29 lands on mode -3 at both
+# 32 and 16 angles, the pair the first field call samples, and w^32 on mode
+# 0; w^13 and w^16 do the same at 16 and 8 angles
+ALIASED = [(13, 0), (16, 0), (19, 0), (40, 0), (0, 13), (0, 16), (17, 1), (3, 19)] + [
+    (29, 0), (32, 0), (0, 29), (0, 32), (33, 1), (3, 35)
+]
 
 
 @pytest.mark.parametrize("op", list(Operator))

@@ -381,6 +381,29 @@ def test_annulus_estimate_covers_under_resolved_rules(name, nr, na, b, s):
     assert abs(got.value - _fine_mobius(name, b, s)) <= got.abs_error_estimate
 
 
+def test_annulus_estimate_widens_when_the_stage_ratio_refutes_its_exponents():
+    # g = f(w) |w - z|/(w - z) at s = 1 integrates the Cauchy transform of a
+    # degree-1 f; its angular factor cancels the eps^(2-s) term, the stage
+    # ratio is 4 instead of 2^(2-s) = 2, and the extrapolation missed by 4/3
+    # of its estimate before the estimate was widened by |t2 - t1|.  f itself
+    # follows the exponents, and its estimate stays at the rounding level
+    rule = DiskRule(192, 96, AnnulusExclude(0.05))
+    rng = np.random.default_rng(24)
+    for _ in range(4):
+        c0, c1, c2 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        z = complex(*(0.4 * rng.uniform(-1.0, 1.0, 2)))
+
+        def f(w, c0=c0, c1=c1, c2=c2):
+            w = np.asarray(w, dtype=complex)
+            return c0 + c1 * w + c2 * np.conj(w)
+
+        # the integrals of 1, w and conj(w) against 1/(w - z)
+        want = -c0 * z.conjugate() + c1 * (1.0 - abs(z) ** 2) - c2 * z.conjugate() ** 2 / 2.0
+        got = integrate_disk_singular(lambda w: f(w) * np.abs(w - z) / (w - z), z, 1.0, rule)
+        assert abs(got.value - want) <= got.abs_error_estimate, (got, want)
+        assert integrate_disk_singular(f, z, 1.0, rule).abs_error_estimate < 1e-12
+
+
 def test_every_rule_sums_through_the_nested_ring_sum(monkeypatch):
     # one ring sum for every polar rule: each field node is evaluated
     # inside quadrature._nested, so a private per-rule sum cannot come back
@@ -471,6 +494,26 @@ def test_mobius_rule_for_a_point_on_the_circle_is_refused():
     f = CountingField(np.ones_like)
     with pytest.raises(DomainError, match="on the unit circle"):
         integrate_disk_singular(f, 1.0, 1.0, DiskRule(64, 128, Mobius()))
+    assert f.sizes == []
+
+
+NON_FINITE = [complex("nan"), complex(0.3, math.nan), complex(math.inf, 0.0), complex(0.2, -math.inf)]
+
+
+@pytest.mark.parametrize("b", NON_FINITE, ids=str)
+def test_non_finite_points_are_refused_before_any_field_call(b):
+    # NaN passed |b| > 1: the Mobius sum raised a bare ValueError and the
+    # truncation ladder returned [0.0]
+    with pytest.raises(DomainError):
+        _required_angular_nodes(b)
+    for rule in (DiskRule(64, 64, Mobius()), DiskRule(64, 64, AnnulusExclude(0.1))):
+        f = CountingField(np.ones_like)
+        with pytest.raises(DomainError):
+            integrate_disk_singular(f, b, 1.0, rule)
+        assert f.sizes == []
+    f = CountingField(np.ones_like)
+    with pytest.raises(DomainError):
+        truncated_singular_integral(f, b, [0.1])
     assert f.sizes == []
 
 
