@@ -172,9 +172,12 @@ def _parse_grid(text: Optional[str], default: Sequence[float]) -> List[float]:
     if text is None:
         return list(default)
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise DiskNormsError(f"could not parse --p grid {text!r}") from None
+    if not grid:
+        raise DiskNormsError(f"--p grid {text!r} names no exponent")
+    return grid
 
 
 def cmd_table(args) -> int:

@@ -42,6 +42,7 @@ from .profiles import _conjugate_exponent, a_p_constant, profile_K, profile_M, p
 from .quadrature import (
     DiskRule,
     FieldFn,
+    _MAX_RADIAL,
     _eval_nodes,
     _gauss01,
     integrate_disk_singular,
@@ -416,6 +417,14 @@ def mode_best_constant(d: int) -> Tuple[float, Callable]:
     return 1.0 / (d * (d + 1)), maximizer
 
 
+def _mode_grid_nodes(d: int) -> int:
+    """Nodes of mode d's Rayleigh grid: 256, past d = 255 the power of two above d."""
+    n = max(256, 1 << d.bit_length())
+    if n > _MAX_RADIAL:
+        raise DomainError(f"mode {d} needs a {n}-node Gauss grid, past the {_MAX_RADIAL}-node cap")
+    return n
+
+
 def mode_rayleigh_maximum(d: int) -> float:
     """Grid maximum of the mode-d Rayleigh quotient (4 A_d^2 / d) / (2 int r f^2).
 
@@ -423,12 +432,14 @@ def mode_rayleigh_maximum(d: int) -> float:
     grid is attained exactly at the weight profile r^d; evaluating there IS
     the grid maximization, by the discrete Cauchy-Schwarz equality case.
     The grid is the 256-node radial Gauss rule that ``mode_reduce`` uses,
-    widened to d + 1 nodes past d = 255 so it stays exact for t^(2d+1).
+    widened past d = 255 to the power of two above d, at least d + 1 nodes,
+    so it stays exact for t^(2d+1) and a sweep builds one rule per doubling;
+    d past 2047 raises ``DomainError``.
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise DomainError(f"mode index must be a positive integer, got {d!r}")
     d = int(d)
-    t, w = _gauss01(max(256, d + 1))
+    t, w = _gauss01(_mode_grid_nodes(d))
     prof = t**d
     moment = float(np.sum(w * t ** (d + 1) * prof))
     energy = 2.0 * float(np.sum(w * t * prof * prof))
@@ -439,7 +450,9 @@ def l2_norm_numeric(max_d: int) -> NormResult:
     """L2 norm of the conjugate-weighted kernel operator from the mode sweep."""
     if not isinstance(max_d, (int, np.integer)) or max_d < 1:
         raise DomainError(f"max_d must be a positive integer, got {max_d!r}")
-    best = max(mode_rayleigh_maximum(d) for d in range(1, int(max_d) + 1))
+    max_d = int(max_d)
+    _mode_grid_nodes(max_d)  # refuse a sweep past the cap before any mode is summed
+    best = max(mode_rayleigh_maximum(d) for d in range(1, max_d + 1))
     return NormResult(
         math.sqrt(best),
         NormKind.EXACT_NORM,

@@ -216,6 +216,14 @@ class TestTableCommand:
         assert code == 2
         assert "could not parse" in err
 
+    @pytest.mark.parametrize("kind", ["interpolation", "lp_linf_curves", "profiles"])
+    @pytest.mark.parametrize("grid", ["", ",", " , "])
+    def test_empty_grid_is_refused(self, capsys, kind, grid):
+        code, out, err = run_cli(capsys, "table", kind, "--p", grid)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "names no exponent" in err
+
     def test_profiles_table_monotone(self, capsys):
         code, out, _ = run_cli(capsys, "table", "profiles")
         assert code == 0

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 import sys
 
 import numpy as np
@@ -31,7 +32,7 @@ from disknorms.norms import (
 from disknorms.operators import Operator, apply
 from disknorms.profiles import profile_K, profile_M, profile_N
 from disknorms import norms, operators, quadrature, verify
-from disknorms.quadrature import DiskRule, integrate_disk, integrate_disk_singular
+from disknorms.quadrature import DiskRule, Mobius, integrate_disk, integrate_disk_singular
 from disknorms.specfun import bessel_j0_smallest_zero
 from disknorms.verify import VerifyConfig, suite_norms
 
@@ -379,6 +380,26 @@ class TestUpperBoundDominance:
             assert max(ratios) <= bound + 1e-12
 
 
+def _record_gauss_builds(monkeypatch):
+    """The Gauss rule sizes built from now on, in build order.
+
+    Every module that binds _gauss01 gets a fresh recording build, and the
+    Kronrod rules are rebuilt, so the sizes do not depend on what ran before.
+    """
+    sizes = []
+    build = quadrature._gauss01.__wrapped__
+
+    @functools.lru_cache(maxsize=None)
+    def recording(n):
+        sizes.append(n)
+        return build(n)
+
+    for module in (quadrature, norms, operators, verify):
+        monkeypatch.setattr(module, "_gauss01", recording)
+    quadrature._kronrod01.cache_clear()
+    return sizes
+
+
 class TestModes:
     def test_reduce_examples(self):
         c = mode_reduce(1, lambda r: np.ones_like(r))
@@ -426,30 +447,72 @@ class TestModes:
         for d in range(1, 51):
             want = 1.0 / (d * (d + 1))
             assert abs(mode_rayleigh_maximum(d) - want) <= 1e-12 * want, d
-        # past d = 255 the rule widens to d + 1 nodes to stay exact
-        for d in (256, 300):
+        # past d = 255 the rule widens to the power of two above d to stay exact
+        for d in (256, 300, 511, 512, 1000):
             want = 1.0 / (d * (d + 1))
             assert abs(mode_rayleigh_maximum(d) - want) <= 1e-10 * want, d
 
+    def test_rayleigh_sweep_builds_one_rule_per_doubling(self, monkeypatch):
+        sizes = _record_gauss_builds(monkeypatch)
+        assert l2_norm_numeric(400).value == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert sizes == [256, 512]
+
+    def test_rayleigh_grid_past_the_cap_is_refused_before_any_build(self, monkeypatch):
+        sizes = _record_gauss_builds(monkeypatch)
+        for call in (lambda: mode_rayleigh_maximum(2048), lambda: l2_norm_numeric(2048)):
+            with pytest.raises(DomainError, match="2048-node cap"):
+                call()
+        assert sizes == []
+
     def test_norms_suite_builds_only_the_shared_radial_rules(self, monkeypatch):
         # every radial sum of the norms suite runs on the cached 256-node
-        # rule (or the default rule's 127-node Gauss half); a larger Gauss
-        # rule would cost a dense eigen-solve.  Every module that binds
-        # _gauss01 gets the recording build, and the Kronrod rules are
-        # rebuilt, so the sizes do not depend on what ran before
-        sizes = []
-        build = quadrature._gauss01.__wrapped__
-
-        @functools.lru_cache(maxsize=None)
-        def recording(n):
-            sizes.append(n)
-            return build(n)
-
-        for module in (quadrature, norms, operators, verify):
-            monkeypatch.setattr(module, "_gauss01", recording)
-        quadrature._kronrod01.cache_clear()
+        # rule, the default rule's 127-node Gauss half, or the mode engine's
+        # 33-ring rule and its 16-node Gauss half; a larger Gauss rule would
+        # cost a dense eigen-solve.  The sizes do not depend on what ran before
+        sizes = _record_gauss_builds(monkeypatch)
         suite_norms(VerifyConfig())
-        assert sizes and set(sizes) <= {127, 256}, sorted(set(sizes))
+        assert sizes and set(sizes) <= {16, 127, 256}, sorted(set(sizes))
+
+    def test_norms_suite_field_work(self, monkeypatch):
+        # ten mode-3 sums on 33 x 256 nodes, three center energies on 33 x
+        # 16, three extremal lower bounds on the default 255 x 512 rule and
+        # one 256-node mode reduction
+        nodes = []
+        count = quadrature._eval_nodes
+
+        def counting(f, w):
+            nodes.append(np.size(w))
+            return count(f, w)
+
+        for module in (quadrature, norms, operators):
+            monkeypatch.setattr(module, "_eval_nodes", counting)
+        suite_norms(VerifyConfig())
+        assert sum(nodes) == 10 * 8448 + 3 * 528 + 3 * 130560 + 256 == 478000
+
+    @pytest.mark.parametrize("seed", [42, 0])
+    def test_norms_suite_mode3_rule_resolves_its_row(self, seed):
+        # the suite's 33 x 256 rule against the 256 x 512 rule at its points
+        rng = random.Random(seed)
+        zs = [0.8 * math.sqrt(rng.uniform(0.05, 1)) * np.exp(2j * math.pi * rng.uniform(0, 1)) for _ in range(10)]
+
+        def g(w):
+            w = np.asarray(w, dtype=complex)
+            r = np.abs(w)
+            return (1.0 - r) * (w / r) ** 3
+
+        for z in zs:
+            small = apply(Operator.J0_STAR, g, complex(z), DiskRule(33, 256))
+            large = apply(Operator.J0_STAR, g, complex(z), DiskRule(256, 512))
+            assert abs(small.value - large.value) <= 1e-16, z
+            assert small.abs_error_estimate <= 1e-14, z
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 10.0])
+    def test_norms_suite_center_energy_rule_is_exact(self, p):
+        # at b = 0 the Mobius substitution makes the integrand 2/(2 - q)
+        q = p / (p - 1.0)
+        got = integrate_disk_singular(np.ones_like, 0.0, q, DiskRule(33, 16, Mobius())).value
+        want = 2.0 / (2.0 - q)
+        assert abs(got - want) <= 4 * np.finfo(float).eps * want
 
     def test_rayleigh_decreasing_in_mode(self):
         vals = [mode_rayleigh_maximum(d) for d in range(1, 9)]
