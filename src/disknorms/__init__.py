@@ -16,7 +16,6 @@ The package is organized bottom-up:
 
 from .errors import (
     ConfigurationError,
-    ConvergenceError,
     DiskNormsError,
     DivergenceError,
     DomainError,
@@ -67,7 +66,6 @@ __all__ = [
     "AnnulusExclude",
     "COUNTEREXAMPLE_NAMES",
     "ConfigurationError",
-    "ConvergenceError",
     "DiskNormsError",
     "DiskRule",
     "DivergenceError",

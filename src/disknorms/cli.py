@@ -22,7 +22,7 @@ from .errors import DiskNormsError
 from .norms import NormQuery, Target, closed_form_norm, riesz_thorin_bound
 from .operators import Operator
 from .profiles import _conjugate_exponent, profile_K, profile_M, profile_N
-from .verify import SUITE_NAMES, VerifyConfig, run_suite
+from .verify import SUITE_NAMES, run_suite
 
 OP_CHOICES = ["cauchy", "bergman", "j0", "j0star", "cdelta"]
 
@@ -31,11 +31,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
+def _real(text: str) -> float:
+    # float() reads a token past the double range, such as 1e400, as inf
+    value = float(text)
+    if math.isinf(value) and text.strip().lstrip("+-").lower() not in ("inf", "infinity"):
+        raise OverflowError(f"{text.strip()!r} is past the double range (write inf for infinity)")
+    return value
+
+
 def _option(flag: str, convert: Callable, valid: Callable, what: str) -> Callable:
     # an argparse type: convert the text, then require valid(value)
     def parse(text: str):
         try:
             value = convert(text)
+        except OverflowError as exc:
+            raise argparse.ArgumentTypeError(f"{flag} {exc}") from None
         except ValueError:
             value = None
         if value is None or not valid(value):
@@ -45,7 +55,7 @@ def _option(flag: str, convert: Callable, valid: Callable, what: str) -> Callabl
     return parse
 
 
-_parse_p = _option("--p", float, lambda v: not math.isnan(v), "a real number or 'inf'")
+_parse_p = _option("--p", _real, lambda v: not math.isnan(v), "a real number or 'inf'")
 _parse_seed = _option("--seed", int, lambda v: v >= 0, "an integer >= 0")
 _parse_tol = _option("--tol", float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
@@ -128,7 +138,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows = run_suite(args.suite, VerifyConfig(seed=args.seed), tol_override=args.tol)
+    rows = run_suite(args.suite, seed=args.seed, tol_override=args.tol)
     n_pass = sum(r.passed for r in rows)
     if args.format == "csv":
         text = _csv_text(
@@ -172,7 +182,9 @@ def _parse_grid(text: Optional[str], default: Sequence[float]) -> List[float]:
     if text is None:
         return list(default)
     try:
-        grid = [float(tok) for tok in text.split(",") if tok.strip()]
+        grid = [_real(tok) for tok in text.split(",") if tok.strip()]
+    except OverflowError as exc:
+        raise DiskNormsError(f"--p grid {text!r}: {exc}") from None
     except ValueError:
         raise DiskNormsError(f"could not parse --p grid {text!r}") from None
     if not grid:

@@ -13,10 +13,6 @@ class DivergenceError(DiskNormsError, ArithmeticError):
     """The requested series or integral diverges (or is non-integrable)."""
 
 
-class ConvergenceError(DiskNormsError, ArithmeticError):
-    """A parameter/argument combination gives a divergent series."""
-
-
 class PrecisionError(DiskNormsError, ArithmeticError):
     """The requested tolerance was not reached within the work cap.
 

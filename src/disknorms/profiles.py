@@ -6,7 +6,8 @@ q-energies of the two fractional-integral kernels, and F/H carry the
 monotonicity structure of K.  F, K, M and N take one radius or an array,
 summed as one grid of ``hyp_pfq`` with every check applied to each entry
 and the closed forms at 0 and 1 kept; each entry equals the lone call on
-it, and a scalar in gives a float out.
+it, and a scalar in gives a float out.  N(1) = A(p) is the one series
+summed at unit argument, in Thomae's form by ``specfun._thomae_sum``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .specfun import (
     hyp_pfq,
     ln_gamma,
     riemann_zeta,
-    _sum_unit_argument,
+    _thomae_sum,
 )
 
 _INTERNAL_TOL = 1e-12
@@ -116,19 +117,6 @@ def profile_M(q: float, rho):
     return float(out[0]) if np.ndim(rho) == 0 else out
 
 
-def _boundary_N(q: float, b: float, tol: float) -> SeriesValue:
-    """N_q(1) through Thomae's relation, b = 2 - q.
-
-    N_q(1) = Gamma(b)/Gamma(c)^2 3F2(-a, 1, b; c, c; 1) with a = q/2 and
-    c = a + b, whose terms keep one sign after t_0, decay like n^-(3a+b) and
-    never exceed 1 in size, so they cannot overflow: |(n-a)(n+b)| < (n+c)^2.
-    """
-    a = 0.5 * q
-    c = a + b
-    prefactor = math.gamma(b) / math.gamma(c) ** 2
-    return _sum_unit_argument((-a, 1.0, b), (c, c), tol, prefactor)
-
-
 def profile_N(q: float, rho, tol: float) -> SeriesValue:
     """q-energy of the conjugate-weighted kernel conj(w)/(1 - conj(w) z).
 
@@ -141,10 +129,10 @@ def profile_N(q: float, rho, tol: float) -> SeriesValue:
     At rho = 1 that series has parameter excess b = 2 - q and terms decaying
     like n^-(3-q).  Thomae's relation (Bailey 1935, 3.2; DLMF 16.4) turns it
     into Gamma(b)/Gamma(2-q/2)^2 3F2(-q/2, 1, b; 2-q/2, 2-q/2; 1), whose
-    terms decay like n^-(2+q/2) and keep one sign after the first.  That
-    series goes through the unit-argument kernel behind ``hyp_pfq`` at
-    x = 1; tail_bound adds its Gamma-ratio bracket of the remaining tail,
-    the rounding of every summed term, and that of the prefactor and a, b, c.
+    terms decay like n^-(2+q/2) and keep one sign after the first.
+    ``specfun._thomae_sum`` sums it; tail_bound adds its Gamma-ratio bracket
+    of the remaining tail, the rounding of every summed term, and that of
+    the prefactor and a, b, c.
 
     For an array rho, value and tail_bound are arrays, terms_used the most
     any entry took; a refusal names its series argument rho^2.
@@ -157,7 +145,7 @@ def profile_N(q: float, rho, tol: float) -> SeriesValue:
     edge = grid == 1.0
     if edge.any():
         _check_blowup(q, "N(1) = A(p)")
-        boundary = _boundary_N(q, 2.0 - q, tol)
+        boundary = _thomae_sum(0.5 * q, 2.0 - q, tol)
         value[edge], bound[edge], terms = boundary.value, boundary.tail_bound, boundary.terms_used
     if not edge.all():
         r = grid[~edge]
@@ -203,8 +191,8 @@ def a_p_constant(p: float, tol: float) -> SeriesValue:
     as p -> 2+ sits in Gamma(b), so b = 2 - q = (p-2)/(p-1) is computed
     from p rather than from the rounded q: near p = 2 that keeps the
     relative error of b, and of A(p), at a few ulps.  The tail_bound comes
-    from ``specfun``'s unit-argument kernel: a Gamma-ratio bracket of the
-    series tail plus every rounding (see ``profile_N``).  Verifies the
+    from ``specfun._thomae_sum``, the kernel of this one series: a
+    Gamma-ratio bracket of its tail plus every rounding.  Verifies the
     zeta-function ceiling on the way out; a violation would mean the
     summation itself went wrong.
     """
@@ -215,7 +203,7 @@ def a_p_constant(p: float, tol: float) -> SeriesValue:
     _check_blowup(q, "N(1) = A(p)")
     if tol <= 0:
         raise DomainError("tol must be positive")
-    result = _boundary_N(q, b, tol)
+    result = _thomae_sum(0.5 * q, b, tol)
     ceiling = a_p_upper_bound(p)
     if result.value - result.tail_bound > ceiling:
         raise EvaluationError(

@@ -58,12 +58,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, EvaluationError
+from .specfun import _EPS
 
 FieldFn = Callable[[complex], complex]
 
 DEFAULT_RADIAL = 256
 DEFAULT_ANGULAR = 512
-_EPS = 2.220446049250313e-16
 # points within this radius have no boundary layer to resolve
 _LAYER_FREE = 0.9
 # each ring's trapezoid aliasing weight is kept below e^-_LAYER_DECAY

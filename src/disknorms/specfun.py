@@ -7,9 +7,10 @@ Everything here is pure and thread-safe.
 Hypergeometric series are summed in numpy blocks: the exact term ratio of a
 whole block is formed in one expression and the terms are its cumulative
 product, carried on from the block before, one row for each argument of a
-grid.  Below unit argument the tail bound is a geometric tail once the
-ratio is provably monotone; at unit argument the tail is bracketed between
-two Gamma-ratio tails that match the terms through their n^-2 order.  Both
+grid, and the tail bound is a geometric tail once the ratio is provably
+monotone.  The one series summed at unit argument, Thomae's form of the
+constant A(p), has its own kernel: its tail is bracketed between two
+Gamma-ratio tails that match the terms through their n^-2 order.  Both
 add a count of every rounding behind the summed terms.
 """
 
@@ -21,14 +22,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError, DomainError, PrecisionError
+from .errors import DivergenceError, DomainError, PrecisionError
 
 TERM_CAP = 10_000_000
 _EPS = 2.220446049250313e-16
 
 # Interior series are summed in numpy blocks of 64 terms doubling to 2^14,
-# unit-argument series in blocks of 4096.  Roundings behind the bound, each
-# counted as eps (twice the unit roundoff, which also covers the
+# Thomae's series for A(p) in blocks of 4096.  Roundings behind the bound,
+# each counted as eps (twice the unit roundoff, which also covers the
 # higher-order terms): a term t_n carries n ratios, and each ratio step
 # costs one rounding per parameter shift (a+n, b+n), one per product with
 # x, a or b, one division and one in the cumulative product, 2(p+q) + 2 in
@@ -89,70 +90,48 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _check_finite(x, terms: int) -> None:
-    # the summation kernels let numpy overflow quietly, then refuse here
-    if not np.isfinite(x).all():
-        raise PrecisionError(
-            f"series terms overflow double precision within {terms} terms"
-        )
-
-
 def _stops(upper):
     """The k of every upper parameter -k: each makes t_k the last nonzero term."""
     return [int(-a) for a in upper if a <= 0.0 and a.is_integer()]
 
 
-def _sum_unit_argument(upper, lower, tol, scale=1.0):
-    """scale * pFq(upper; lower; 1) for p = q + 1, bracketed (see hyp_pfq).
+def _thomae_sum(a, b, tol):
+    """Gamma(b)/Gamma(c)^2 3F2(-a, 1, b; c, c; 1), c = a + b: A(p) by Thomae.
 
-    The terms have the ratio r(n) = prod(n+a) / prod(n+d) over the upper
-    parameters a and the denominators d (the lower parameters and the
-    factorial's 1, which an upper parameter 1 cancels) and decay like n^-s,
-    s = 1 + sum(lower) - sum(upper).  The tail past the last summed term is
-    bracketed against g_n = Gamma(n+beta)/Gamma(n+beta+s): its ratio
-    (n+beta)/(n+beta+s) matches r(n) through the 1/n^2 term, its tail from N
-    sums exactly to g_N (N+beta+s-1)/(s-1), and once N exceeds every |shift|
-    t_n/g_n moves by at most a factor exp(+-drift) past N, where drift bounds
-    the summed remainders |log r(n) - log(g_{n+1}/g_n)| = O(n^-3).
-    The bracket's width shrinks with the drift like N^-2 while its rounding
-    slack grows like N, so each block also bounds from below the bound of
-    every later block up to TERM_CAP, and a tolerance below all of them is
-    refused at once.
+    Summed for a = q/2 and b = 2 - q, q in [1, 2).  The terms have the ratio
+    r(n) = (n-a)(n+b)/(n+c)^2 (the upper 1 cancels the factorial), keep the
+    sign of t_1 after t_0 = 1, never exceed 1 in size, since |(n-a)(n+b)| <
+    (n+c)^2, and decay like n^-s, s = 1 + 2c - (1 - a + b) = 2 + q/2 >= 2.5.
+    The tail past the last summed term is bracketed against g_n =
+    Gamma(n+beta)/Gamma(n+beta+s): its ratio (n+beta)/(n+beta+s) matches
+    r(n) through the 1/n^2 term, its tail from N sums exactly to
+    g_N (N+beta+s-1)/(s-1), and past N, t_n/g_n moves by at most a factor
+    exp(+-drift), where drift bounds the summed remainders |log r(n) -
+    log(g_{n+1}/g_n)| = O(n^-3).  Every shift -a, b, c, beta, beta+s is at
+    most 1.9 in size, below every N, and after the first block of 4096 terms
+    drift is at most 1.5e-7 for every q in [1, 2), so each block brackets
+    its tail.  Rounding in s tilts the tail by at most 52 eps, below the
+    (10 N + 8) eps that the ratios' roundings add to the bracket from the
+    first block on.  The bracket's width shrinks with the drift like N^-2
+    while its rounding slack grows like N, so each block also bounds from
+    below the bound of every later block up to TERM_CAP, and a tolerance
+    below all of them is refused at once.
     """
-    s = 1.0 + sum(lower) - sum(upper)
-    if s <= 1.0:
-        raise ConvergenceError(
-            f"pFq diverges at unit argument (decay exponent {s:.6g} <= 1)"
-        )
-    ups, downs = list(upper), list(lower)
-    if 1.0 in ups:
-        ups.remove(1.0)
-    else:
-        downs.insert(0, 1.0)
-    down_sq = sum(d * d for d in downs)
-    up_sq = sum(a * a for a in ups)
+    c = a + b
+    scale = math.gamma(b) / math.gamma(c) ** 2
+    s = 1.0 + 2.0 * c - (1.0 - a + b)
+    down_sq, up_sq = 2.0 * c * c, a * a + b * b
     beta = (down_sq - up_sq - s * s) / (2.0 * s)
-    # log(1 + x/n) terms of log r(n) - log(g_{n+1}/g_n), as x: multiplicity
-    shifts = {}
-    for x in ups + downs + [beta, beta + s]:
-        shifts[x] = shifts.get(x, 0) + 1
-    reach = max(abs(x) for x in shifts)
-    cubes = sum(m * abs(x) ** 3 / 3.0 for x, m in shifts.items())
-    roundings = _RATIO_ROUNDINGS + 2 * (len(ups) + len(lower))
-    # Rounding in beta leaves a 1/n^2 mismatch of at most `mismatch`, which
-    # sums to mismatch/n0 past N; rounding in s tilts the decay exponent,
-    # which moves the tail by about that error over s - 1 (`tilt` roundings).
-    mismatch = (len(ups) + len(downs) + 4) * _EPS * max(s * s, down_sq + up_sq)
-    tilt = 2 * (len(upper) + len(lower) + 1) * (1.0 + sum(map(abs, upper + lower)))
-    tilt /= s - 1.0
+    # log(1 + x/n) terms of log r(n) - log(g_{n+1}/g_n), as (x, multiplicity)
+    shifts = ((-a, 1), (b, 1), (c, 2), (beta, 1), (beta + s, 1))
+    cubes = sum(m * abs(x) ** 3 / 3.0 for x, m in shifts)
+    roundings = _RATIO_ROUNDINGS + 2 * (2 + 2)  # 2(p+q) + 2 with p = q = 2
+    # rounding in beta leaves a 1/n^2 mismatch of at most `mismatch`, which
+    # sums to mismatch/n0 past N
+    mismatch = 8 * _EPS * max(s * s, down_sq + up_sq)
 
-    def ratio(n):  # factors multiplied left to right, in the given order
-        num, den = n + ups[0], n + downs[0]
-        for a in ups[1:]:
-            num *= n + a
-        for d in downs[1:]:
-            den *= n + d
-        return num / den
+    def ratio(n):
+        return (n - a) * (n + b) / ((n + c) * (n + c))
 
     total = carry = 1.0  # t_0
     n0 = 0
@@ -166,31 +145,26 @@ def _sum_unit_argument(upper, lower, tol, scale=1.0):
         total += float(terms.sum())
         sum_err += _EPS * (_SUM_ROUNDINGS * float(mags.sum()) + abs(total))
         weighted += float(np.dot(n, mags))
-        _check_finite(total + weighted, n0 + _UNIT_BLOCK)
         n0 += _UNIT_BLOCK
         carry = float(terms[-1])
         big_n = n0 + 1
-        value, bound, floor, drift = scale * total, math.inf, 0.0, math.inf
-        if big_n > reach:
-            # sum of n^-3 over n >= N is below 1/(2 n0^2)
-            drift = mismatch / n0 + sum(
-                m * abs(x) ** 3 / (3.0 * (1.0 - abs(x) / big_n))
-                for x, m in shifts.items()
-            ) / (2.0 * n0 * n0)
-        if drift < 1.0:  # a bracket within a factor e of its middle
-            next_term = carry * ratio(float(n0))
-            slack = max(roundings * big_n + 8, tilt) * _EPS
-            mid = next_term * (big_n + beta + s - 1.0) / (s - 1.0)
-            lo = mid * math.exp(-drift) * (1.0 - slack)
-            hi = mid * math.exp(drift) * (1.0 + slack)
-            value = scale * (total + 0.5 * (lo + hi))
-            floor = scale * (sum_err + roundings * _EPS * weighted)
-            floor += _SCALE_ROUNDINGS * _EPS * abs(value)
-            bound = scale * 0.5 * abs(hi - lo) + floor
+        # sum of n^-3 over n >= N is below 1/(2 n0^2)
+        drift = mismatch / n0 + sum(
+            m * abs(x) ** 3 / (3.0 * (1.0 - abs(x) / big_n)) for x, m in shifts
+        ) / (2.0 * n0 * n0)
+        next_term = carry * ratio(float(n0))
+        slack = (roundings * big_n + 8) * _EPS
+        mid = next_term * (big_n + beta + s - 1.0) / (s - 1.0)
+        lo = mid * math.exp(-drift) * (1.0 - slack)
+        hi = mid * math.exp(drift) * (1.0 + slack)
+        value = scale * (total + 0.5 * (lo + hi))
+        floor = scale * (sum_err + roundings * _EPS * weighted)
+        floor += _SCALE_ROUNDINGS * _EPS * abs(value)
+        bound = scale * 0.5 * abs(hi - lo) + floor
         target = tol * max(1.0, abs(value))
         if bound <= target:
             return SeriesValue(value, big_n, bound)
-        if drift < 1.0 and big_n <= TERM_CAP:
+        if big_n <= TERM_CAP:
             # The least bound a later block can reach.  At its N' the half
             # width of the bracket is at least |mid'| (drift' + slack'),
             # drift' is at least cubes / (2 (N'-1)^2), and |mid'| is at least
@@ -202,13 +176,12 @@ def _sum_unit_argument(upper, lower, tol, scale=1.0):
             x0 = big_n + beta
             share = (x0 / (later + beta + s - 1.0)) ** (s - 1.0)
             share *= math.exp(-drift) / (1.0 + 1.0 / x0)
-            width = cubes / (2.0 * (later - 1.0) ** 2)
-            width += np.maximum(roundings * later + 8, tilt) * _EPS
+            width = cubes / (2.0 * (later - 1.0) ** 2) + (roundings * later + 8) * _EPS
             floor = max(floor, scale * abs(mid) * float(np.min(share * width)))
         if floor > target or big_n > TERM_CAP:
             raise PrecisionError(
-                f"tolerance {tol:g} unreachable at unit argument: bound "
-                f"{bound:g} after {big_n} terms, least reachable bound {floor:g}",
+                f"tolerance {tol:g} unreachable for A(p): bound {bound:g} after "
+                f"{big_n} terms, least reachable bound {floor:g}",
                 best=SeriesValue(value, big_n, bound),
             )
 
@@ -256,7 +229,8 @@ def _sum_blocked(upper, lower, x, tol):
             mags *= n + 1.0
             weighted[rows] += mags.sum(axis=1)
             carry[rows] = terms[:, -1]
-        _check_finite(total + weighted, n0 + len(n))
+        if not np.isfinite(total + weighted).all():  # numpy overflows quietly
+            raise PrecisionError(f"series terms overflow double precision within {n0 + len(n)} terms")
         n0 += len(n)
         floor = _EPS * (sum_err + roundings * weighted)
         tail = np.full(live.size, 0.0 if n0 == last else math.inf)
@@ -299,23 +273,19 @@ def _sum_blocked(upper, lower, x, tol):
 def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
     """Sum pFq(upper; lower; x) for x in [0, 1] with an honest tail bound.
 
-    Below unit argument (and for p < q + 1 at x = 1) the terms are built in
-    numpy blocks of 64 to 2^14 as cumulative products of the exact ratio
-    x prod(a+n) / (prod(b+n) (n+1)); signs follow from the signed factors.
-    Once n exceeds every negative parameter the ratio is bounded for good by
-    R = x prod max((a+n)/(c+n), 1), pairing the sorted upper parameters with
-    the sorted (lower..., 1), and the tail past t_n is at most |t_n| R/(1-R).
-    tail_bound adds that to a rounding floor counting every rounding of the
-    running product and of the block sums.  A tolerance that the floor alone
-    provably exceeds raises PrecisionError at once, with the partial sum as
-    ``best``.  A series with an upper parameter -k stops after k+1 terms.
-    Terms that overflow double precision raise PrecisionError.
-
-    At x = 1 with p = q + 1 (decay n^-s, s = 1 + sum(lower) - sum(upper) > 1)
-    the tail past each block of 4096 is bracketed by that of Gamma(n+beta) /
-    Gamma(n+beta+s), which matches the terms through n^-2.  A tolerance
-    that no block up to TERM_CAP can reach is refused once the first
-    bracket forms.
+    The terms are built in numpy blocks of 64 to 2^14 as cumulative products
+    of the exact ratio x prod(a+n) / (prod(b+n) (n+1)); signs follow from
+    the signed factors.  Once n exceeds every negative parameter the ratio
+    is bounded for good by R = x prod max((a+n)/(c+n), 1), pairing the
+    sorted upper parameters with the sorted (lower..., 1), and the tail past
+    t_n is at most |t_n| R/(1-R).  tail_bound adds that to a rounding floor
+    counting every rounding of the running product and of the block sums.  A
+    tolerance that the floor alone provably exceeds raises PrecisionError at
+    once, with the partial sum as ``best``.  A series with an upper
+    parameter -k stops after k+1 terms.  Terms that overflow double
+    precision raise PrecisionError.  At x = 1 a series with p = q + 1 that
+    does not terminate raises DomainError, and p > q + 1 diverges
+    (DivergenceError) at every x > 0.
 
     A grid of arguments is summed in one pass: value and tail_bound are
     arrays, each entry bit-identical to a call on that argument alone, and
@@ -327,18 +297,13 @@ def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
     p, q = len(spec.upper), len(spec.lower)
     x = np.atleast_1d(np.asarray(spec.argument, dtype=float))
     if p > q + 1 and (x > 0.0).any():
-        raise ConvergenceError(
+        raise DivergenceError(
             f"{p}F{q} has zero radius of convergence for positive argument"
         )
-    # a terminating series is a polynomial, summed to its last term below
-    unit = (x == 1.0) & (p == q + 1) & (not _stops(spec.upper))
-    out = np.empty((3, x.size))  # value, terms used, tail bound
-    if unit.any():
-        edge = _sum_unit_argument(spec.upper, spec.lower, tol)
-        out[:, unit] = [[edge.value], [edge.terms_used], [edge.tail_bound]]
-    if not unit.all():
-        out[:, ~unit] = _sum_blocked(spec.upper, spec.lower, x[~unit], tol)
-    value, used, bound = out
+    # a terminating series is a polynomial, summed to its last term
+    if p == q + 1 and (x == 1.0).any() and not _stops(spec.upper):
+        raise DomainError(f"{p}F{q} is summed at unit argument only when it terminates")
+    value, used, bound = _sum_blocked(spec.upper, spec.lower, x, tol)
     if isinstance(spec.argument, tuple):
         return SeriesValue(value, int(used.max()), bound)
     return SeriesValue(float(value[0]), int(used[0]), float(bound[0]))

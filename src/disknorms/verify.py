@@ -59,7 +59,7 @@ from .quadrature import (
 )
 from .specfun import bessel_j0_smallest_zero, catalan_constant, gauss_2f1_at_1
 
-__all__ = ["ReportRow", "VerifyConfig", "SUITE_NAMES", "run_suite"]
+__all__ = ["ReportRow", "SUITE_NAMES", "run_suite"]
 
 CATALAN_REFERENCE = 0.91596559417721901505
 J0_ZERO_REFERENCE = 2.4048255576957727686
@@ -80,11 +80,6 @@ class ReportRow:
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    seed: int = 42
 
 
 def _status(err: float, tol: float) -> str:
@@ -116,7 +111,7 @@ def _positive(label, minimum, citation) -> ReportRow:
 # ---------------------------------------------------------------------------
 
 
-def suite_specfun(cfg: VerifyConfig) -> List[ReportRow]:
+def suite_specfun(seed: int = 42) -> List[ReportRow]:
     rows = [
         _match(
             "2F1(1/2,1/2;2;1) = 4/pi",
@@ -158,7 +153,7 @@ def _direct_boundary_series(q: float) -> float:
     return vals[-1]
 
 
-def suite_profiles(cfg: VerifyConfig) -> List[ReportRow]:
+def suite_profiles(seed: int = 42) -> List[ReportRow]:
     rows: List[ReportRow] = []
     alpha = catalan_constant(1e-12).value
     rows.append(
@@ -236,9 +231,9 @@ def suite_profiles(cfg: VerifyConfig) -> List[ReportRow]:
     return rows
 
 
-def suite_operators(cfg: VerifyConfig) -> List[ReportRow]:
+def suite_operators(seed: int = 42) -> List[ReportRow]:
     rows: List[ReportRow] = []
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
 
     def normal() -> complex:
         return complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
@@ -362,9 +357,9 @@ def suite_operators(cfg: VerifyConfig) -> List[ReportRow]:
     return rows
 
 
-def suite_norms(cfg: VerifyConfig) -> List[ReportRow]:
+def suite_norms(seed: int = 42) -> List[ReportRow]:
     rows: List[ReportRow] = []
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     j0 = bessel_j0_smallest_zero()
 
     rows.append(
@@ -529,7 +524,7 @@ def suite_norms(cfg: VerifyConfig) -> List[ReportRow]:
     return rows
 
 
-def suite_counterexamples(cfg: VerifyConfig) -> List[ReportRow]:
+def suite_counterexamples(seed: int = 42) -> List[ReportRow]:
     rows: List[ReportRow] = []
     ceiling = 2.0 / math.log(1.5)
     for name in ("CAUCHY_P2", "J0_P2", "J0STAR_P2"):
@@ -554,7 +549,7 @@ def suite_counterexamples(cfg: VerifyConfig) -> List[ReportRow]:
                 "truncated mass is affine in the transformed truncation radius",
             )
         )
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     n = 1000
     ts = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)]
     rhos = [rng.uniform(1e-6, 1.0 - 1e-6) for _ in range(n)]
@@ -589,10 +584,8 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, cfg: Optional[VerifyConfig] = None,
-              tol_override: Optional[float] = None) -> List[ReportRow]:
+def run_suite(name: str, seed: int = 42, tol_override: Optional[float] = None) -> List[ReportRow]:
     """Run one suite (or 'all'); optionally override every row tolerance."""
-    cfg = cfg or VerifyConfig()
     if name == "all":
         names = SUITE_NAMES
     elif name in _SUITES:
@@ -601,7 +594,7 @@ def run_suite(name: str, cfg: Optional[VerifyConfig] = None,
         raise ValueError(f"unknown suite {name!r}; choose all or one of {', '.join(SUITE_NAMES)}")
     rows: List[ReportRow] = []
     for n in names:
-        rows.extend(_SUITES[n](cfg))
+        rows.extend(_SUITES[n](seed))
     if tol_override is not None:
         rows = [
             replace(r, tolerance=tol_override, status=_status(r.abs_err, tol_override))

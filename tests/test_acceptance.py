@@ -48,7 +48,7 @@ from disknorms.quadrature import (
     integrate_disk_singular,
 )
 from disknorms.specfun import bessel_j0_smallest_zero, catalan_constant, gauss_2f1_at_1
-from disknorms.verify import VerifyConfig, run_suite, _direct_boundary_series
+from disknorms.verify import run_suite, _direct_boundary_series
 
 CATALAN_REFERENCE = 0.91596559417721901505
 J0_ZERO_REFERENCE = 2.4048255576957727686
@@ -258,7 +258,7 @@ def test_criterion_12_monotonicity_suites():
 
 def test_runtime_target_full_verify_suite():
     start = time.monotonic()
-    rows = run_suite("all", VerifyConfig())
+    rows = run_suite("all")
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
     # exactly one designed failure: the criterion-5 proximity clause
@@ -274,6 +274,6 @@ def test_verify_rows_match_the_benchmark_reference(seed):
     with path.open(newline="") as handle:
         labels = [row["label"] for row in csv.DictReader(handle)]
     assert len(labels) == 52
-    rows = run_suite("all", VerifyConfig(seed=seed))
+    rows = run_suite("all", seed=seed)
     assert [r.label for r in rows] == labels
     assert {r.label for r in rows if r.status != "PASS"} == {"M1(0.99) within 2% of 4/pi"}

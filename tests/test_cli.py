@@ -302,3 +302,40 @@ def test_near_two_refusal_prints_the_exponent(capsys, argv, p):
     assert code == 2
     assert out == ""
     assert f"q = {p / (p - 1.0)!r} is too close to 2" in err
+
+
+OVERFLOW_ARGV = {
+    "norm": ("norm", "--op", "j0star", "--target", "linf"),
+    "interpolation": ("table", "interpolation"),
+    "lp_linf_curves": ("table", "lp_linf_curves", "--op", "j0star"),
+}
+
+
+def _exit_code(capsys, argv, p):
+    # argparse refuses --p of `norm` by SystemExit, `table` refuses its grid itself
+    try:
+        code = main([*argv, f"--p={p}"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "2.5e308"])
+@pytest.mark.parametrize("command", list(OVERFLOW_ARGV))
+def test_a_p_past_the_double_range_is_refused(capsys, command, token):
+    # float() reads these as +-inf; only a spelled infinity may be one
+    grid = token if command == "norm" else f"3,{token}"
+    code, out, err = _exit_code(capsys, OVERFLOW_ARGV[command], grid)
+    assert code == 2
+    assert out == ""
+    assert f"{token!r} is past the double range" in err
+
+
+@pytest.mark.parametrize("spelling", ["inf", "Infinity", "+INF"])
+@pytest.mark.parametrize("command", list(OVERFLOW_ARGV))
+def test_a_spelled_infinity_still_answers(capsys, command, spelling):
+    code, out, err = _exit_code(capsys, OVERFLOW_ARGV[command], spelling)
+    assert (code, err) == (0, "")
+    assert out == _exit_code(capsys, OVERFLOW_ARGV[command], "inf")[1]
+    assert "0.9014316942" in out  # (1+2*Catalan)/pi, j0star's sup-to-sup norm

@@ -34,7 +34,7 @@ from disknorms.profiles import profile_K, profile_M, profile_N
 from disknorms import norms, operators, quadrature, verify
 from disknorms.quadrature import DiskRule, Mobius, integrate_disk, integrate_disk_singular
 from disknorms.specfun import bessel_j0_smallest_zero
-from disknorms.verify import VerifyConfig, suite_norms
+from disknorms.verify import suite_norms
 
 INF = math.inf
 
@@ -470,7 +470,7 @@ class TestModes:
         # 33-ring rule and its 16-node Gauss half; a larger Gauss rule would
         # cost a dense eigen-solve.  The sizes do not depend on what ran before
         sizes = _record_gauss_builds(monkeypatch)
-        suite_norms(VerifyConfig())
+        suite_norms()
         assert sizes and set(sizes) <= {16, 127, 256}, sorted(set(sizes))
 
     def test_norms_suite_field_work(self, monkeypatch):
@@ -486,7 +486,7 @@ class TestModes:
 
         for module in (quadrature, norms, operators):
             monkeypatch.setattr(module, "_eval_nodes", counting)
-        suite_norms(VerifyConfig())
+        suite_norms()
         assert sum(nodes) == 10 * 8448 + 3 * 528 + 3 * 130560 + 256 == 478000
 
     @pytest.mark.parametrize("seed", [42, 0])

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import disknorms.specfun as sf
 from disknorms import profiles as pf
 from disknorms.errors import DomainError, PrecisionError
 from disknorms.specfun import catalan_constant, gauss_2f1_at_1, ln_gamma
@@ -39,6 +40,18 @@ A_CALIBRATION = {
     1e6: 0.901432129813731648027363874393,
     math.inf: 0.901431694245428231814536439682,  # (1+2*Catalan)/pi
 }
+# A(p) at the float p, mpmath at 50 digits through Thomae's form, quoted to
+# 30; at p = 2.5, 10 and 1e6 the defining 3F2 agrees to all 30
+A_AT_P = {
+    2.01: 100.016987457800135030907677043,
+    2.5: 2.43025419622806842556971941102,
+    10.0: 0.962471965555397882974942297265,
+    1e6: 0.901432129814602787336090428659,
+    math.inf: 0.901431694245428231814536439682,
+}
+# the defining N-series 3F2(1+q/2, q/2, q/2; 1, 2+q/2; 1) at p = 3 and 4,
+# with q = p/(p-1); A(p) is 2/(q+2) times it
+N_SERIES_AT_1 = {3.0: 2.7583968316881053933, 4.0: 1.9965774666745873181}
 # M(q, 1) = Gamma(2-q)/Gamma(2-q/2)^2 at the float q near its pole
 M_NEAR_POLE = {
     2.0 - 1e-6: 1000000.0000826778712,
@@ -307,12 +320,43 @@ def test_a_p_error_estimate_covers_frozen_reference(d):
     assert abs(got.value - ref) <= got.tail_bound <= 1e-12 * max(1.0, got.value)
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("p", list(N_SERIES_AT_1), ids=str)
+def test_a_p_is_the_n_series_at_unit_argument(p, tol):
+    q = pf._conjugate_exponent(p)
+    ref = 2.0 / (q + 2.0) * N_SERIES_AT_1[p]
+    for got in (pf.a_p_constant(p, tol), pf.profile_N(q, 1.0, tol)):
+        assert abs(got.value - ref) <= got.tail_bound <= tol * max(1.0, ref)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("p", list(A_AT_P), ids=str)
+def test_a_p_covers_thirty_digit_literals(p, tol):
+    # at p = 1e6 and inf a tolerance of 1e-13 takes a second block
+    got = pf.a_p_constant(p, tol)
+    ref = A_AT_P[p]
+    assert abs(got.value - ref) <= got.tail_bound <= tol * max(1.0, ref)
+
+
 def test_a_p_refuses_an_unreachable_tolerance_at_once():
+    for p, ref in ((3.0, A_AT_3), *A_AT_P.items()):
+        with pytest.raises(PrecisionError, match="least reachable bound") as exc:
+            pf.a_p_constant(p, 1e-17)
+        # the rounding floor is known after the first block, so no second one runs
+        best = exc.value.best
+        assert best.terms_used == 4097
+        assert abs(best.value - ref) <= best.tail_bound
+
+
+def test_a_p_term_cap_carries_best(monkeypatch):
+    # the first block's bound at p = inf is 1.4e-13 relative; a second block
+    # would reach 1e-13, but the cap forbids it
+    monkeypatch.setattr(sf, "TERM_CAP", 300)
     with pytest.raises(PrecisionError) as exc:
-        pf.a_p_constant(3.0, 1e-17)
-    # the rounding floor is known after the first block, so no second one runs
-    assert exc.value.best.terms_used == 4097
-    assert abs(exc.value.best.value - A_AT_3) <= exc.value.best.tail_bound
+        pf.a_p_constant(math.inf, 1e-13)
+    best = exc.value.best
+    assert best.terms_used == 4097
+    assert abs(best.value - A_AT_P[math.inf]) <= best.tail_bound
 
 
 def test_a_p_limit_is_the_catalan_constant_value():
