@@ -16,9 +16,9 @@ checked numerically by the helpers at the bottom of the module:
 ``dbar_identity_residual`` differentiates the output field with a central
 finite difference, and ``adjoint_pairing_residual`` tests the duality
 <j0 f, g> = <f, j0star g> on staggered quadrature grids.  It samples each
-field once, on both grids together, and sums the inner rings by zero-padded
-FFTs (an exact re-summation of the trapezoid rule's aliasing), about one
-per outer ring, in bounded blocks of memory.
+field once, on both grids together, and sums both kernels' mode series on
+the moments the inner rings resolve, taken to the outer rings by one
+zero-padded inverse FFT.
 
 By default ``apply`` evaluates by angular modes (``_mode_integral``).  Every
 kernel is a power series in z conj(w), so with f = sum_n f_n(rho) e^{in phi}
@@ -33,8 +33,11 @@ and m_n = 2 int_0^1 f_n rho^{n+1} d rho,
 and cdelta = j0star - cauchy; the cauchy split at rho = |z| is Daripa's
 (SIAM J. Sci. Stat. Comput. 13, 1992).  Every power has modulus at most 1,
 so the kernel's boundary layer never appears and the work is set by the
-field's angular bandwidth, not by 1/(1-|z|).  A field the engine does not
-resolve falls back to the quadrature rule ``DiskRule.for_point`` builds.
+field's angular bandwidth, not by 1/(1-|z|).  A ring of N angles resolves
+exactly the modes |n| < N/2 (Trefethen & Weideman, SIAM Rev. 56, 2014),
+and the engine and the pairing both sum these series on those modes and on
+no others.  A field the engine does not resolve falls back to the
+quadrature rule ``DiskRule.for_point`` builds.
 
 An explicit rule takes the quadrature route.  Singular operators (cauchy,
 cdelta) must then be given a Mobius rule, which is summed at the
@@ -67,7 +70,6 @@ from .quadrature import (
     Integral,
     Mobius,
     _angles,
-    _BLOCK,
     _EPS,
     _eval_nodes,
     _gauss01,
@@ -173,44 +175,45 @@ def _mode_integral(op: Operator, f: FieldFn, z: complex) -> tuple[Integral, bool
     [0, 1] for the bounded operators, and over [0, |z|] and [|z|, 1] for
     cauchy and cdelta, whose j0star part uses the same samples.  Each ring
     has N angles, N = 32, 64, ... up to 2048, and one FFT per level gives
-    the modes f_n(rho) for |n| < N/2.  A level's value K sums the mode
-    series above on the Kronrod rings, its G on the Gauss rings among them,
-    and K_half sums it, with the same multipliers, over the folded spectrum
-    X[k] + X[k + N/2], which is exactly the DFT of the even angles.  The
-    rounding floor is 8 eps times the sum of |terms| and of each ring's
-    largest |f| times its |multipliers|, the FFT's error in every mode.  A
-    level settles once every mode with |n| >= N/4 is within 16 eps of the
-    largest field value and |K - K_half| is within the floor.  A mode beyond
-    N/2 can alias to the same low mode on N and N/2 angles and pass both
-    tests, so a settled level is checked on N/2 more angles turned by an
-    irrational fraction of their step, where such a mode lands with another
-    phase: every mode with |n| < N/4 must agree within the same 16 eps.
-    The first field call takes the 32 angles and the 16 that check them, so
-    a field of angular bandwidth below 8 settles on one call; each doubling
-    evaluates only the new odd angles, and its check once it settles.  The
-    doubling stops at a settled level or at the cap; only a level whose high
-    modes pass, or the cap, forms the sums.  The estimate is |K - G| + |K -
-    K_half| + floor, plus the check's largest disagreement times the
-    multipliers; the flag says that f was resolved: the level settled and
-    |K - G| too is within the floor.  No field call covers more than
-    ``_BLOCK`` nodes.
+    the modes f_n(rho) for |n| < N/2, exactly the modes N angles resolve.
+    A level's multiplier table holds each ring's factor of every such mode
+    in the module docstring's sums, in FFT column order (mode -n at column
+    N - n, the Nyquist column 0).  Its value K sums table times spectrum on the Kronrod
+    rings, G on the Gauss rings among them, and K_half reads the table's
+    columns |n| < N/4 on the folded spectrum X[k] + X[k + N/2], which is
+    exactly the DFT of the even angles.  The rounding floor is 8 eps times
+    the sum of |table times spectrum| and of each ring's largest |f| times
+    its reach, the row sum of |table|: the FFT's error in every mode.  A level settles once
+    every mode with |n| >= N/4 is within 16 eps of the largest field value
+    and |K - K_half| is within the floor.  A mode beyond N/2 can alias to
+    the same low mode on N and N/2 angles and pass both tests, so a settled
+    level is checked on N/2 more angles turned by an irrational fraction of
+    their step, where such a mode lands with another phase: every mode with
+    |n| < N/4 must agree within the same 16 eps.  The first field call
+    takes the 32 angles and the 16 that check them, so a field of angular
+    bandwidth below 8 settles on one call; each doubling evaluates only the
+    new odd angles, and its check once it settles.  The doubling stops at a
+    settled level or at the cap; only a level whose high modes pass, or the
+    cap, forms the sums.  The estimate is |K - G| + |K - K_half| + floor,
+    plus the check's largest disagreement times the reach; the flag says
+    that f was resolved: the level settled and |K - G| too is within the
+    floor.
     """
     t, wk, wg = _kronrod01(_MODE_RINGS)
     r = abs(z)
     unit = z / r if r > 0.0 else 1.0
-    rho, ratio, outer = t, unit * r / t, np.ones(t.size, dtype=bool)
+    rho, ratio, inner = t, unit * r / t, np.zeros(t.size, dtype=bool)
     singular = op in _SINGULAR_OPS
     if singular and r > 0.0:
         rho = np.concatenate([r * t, r + (1.0 - r) * t])
         # (rho/z)^(k+1) on [0, |z|] and (z/rho)^k on [|z|, 1], both of modulus <= 1
         ratio = np.concatenate([unit.conjugate() * t, unit * r / rho[t.size :]])
-        outer = np.arange(rho.size) >= t.size
+        inner = np.arange(rho.size) < t.size
         wk, wg = (np.concatenate([r * w, (1.0 - r) * w]) for w in (wk, wg))
-    x, inner = rho * z, ~outer[:, None]
+    x = rho * z
 
     def sample(angles):
-        rows = max(1, _BLOCK // angles.size)
-        return np.concatenate([_eval_nodes(f, rho[i : i + rows, None] * angles) for i in range(0, rho.size, rows)])
+        return _eval_nodes(f, rho[:, None] * angles)
 
     def turned(count):
         # the angle by which the check grid of a level of count angles is turned
@@ -222,33 +225,26 @@ def _mode_integral(op: Operator, f: FieldFn, z: complex) -> tuple[Integral, bool
         coarse, fine = (base[:, None] ** m) ** np.arange(-(-count // m)), base[:, None] ** np.arange(m)
         return (coarse[:, :, None] * fine[:, None, :]).reshape(rho.size, -1)[:, :count]
 
-    def series(count):
-        # (multiplier, mode coefficient) pairs of the modes n < count/2 - 1
-        n = np.arange(count // 2 - 1)
-        parts = []
+    def table(count):
+        # each ring's multiplier of the modes |k| < count/2 in FFT column
+        # order: mode -k at column count - k, the Nyquist column 0
+        half = count // 2
+        out = np.zeros((rho.size, count), dtype=complex)
         if op is not Operator.CAUCHY:
-            xn = powers(x, n.size)
+            xk = powers(x, half)
         if op is Operator.J0:
-            parts.append((2.0 * z * rho[:, None] * xn, lambda s, n: s[:, n]))
+            out[:, :half] = 2.0 * z * rho[:, None] * xk
         elif op is Operator.BERGMAN:
-            parts.append((2.0 * (n + 1) * rho[:, None] * xn, lambda s, n: s[:, n]))
+            out[:, :half] = 2.0 * np.arange(1, half + 1) * rho[:, None] * xk
         elif op is not Operator.CAUCHY:
-            parts.append((2.0 * rho[:, None] ** 2 * xn, lambda s, n: s[:, n + 1]))
+            out[:, 1:half] = 2.0 * rho[:, None] ** 2 * xk[:, :-1]
         if singular:
-            sign = 2.0 if op is Operator.CAUCHY else -2.0
-            table = powers(ratio, n.size + 1)
-            around = lambda s, n: np.where(inner, s[:, -n], s[:, n + 1])
-            parts.append((sign * np.where(inner, -table[:, 1:], table[:, :-1]), around))
-        return parts
-
-    def terms(parts, spectrum):
-        # the series on the modes n < L/2 - 1 of a spectrum of even length L,
-        # one multiplier column a mode; the coefficients are bound before the
-        # products, or numpy writes a product into a coefficient's temporary,
-        # column-major buffer and the rows are summed in another order
-        n = np.arange(spectrum.shape[1] // 2 - 1)
-        pairs = [(m, coefficient(spectrum, n)) for m, coefficient in parts]
-        return sum(m * c for m, c in pairs)
+            # modes k >= 1 on the outer rings, k <= 0 on the inner ones
+            sign, ratios = (2.0 if op is Operator.CAUCHY else -2.0), powers(ratio, half + 1)
+            out[:, 1:half] += np.where(inner[:, None], 0.0, sign * ratios[:, : half - 1])
+            out[:, 0] -= np.where(inner, sign * ratios[:, 1], 0.0)
+            out[:, :half:-1] -= np.where(inner[:, None], sign * ratios[:, 2:], 0.0)
+        return out
 
     count = _MODE_START
     both = sample(np.concatenate([_angles(count), _angles(count // 2) * np.exp(1j * turned(count))]))
@@ -257,20 +253,21 @@ def _mode_integral(op: Operator, f: FieldFn, z: complex) -> tuple[Integral, bool
         spectrum = np.fft.fft(vals, axis=1) / count
         small = 16.0 * _EPS * np.abs(vals).max()
         quarter, alias = count // 4, 0.0
+        n = np.arange(1 - quarter, quarter)  # the modes of the half level and the check
         settled = np.abs(spectrum[:, quarter : count - quarter + 1]).max() <= small
         if settled or count == _MODE_CAP:
-            parts = series(count)
-            full = terms(parts, spectrum)
+            multipliers = table(count)
+            full = multipliers * spectrum
             sums = full.sum(axis=1)
             kronrod = np.dot(wk, sums)
             folded = spectrum[:, : 2 * quarter] + spectrum[:, 2 * quarter :]
-            half = np.dot(wk, terms([(m[:, : quarter - 1], c) for m, c in parts], folded).sum(axis=1))
-            # each term's roundings, and the FFT's: about eps max|f| in every mode
-            reach = sum(np.abs(m) for m, _ in parts).sum(axis=1)
+            half = np.dot(wk, (multipliers[:, n % count] * folded[:, n % (2 * quarter)]).sum(axis=1))
+            # each product's roundings, and the FFT's: about eps max|f| in every mode
+            reach = np.abs(multipliers).sum(axis=1)
             floor = 8.0 * _EPS * np.dot(wk, np.abs(full).sum(axis=1) + np.abs(vals).max(axis=1) * reach)
             settled = settled and abs(kronrod - half) <= floor
         if settled:
-            n, turn = np.arange(1 - quarter, quarter), turned(count)
+            turn = turned(count)
             if check is None:
                 check = sample(_angles(count // 2) * np.exp(1j * turn))
             turned_spectrum = np.fft.fft(check, axis=1) / (count // 2)
@@ -304,15 +301,15 @@ def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None)
     ``rule=None`` evaluates by angular modes (``_mode_integral``) at a cost
     set by the field's angular bandwidth B at every |z|, on 33 rings (66
     for cauchy and cdelta at z != 0): a field settles at the first N = 32,
-    64, ... angles with B <= N/4 - 2 (B <= N/4 - 1 for j0star).  The first
-    field call takes 32 angles and the 16 that check them for aliasing, so
-    a field with B <= 6, such as a polynomial of degree 6, costs that one
-    call of 1,584 or 3,168 nodes; a wider one costs 1.5 N + 16 angles a
-    ring.  cauchy and cdelta answer up to the rim.  If the modes do not
-    resolve f (a field with its own layer near the rim needs more than
-    2048 angles, one singular inside the disk more than 33 rings), the
-    quadrature rule of ``DiskRule.for_point`` runs too, where it reaches,
-    and the result with the smaller estimate is returned.
+    64, ... angles with B <= N/4 - 1, for every operator.  The first field
+    call takes 32 angles and the 16 that check them for aliasing, so a
+    field with B <= 7, such as a polynomial of degree 7, costs that one call
+    of 1,584 or 3,168 nodes; a wider one costs 1.5 N + 16 angles a ring.
+    cauchy and cdelta answer up to the rim.  If the modes do not resolve f
+    (a field with its own layer near the rim needs more than 2048 angles,
+    one singular inside the disk more than 33 rings), the quadrature rule
+    of ``DiskRule.for_point`` runs too, where it reaches, and the result
+    with the smaller estimate is returned.
 
     An explicit rule takes the quadrature route of the module docstring,
     validated rather than silently upgraded, before any field evaluation:
@@ -339,29 +336,20 @@ def apply(op: Operator, f: FieldFn, z: complex, rule: Optional[DiskRule] = None)
 def adjoint_pairing_residual(f: FieldFn, g: FieldFn, rule: Optional[DiskRule] = None) -> float:
     """Residual of the duality <j0 f, g> = <f, j0star g>.
 
-    The operator images are sampled on a staggered outer grid (5 extra radial
-    and 16 extra angular nodes) so the identity is not a transpose tautology
-    of one discretization.  The angular stagger must exceed twice the input
-    polynomial degree: the inner grid's first aliased kernel harmonic has
-    angular frequency na+1+deg, and an outer count of na+16 only resonates
-    with it when the combined input frequency reaches 15, out of reach for
-    the degree-4 fields this check is calibrated for.  Inner integrals come
-    from ``rule``.
-
-    Each inner ring is summed exactly by a DFT instead of a dense kernel.
-    With ring samples c_j (weights included) at theta_j = 2 pi j/na, C = fft(c),
-    x = t s < 1 for inner radius t and outer radius s, and phi_l = 2 pi l/nb
-    (nb = na + 16), the kernel's power series in x folded mod na gives
-        sum_j c_j / (1 - x e^{i(phi_l - theta_j)})
-            = [sum_{m<na} x^m C[m] e^{i m phi_l}] / (1 - y),  y = x^na e^{i na phi_l},
-    whose bracket is nb * ifft of x^m C[m] zero-padded to nb.  f and g are
-    each evaluated once, on the inner and outer nodes together, and x^m is
-    split as t^m s^m, so t^m rides on the spectra.  With 1/(1 - y) = 1 +
-    y/(1 - y), the 1 lets the inner spectra be summed first, one inverse
-    FFT per outer ring and image; y/(1 - y) is added only on ring pairs with
-    x^na > 2^-60, as a dropped term is at most 2^-60/(1 - 2^-60) of the term
-    it corrects.  At the default 32 x 64 rule that is 224 of 1,184 pairs,
-    522 transforms in all, in blocks of at most 2^12 entries an image.
+    Inner integrals come from ``rule``: Gauss-Legendre radii t against na
+    uniform angles.  The images are sampled on a staggered outer grid (5
+    more radii s, nb = na + 16 angles), so the identity is not a transpose
+    tautology of one discretization.  Both kernels are power series in
+    conj(w) z, so each image at z sums z^m times the moment of conj(w)^m
+    against its integrand: f for j0 (times z), conj(w) g for j0star.  An
+    na-angle ring resolves exactly the modes |m| < na/2, so the images sum
+    the inner rings' moments 0 <= m < na/2: one FFT a ring gives them, t^m
+    s^m carries them to the outer ring of radius s, and one inverse FFT
+    zero-padded to nb angles sums them there.  A pair of polynomials of
+    total degree D <= min(na/2, radial_nodes) - 1 has no moment outside that
+    range, and both rules integrate it exactly, so its residual is rounding
+    alone.  f and g are each evaluated once, on the inner and the outer
+    nodes together.
     """
     if rule is None:
         rule = DiskRule(radial_nodes=32, angular_nodes=64)
@@ -381,25 +369,10 @@ def adjoint_pairing_residual(f: FieldFn, g: FieldFn, rule: Optional[DiskRule] = 
     g_in, g_out = np.split(_eval_nodes(g, nodes), [w_in.size])
     # weighted ring samples of the j0 integrand f and the j0star integrand conj(w) g
     c = np.stack([f_in, np.conj(w_in) * g_in])
-    m = np.arange(na)
-    spec = np.fft.fft(c.reshape(2, t.size, na) * (2.0 * wt * t / na)[:, None], axis=-1)
-    spec *= t[:, None] ** m  # x^m = t^m s^m
-    s_pow = s[:, None] ** m
-    # the 1 of the wrap factor: all inner rings at once
-    images = np.fft.ifft(spec.sum(axis=1)[:, None, :] * s_pow, n=nb, axis=-1)
-    # its y/(1 - y): the pairs (outer, inner) of x^na > 2^-60, grouped by outer ring
-    x_na = (s[:, None] * t) ** na
-    outer, inner = np.nonzero(x_na > 2.0**-60)
-    wrap = _angles(nb)[np.arange(nb) * na % nb]  # e^{i na phi_l}
-    step = max(1, (1 << 12) // nb)
-    for lo in range(0, outer.size, step):
-        o, i = outer[lo : lo + step], inner[lo : lo + step]
-        y = x_na[o, i, None] * wrap
-        head = np.fft.ifft(spec[:, i, :] * s_pow[o], n=nb, axis=-1)
-        head *= y / (1.0 - y)
-        first = np.flatnonzero(np.diff(o, prepend=-1))
-        images[:, o[first]] += np.add.reduceat(head, first, axis=1)
-    images *= nb
+    m = np.arange((na + 1) // 2)
+    spec = np.fft.fft(c.reshape(2, t.size, na) * (2.0 * wt * t / na)[:, None], axis=-1)[..., m]
+    moments = (spec * t[:, None] ** m).sum(axis=1)
+    images = nb * np.fft.ifft(moments[:, None, :] * s[:, None] ** m, n=nb, axis=-1)
 
     lhs = np.sum(wt_out * z_out * images[0].ravel() * np.conj(g_out))
     rhs = np.sum(wt_out * f_out * np.conj(images[1].ravel()))

@@ -367,27 +367,30 @@ def _nested(rings: Rings, rule: DiskRule) -> Integral:
 def _eval_nodes(f: FieldFn, w: np.ndarray) -> np.ndarray:
     """Evaluate f on an array of nodes, vectorized when f permits.
 
-    f sees the nodes as one flat array; the values come back in w's shape.
-    A scalar-only f gets one node at a time, a float on a real grid.
+    f sees the nodes as flat arrays of at most _BLOCK consecutive nodes, one
+    call each; the values come back in w's shape.  A call that does not
+    vectorize gives its nodes to f one at a time, a float on a real grid.
     """
     shape = w.shape
     w = w.ravel()
-    vals = None
-    try:
-        candidate = np.asarray(f(w))
-        if candidate.shape == w.shape:
-            vals = candidate.astype(complex, copy=False)
-    except Exception:
-        vals = None
-    if vals is None:
-        vals = np.empty(w.shape, dtype=complex)
-        for i, wi in enumerate(w):
-            try:
-                vals[i] = complex(f(wi.item()))
-            except Exception as exc:
-                raise EvaluationError(
-                    f"integrand raised at node {complex(wi):.8g}: {exc}"
-                ) from exc
+    vals = np.empty(w.shape, dtype=complex)
+    for lo in range(0, w.size, _BLOCK):
+        block, out = w[lo : lo + _BLOCK], vals[lo : lo + _BLOCK]
+        try:
+            candidate = np.asarray(f(block))
+            vectorized = candidate.shape == block.shape
+            if vectorized:
+                out[:] = candidate
+        except Exception:
+            vectorized = False
+        if not vectorized:
+            for i, wi in enumerate(block):
+                try:
+                    out[i] = complex(f(wi.item()))
+                except Exception as exc:
+                    raise EvaluationError(
+                        f"integrand raised at node {complex(wi):.8g}: {exc}"
+                    ) from exc
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.argmax(bad))

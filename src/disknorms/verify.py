@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from .quadrature import (
     AnnulusExclude,
     DiskRule,
     Mobius,
-    _gauss01,
     integrate_disk,
     integrate_disk_singular,
 )
@@ -315,7 +314,7 @@ def suite_operators(seed: int = 42) -> List[ReportRow]:
             "adjoint pairing residual on 20 seeded polynomial pairs",
             0.0,
             worst,
-            1e-6,
+            1e-12,
             "the analytic and conjugate-weighted kernels are adjoint on L^2",
         )
     )
@@ -470,10 +469,6 @@ def suite_norms(seed: int = 42) -> List[ReportRow]:
             )
         )
 
-    def radial_lp(prof: Callable, p: float) -> float:
-        t, w = _gauss01(256)
-        return float(np.sum(2.0 * w * t * prof(t) ** p)) ** (1.0 / p)
-
     def monomial_lp(a: int, b: int, p: float) -> float:
         return (2.0 / ((a + b) * p + 2.0)) ** (1.0 / p)
 
@@ -482,7 +477,7 @@ def suite_norms(seed: int = 42) -> List[ReportRow]:
         sampled = max(
             0.5 / monomial_lp(1, 0, p),
             (1.0 / 3.0) / monomial_lp(2, 1, p),
-            radial_lp(lambda r: r / 3.0, p) / monomial_lp(2, 0, p),
+            monomial_lp(1, 0, p) / 3.0 / monomial_lp(2, 0, p),
         )
         rows.append(
             _ceiling(
@@ -496,9 +491,10 @@ def suite_norms(seed: int = 42) -> List[ReportRow]:
     for p in (1.5, 3.0):
         bound = closed_form_norm(NormQuery(Operator.CAUCHY, p)).value
         sampled = max(
-            radial_lp(lambda r: r, p),
-            radial_lp(lambda r: 1.0 - r**2, p) / monomial_lp(1, 0, p),
-            radial_lp(lambda r: 0.5 * r**2, p) / monomial_lp(0, 1, p),
+            monomial_lp(1, 0, p),
+            # the L^p norm of 1 - r^2
+            (1.0 / (p + 1.0)) ** (1.0 / p) / monomial_lp(1, 0, p),
+            0.5 * monomial_lp(2, 0, p) / monomial_lp(0, 1, p),
         )
         rows.append(
             _ceiling(

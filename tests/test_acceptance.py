@@ -152,7 +152,7 @@ def test_criterion_08_adjoint_pairing():
     for _ in range(20):
         f = make(rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx)))
         g = make(rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx)))
-        assert adjoint_pairing_residual(f, g) <= 1e-6
+        assert adjoint_pairing_residual(f, g) <= 1e-12
 
 
 def test_criterion_09_interpolation_endpoints_and_dominance():

@@ -31,7 +31,7 @@ from disknorms.norms import (
 )
 from disknorms.operators import Operator, apply
 from disknorms.profiles import profile_K, profile_M, profile_N
-from disknorms import norms, operators, quadrature, verify
+from disknorms import norms, operators, quadrature
 from disknorms.quadrature import DiskRule, Mobius, integrate_disk, integrate_disk_singular
 from disknorms.specfun import bessel_j0_smallest_zero
 from disknorms.verify import suite_norms
@@ -394,7 +394,7 @@ def _record_gauss_builds(monkeypatch):
         sizes.append(n)
         return build(n)
 
-    for module in (quadrature, norms, operators, verify):
+    for module in (quadrature, norms, operators):
         monkeypatch.setattr(module, "_gauss01", recording)
     quadrature._kronrod01.cache_clear()
     return sizes

@@ -39,33 +39,6 @@ def poly_field(coeffs):
     return f
 
 
-def dense_pairing(f, g, nr, na):
-    """(|lhs - rhs|, |lhs|) of the duality summed over the dense kernel.
-
-    The staggered tensor rule of ``adjoint_pairing_residual`` (Gauss-Legendre
-    radii, uniform angles; nr x na inner, (nr+5) x (na+16) outer) with one
-    division 1/(1 - conj(w) z) per pair of nodes, in blocks of outer rows.
-    """
-
-    def grid(nr, na):
-        x, w = np.polynomial.legendre.leggauss(nr)
-        t = 0.5 * (x + 1.0)
-        nodes = (t[:, None] * np.exp(2j * np.pi * np.arange(na) / na)).ravel()
-        return nodes, np.repeat(w * t / na, na)
-
-    w_in, wt_in = grid(nr, na)
-    z, wt_out = grid(nr + 5, na + 16)
-    fw = wt_in * f(w_in)
-    gw = wt_in * np.conj(w_in) * g(w_in)
-    lhs = rhs = 0.0
-    for lo in range(0, z.size, 256):
-        zc = z[lo : lo + 256]
-        kern = 1.0 / (1.0 - np.conj(w_in)[None, :] * zc[:, None])
-        lhs += np.sum(wt_out[lo : lo + 256] * zc * (kern @ fw) * np.conj(g(zc)))
-        rhs += np.sum(wt_out[lo : lo + 256] * f(zc) * np.conj(kern @ gw))
-    return abs(lhs - rhs), abs(lhs)
-
-
 def cauchy_monomial(j, k, z):
     # geometric expansion of 1/(w - z) inside and outside |w| = |z|
     if j >= k + 1:
@@ -315,16 +288,16 @@ class TestDbarIdentity:
 
 class TestAdjointPairing:
     def test_matched_monomials(self):
-        assert adjoint_pairing_residual(lambda w: w, lambda w: w) <= 1e-8
+        assert adjoint_pairing_residual(lambda w: w, lambda w: w) <= 1e-12
 
     def test_mixed_polynomials(self):
         f = poly_field({(2, 1): 1.0})
         g = poly_field({(1, 0): 1.0, (0, 1): 0.5})
-        assert adjoint_pairing_residual(f, g) <= 1e-6
+        assert adjoint_pairing_residual(f, g) <= 1e-12
 
     def test_constants(self):
         one = lambda w: np.ones_like(np.asarray(w, dtype=complex))
-        assert adjoint_pairing_residual(one, one) <= 1e-8
+        assert adjoint_pairing_residual(one, one) <= 1e-12
 
     def test_seeded_polynomial_pairs(self):
         rng = np.random.default_rng(42)
@@ -340,38 +313,54 @@ class TestAdjointPairing:
             f = poly_field(draw())
             g = poly_field(draw())
             res = adjoint_pairing_residual(f, g)
-            assert res <= 1e-6, (trial, res)
+            assert res <= 1e-12, (trial, res)
 
     def test_rejects_singular_rule(self):
         with pytest.raises(ConfigurationError):
             adjoint_pairing_residual(lambda w: w, lambda w: w, DiskRule(32, 64, Mobius()))
 
     @pytest.mark.parametrize("nr, na", [(8, 16), (16, 48), (32, 64), (13, 37), (48, 96), (64, 32)])
-    def test_matches_dense_kernel_sum(self, nr, na):
-        # (48, 96) and (64, 32) span several blocks of ring pairs, and at
-        # (64, 32) most pairs carry the wrap term (ts)^na > 2^-60
+    def test_pairs_below_the_resolved_degree_are_exact(self, nr, na):
+        # a pair of total degree D <= min(na/2, nr) - 1 has no moment the
+        # na-angle rings do not resolve, and both rules integrate it exactly;
+        # re-summing the aliased discrete kernel left residuals up to 0.09 here
         rng = np.random.default_rng(nr * 1000 + na)
-        for _ in range(3):
+        top = min(na // 2, nr) - 1
+        for degree in (top // 2, top, top):
             f, g = (
-                poly_field({(a, b): complex(*rng.normal(size=2)) for a in range(5) for b in range(5 - a)})
+                poly_field(
+                    {(a, b): complex(*rng.normal(size=2)) for a in range(degree + 1) for b in range(degree + 1 - a)}
+                )
                 for _ in range(2)
             )
-            dense, lhs = dense_pairing(f, g, nr, na)
             res = adjoint_pairing_residual(f, g, DiskRule(nr, na))
-            assert abs(res - dense) <= 1e-12 * (1.0 + lhs), (res, dense)
+            assert res <= 1e-13, (degree, res)
 
     def test_fine_rule(self):
+        # 128 x 256 inner and 133 x 272 outer nodes, 68,944 in all, go to each
+        # field in consecutive calls of at most 8,192, every node once
         rng = np.random.default_rng(128)
-        f, g = (
-            poly_field({(a, b): complex(*rng.normal(size=2)) for a in range(5) for b in range(5 - a)})
-            for _ in range(2)
-        )
-        assert adjoint_pairing_residual(f, g, DiskRule(128, 256)) <= 1e-6
+        seen = ([], [])
+
+        def recorded(calls):
+            field = poly_field({(a, b): complex(*rng.normal(size=2)) for a in range(5) for b in range(5 - a)})
+
+            def call(w):
+                calls.append(np.array(w, dtype=complex))
+                return field(w)
+
+            return call
+
+        f, g = (recorded(calls) for calls in seen)
+        assert adjoint_pairing_residual(f, g, DiskRule(128, 256)) <= 1e-12
+        for calls in seen:
+            assert max(v.size for v in calls) <= 8192
+            nodes = np.concatenate(calls)
+            assert nodes.size == 128 * 256 + 133 * 272 == np.unique(nodes).size
 
     def test_memory_of_one_call_stays_small(self):
-        # inner spectra are summed before one inverse FFT per outer ring, and
-        # only the ring pairs that carry the wrap term take their own: the
-        # parent route held 5.9 MB at the default 32 x 64 rule
+        # the images are one inverse FFT of the summed inner moments; the
+        # dense kernel held 5.9 MB at the default 32 x 64 rule
         import tracemalloc
 
         f = poly_field({(2, 1): 1.0, (0, 0): 0.5j, (4, 0): 0.3})
@@ -660,20 +649,28 @@ class TestWork:
 
     @pytest.mark.parametrize("op", list(Operator))
     def test_default_work_does_not_depend_on_the_radius(self, op):
-        # polynomials of degree 4 and 6 settle at 32 angles on 33 rings, or
+        # polynomials of degree 4 and 7 settle at 32 angles on 33 rings, or
         # on 66 for cauchy and cdelta (split at |z| > 0), at any distance
         # from the rim: one call takes the 32 angles and the 16 turned ones
-        # that check them.  Degree 6 is the most one call resolves for every
-        # operator: K_half on 16 angles sums modes n <= 6 only
+        # that check them.  Degree 7 is the most one call resolves for every
+        # operator: K_half on 16 angles sums the modes |n| <= 7, and a
+        # degree-8 field takes the next level, its odd 32 angles and their check
         singular = op in (Operator.CAUCHY, Operator.C_DELTA)
         radii = (0.0, 0.5) + (SINGULAR_RADII if singular else BOUNDED_RADII)
         rng = np.random.default_rng(6)
-        degree6 = {(a, b): complex(*rng.normal(size=2)) for a in range(7) for b in range(7 - a)}
-        for coeffs in (self.COEFFS, degree6):
-            for radius in radii:
+        degree7, degree8 = (
+            {(a, b): complex(*rng.normal(size=2)) for a in range(d + 1) for b in range(d + 1 - a)} for d in (7, 8)
+        )
+        for radius in radii:
+            z = radius * complex(math.cos(0.7), math.sin(0.7))
+            rings = 33 * (1 + (singular and radius > 0))
+            for coeffs in (self.COEFFS, degree7):
                 f = CountingField(coeffs)
-                apply(op, f, radius * complex(math.cos(0.7), math.sin(0.7)))
-                assert f.sizes == [1584 * (1 + (singular and radius > 0))], (op, radius)
+                apply(op, f, z)
+                assert f.sizes == [48 * rings], (op, radius)
+            f = CountingField(degree8)
+            apply(op, f, z)
+            assert f.sizes == [48 * rings, 32 * rings, 32 * rings], (op, radius)
 
     @pytest.mark.parametrize("op", [Operator.J0_STAR, Operator.C_DELTA])
     def test_doublings_evaluate_no_node_twice(self, op):
