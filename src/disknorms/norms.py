@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Tuple, Union
 
 import numpy as np
@@ -42,9 +42,11 @@ from .profiles import _conjugate_exponent, a_p_constant, profile_K, profile_M, p
 from .quadrature import (
     DiskRule,
     FieldFn,
+    _LAYER_DECAY,
     _MAX_RADIAL,
     _eval_nodes,
     _gauss01,
+    _required_angular_nodes,
     integrate_disk_singular,
     truncated_singular_integral,
 )
@@ -335,7 +337,11 @@ def extremal_function(op: Operator, p: float, b: complex) -> FieldFn:
     bc = np.conj(b)
     e = 1.0 if p == _INF else (p - 2.0) / (p - 1.0)
     if op is Operator.J0:
-        scale = 1.0 if p == _INF else profile_M(q, abs(b)) ** (-1.0 / p)
+        # the member is scale |b|^-e conj(b) |d|^e / d; a subnormal M(|b|) ~ |b|^q loses its digits
+        mass = 1.0 if p == _INF else profile_M(q, abs(b))
+        if not (mass >= np.finfo(float).tiny and 1.0 / abs(b) ** e < _INF):
+            raise DomainError(f"the analytic-kernel family degenerates at |b| = {abs(b):.3g}: its profile vanishes")
+        scale = mass ** (-1.0 / p)
 
         def j0_member(w):
             w = np.asarray(w, dtype=complex)
@@ -363,13 +369,20 @@ def lower_bound_via_extremal(op: Operator, p: float, b: complex) -> NormResult:
     would leave an algebraic endpoint factor and waste the family's exactness.
     The bounded families concentrate at 1/conj(b) like the kernel, so they
     too take the quadrature rule sized for b rather than the mode engine.
-    Both use ``DiskRule.for_point(b)``; past the Mobius rule's reach (1 -
-    |b| < 7.8e-5 at p = infinity, more as p falls to 2) it raises DomainError.
+    Both take ``DiskRule.for_point(b)`` with the angles b's layer needs: on
+    a ring of radius r the member times the kernel (on the Mobius rule, the
+    constant times c^(2-q) |D|^(q-4)) has angular modes of size (r|b|)^|n|,
+    so N angles alias at |b|^N, and 64/-log|b| of them keep that below
+    e^-64, as ``_ring_counts`` does for a field's modes: 16 at |b| <= 0.01,
+    94 at 0.5, 180 at 0.7, and ``for_point``'s own count past |b| = 0.9.
+    Past the Mobius rule's reach (1 - |b| < 7.8e-5 at p = infinity, more as
+    p falls to 2) it raises DomainError.
     """
     op = Operator(op)
     f = extremal_function(op, p, b)
     b = complex(b)
-    rule = DiskRule.for_point(b, singular=op is Operator.CAUCHY)
+    angular = max(_required_angular_nodes(b), math.ceil(_LAYER_DECAY / -math.log(abs(b)))) if b else 16
+    rule = replace(DiskRule.for_point(b, singular=op is Operator.CAUCHY), angular_nodes=angular)
     if op is Operator.CAUCHY:
         q = _conjugate_exponent(p)
         result = integrate_disk_singular(lambda w: f(w) * np.abs(w - b) ** q / (w - b), b, q, rule)
@@ -568,7 +581,9 @@ def divergence_slope(
     epsilons: Tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
 ) -> float:
     """Least-squares slope of the truncated mass against its iterated-log law
-    (``divergence_ladder``)."""
+    (``divergence_ladder``); a line needs at least two epsilons."""
+    if len(epsilons) < 2:
+        raise DomainError(f"a slope needs at least two epsilons, got {len(epsilons)}")
     x, values = divergence_ladder(name, epsilons)
     slope, _ = np.polyfit(x, values, 1)
     return float(slope)

@@ -411,8 +411,8 @@ def dbar_identity_residual(
     each shifted point.
     """
     op = Operator(op)
-    if not (h > 0.0):
-        raise DomainError("finite-difference step h must be positive")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"finite-difference step h must satisfy 0 < h < inf, got {h}")
     z = complex(z)
 
     shifts = (z + h, z - h, z + 1j * h, z - 1j * h)

@@ -53,6 +53,22 @@ def gauss01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def field_nodes(monkeypatch, call):
+    """Field nodes evaluated by call(), counted at every module's _eval_nodes."""
+    nodes = []
+    count = quadrature._eval_nodes
+
+    def counting(f, w):
+        nodes.append(np.size(w))
+        return count(f, w)
+
+    for module in (quadrature, norms, operators):
+        monkeypatch.setattr(module, "_eval_nodes", counting)
+    call()
+    monkeypatch.undo()
+    return sum(nodes)
+
+
 def lp_norm_radial(values_of_r, p, n=400):
     """L^p norm over the disk of a |z|-radial |function| given as r -> |f|."""
     t, w = gauss01(n)
@@ -344,6 +360,49 @@ class TestExtremalFamilies:
         assert abs(low.value - target) / target < 0.005
         assert low.value <= closed_form_norm(NormQuery(Operator.J0_STAR, 3.0, Target.L_INFINITY)).value
 
+    @staticmethod
+    def _for_point_sum(op, p, b):
+        # the lower bound's sum on the rule DiskRule.for_point(b) builds
+        f = extremal_function(op, p, b)
+        if op is Operator.CAUCHY:
+            q = 1.0 if p == INF else p / (p - 1.0)
+            rule = DiskRule.for_point(b, singular=True)
+            return integrate_disk_singular(lambda w: f(w) * np.abs(w - b) ** q / (w - b), b, q, rule)
+        return apply(op, f, b, DiskRule.for_point(b))
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0, INF])
+    @pytest.mark.parametrize("op", [Operator.CAUCHY, Operator.J0, Operator.J0_STAR])
+    def test_layer_sized_rule_matches_for_point(self, op, p):
+        # the anchor's layer needs 16 angles at |b| = 0.01, 94 at 0.5, 412
+        # at 0.856; the sum on for_point's 512 agrees to rounding
+        anchors = [0.01, 0.3 + 0.2j, -0.5j, 0.7, 0.85 + 0.1j] + ([0.0] if op is Operator.CAUCHY else [])
+        for b in anchors:
+            low = lower_bound_via_extremal(op, p, b)
+            want = abs(self._for_point_sum(op, p, b).value)
+            assert abs(low.value - want) <= 1e-14 * want, b
+            assert low.error_estimate <= 1e-10, b
+
+    @pytest.mark.parametrize("op", [Operator.CAUCHY, Operator.J0, Operator.J0_STAR])
+    def test_lower_bound_node_counts(self, op, monkeypatch):
+        # 255 Kronrod rings of 16 angles near the center, of 608 at |b| =
+        # 0.9, whose rule for_point leaves at 512; past 0.9 the count is
+        # for_point's own
+        assert field_nodes(monkeypatch, lambda: lower_bound_via_extremal(op, 4.0, 0.01)) == 255 * 16
+        assert field_nodes(monkeypatch, lambda: lower_bound_via_extremal(op, 4.0, 0.9)) == 255 * 608
+        for b in (0.91, 0.95, 0.99):
+            got = field_nodes(monkeypatch, lambda: lower_bound_via_extremal(op, 4.0, b))
+            assert got == field_nodes(monkeypatch, lambda: self._for_point_sum(op, 4.0, b)), b
+
+    def test_j0_family_refuses_where_its_profile_vanishes(self):
+        # M(|b|) underflows at finite p, 1/|b| overflows at p = infinity,
+        # and a subnormal M(|b|) has lost its digits
+        for p, b in ((2.5, 1e-300), (4.0, 1e-300), (INF, 5e-324), (2.5, 1e-190)):
+            with pytest.raises(DomainError, match="its profile vanishes"):
+                lower_bound_via_extremal(Operator.J0, p, b)
+        for op in (Operator.CAUCHY, Operator.J0_STAR):
+            for p, b in ((2.5, 1e-300), (4.0, 1e-300), (INF, 5e-324)):
+                assert math.isfinite(lower_bound_via_extremal(op, p, b).value)
+
 
 class TestUpperBoundDominance:
     """Every UPPER_BOUND catalog entry dominates sampled lower bounds."""
@@ -475,19 +534,9 @@ class TestModes:
 
     def test_norms_suite_field_work(self, monkeypatch):
         # ten mode-3 sums on 33 x 256 nodes, three center energies on 33 x
-        # 16, three extremal lower bounds on the default 255 x 512 rule and
-        # one 256-node mode reduction
-        nodes = []
-        count = quadrature._eval_nodes
-
-        def counting(f, w):
-            nodes.append(np.size(w))
-            return count(f, w)
-
-        for module in (quadrature, norms, operators):
-            monkeypatch.setattr(module, "_eval_nodes", counting)
-        suite_norms()
-        assert sum(nodes) == 10 * 8448 + 3 * 528 + 3 * 130560 + 256 == 478000
+        # 16, three extremal lower bounds at |b| = 0.01 on 255 x 16 and one
+        # 256-node mode reduction
+        assert field_nodes(monkeypatch, suite_norms) == 10 * 8448 + 3 * 528 + 3 * 4080 + 256 == 98560
 
     @pytest.mark.parametrize("seed", [42, 0])
     def test_norms_suite_mode3_rule_resolves_its_row(self, seed):
@@ -617,6 +666,16 @@ class TestCounterexamples:
         for name in COUNTEREXAMPLE_NAMES:
             slope = divergence_slope(name)
             assert 0.9 <= slope <= 1.1, f"{name}: slope {slope}"
+
+    def test_slope_needs_two_epsilons(self, monkeypatch):
+        # refused before any quadrature; the ladder still takes one epsilon
+        monkeypatch.setattr(norms, "truncated_singular_integral", None)
+        for eps in ((1e-2,), ()):
+            with pytest.raises(DomainError, match="at least two epsilons"):
+                divergence_slope("J0_P2", eps)
+        monkeypatch.undo()
+        x, values = divergence_ladder("J0_P2", (1e-2,))
+        assert x.shape == values.shape == (1,)
 
     def test_bad_name_raises(self):
         with pytest.raises(UnsupportedQueryError):

@@ -272,6 +272,13 @@ class TestDbarIdentity:
             dbar_identity_residual(f, 0.95, 1e-3, DiskRule(64, 512, Mobius()))
         assert f.sizes == []
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.inf, math.nan])
+    def test_step_must_be_positive_and_finite(self, h):
+        f = CountingField({(1, 0): 1.0})
+        with pytest.raises(DomainError, match="0 < h < inf"):
+            dbar_identity_residual(f, 0.1, h)
+        assert f.sizes == []
+
     def test_tiny_step_raises_precision_error(self):
         with pytest.raises(PrecisionError):
             dbar_identity_residual(
