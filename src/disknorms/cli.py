@@ -25,6 +25,8 @@ from .profiles import _conjugate_exponent, profile_K, profile_M, profile_N
 from .verify import SUITE_NAMES, run_suite
 
 OP_CHOICES = ["cauchy", "bergman", "j0", "j0star", "cdelta"]
+# the operators each table kind reads from --op; lp_linf_curves defaults to cauchy
+_TABLE_OPS = {"interpolation": ["j0star"], "lp_linf_curves": OP_CHOICES, "profiles": []}
 
 
 def _fmt(x: float) -> str:
@@ -57,7 +59,6 @@ def _option(flag: str, convert: Callable, valid: Callable, what: str) -> Callabl
 
 _parse_p = _option("--p", _real, lambda v: not math.isnan(v), "a real number or 'inf'")
 _parse_seed = _option("--seed", int, lambda v: v >= 0, "an integer >= 0")
-_parse_tol = _option("--tol", float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,14 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite and report PASS/FAIL rows")
     verify.add_argument("--suite", choices=["all", *SUITE_NAMES], default="all")
     verify.add_argument("--format", choices=["csv", "json", "text"], default="text")
-    verify.add_argument("--tol", type=_parse_tol, default=None,
-                        help="override every row tolerance with one absolute value")
     verify.add_argument("--seed", type=_parse_seed, default=42)
     verify.add_argument("--out", default=None, metavar="PATH")
 
     table = sub.add_parser("table", help="emit a curve table (CSV or JSON)")
     table.add_argument("kind", choices=["interpolation", "lp_linf_curves", "profiles"])
-    table.add_argument("--op", choices=OP_CHOICES, default="cauchy")
+    table.add_argument("--op", choices=OP_CHOICES, default=None,
+                       help="lp_linf_curves: default cauchy; interpolation: j0star only; profiles: none")
     table.add_argument("--p", default=None,
                        help="grid: comma-separated values, e.g. '2.5,3,4,inf' "
                             "(profiles: a single p)")
@@ -138,7 +138,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows = run_suite(args.suite, seed=args.seed, tol_override=args.tol)
+    rows = run_suite(args.suite, seed=args.seed)
     n_pass = sum(r.passed for r in rows)
     if args.format == "csv":
         text = _csv_text(
@@ -193,6 +193,9 @@ def _parse_grid(text: Optional[str], default: Sequence[float]) -> List[float]:
 
 
 def cmd_table(args) -> int:
+    if args.op not in [None, *_TABLE_OPS[args.kind]]:
+        reads = f"--op {' or '.join(_TABLE_OPS[args.kind])} only" if _TABLE_OPS[args.kind] else "no --op"
+        raise DiskNormsError(f"table {args.kind} does not read --op {args.op}; it reads {reads}")
     if args.kind == "interpolation":
         grid = _parse_grid(args.p, (1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0, math.inf))
         header = ["p", "value", "kind"]
@@ -205,7 +208,7 @@ def cmd_table(args) -> int:
         header = ["p", "value", "kind"]
         rows = []
         for p in grid:
-            r = closed_form_norm(NormQuery(Operator(args.op), p, Target.L_INFINITY))
+            r = closed_form_norm(NormQuery(Operator(args.op or "cauchy"), p, Target.L_INFINITY))
             rows.append([_fmt(p), _fmt(r.value), r.kind.value])
     else:
         grid = _parse_grid(args.p, (3.0,))

@@ -11,9 +11,10 @@ guessing; in particular the p-to-p norm of the Cauchy transform away from
 p in {1, 2, infinity} is an open problem and only its interpolation bounds
 are served.
 
-Lower bounds come from ``extremal_function``: one-parameter families of
-unit-L^p densities, anchored at a disk point, whose operator value at the
-anchor equals the corresponding kernel profile exactly.  Pushing the anchor
+Lower bounds come from ``extremal_function``: for cauchy, j0 and j0star,
+the unit-L^p density anchored at a disk point b that is Hoelder's equality
+case for the operator's kernel K_b, so its operator value at the anchor is
+the kernel's q-norm, read from the profiles, exactly.  Pushing the anchor
 toward the profile's maximizing point squeezes the lower bound against the
 catalog value.
 
@@ -296,68 +297,48 @@ def closed_form_norm(query: NormQuery) -> NormResult:
     return interior(p)
 
 
+# operator -> its kernel K_b(w) at the anchor b (the ``operators`` module's
+# K_z at z = b) and its profile ||K_b||_q^q at |b|, a function of (p, q, |b|)
+_EXTREMAL = {
+    Operator.CAUCHY: (lambda b, w: 1.0 / (w - b), lambda p, q, r: profile_K(p, r)),
+    Operator.J0: (lambda b, w: b / (1.0 - np.conj(w) * b), lambda p, q, r: profile_M(q, r)),
+    Operator.J0_STAR: (lambda b, w: np.conj(w) / (1.0 - np.conj(w) * b),
+                       lambda p, q, r: profile_N(q, r, 1e-12).value),
+}
+
+
 def extremal_function(op: Operator, p: float, b: complex) -> FieldFn:
     """Unit-L^p density anchored at b whose operator value there is a profile.
 
-    Normalization constants come from the kernel profiles, so the returned
-    field has unit norm analytically; the families exist for p > 2 (the
-    bounded kernels additionally admit p = infinity with unimodular
-    members).  The analytic-kernel family degenerates at b = 0 where its
-    profile vanishes.
+    Hoelder's equality case conj(K_b) |K_b|^(q-2) / E^(1/p), q = p/(p-1), of
+    the operator's kernel K_b and its profile E = ||K_b||_q^q (``profile_K``,
+    ``profile_M``, ``profile_N`` for cauchy, j0, j0star): unit norm, value
+    E^(1-1/p) at b.  For p > 2; at p = infinity E is not formed and the
+    members are unimodular.  A family refuses where E is not a positive
+    normal float, and j0, whose kernel vanishes at b = 0, a subnormal |b|.
     """
     op = Operator(op)
     p = _check_p(p)
-    if op not in (Operator.CAUCHY, Operator.J0, Operator.J0_STAR):
+    if op not in _EXTREMAL:
         raise UnsupportedQueryError(f"no extremal family for operator {op.value!r}")
     if not p > 2.0:
-        raise UnsupportedQueryError(
-            f"extremal families exist only for p > 2 (or infinity); got p = {p:g}"
-        )
+        raise UnsupportedQueryError(f"extremal families exist only for p > 2 (or infinity); got p = {p:g}")
     b = complex(b)
     if not abs(b) < 1.0:
         raise DomainError(f"anchor must be interior, got |b| = {abs(b):.6g}")
+    kernel, profile = _EXTREMAL[op]
     q = _conjugate_exponent(p)
+    energy = 1.0 if p == _INF else profile(p, q, abs(b))
+    tiny = np.finfo(float).tiny
+    if not tiny <= energy < _INF or (op is Operator.J0 and not abs(b) >= tiny):
+        raise DomainError(f"the {op.value} extremal family degenerates at |b| = {abs(b):.3g}: its profile vanishes")
+    scale = energy ** (-1.0 / p)
 
-    if op is Operator.CAUCHY:
-        scale = 1.0 if p == _INF else profile_K(p, abs(b)) ** (-1.0 / p)
+    def member(w):
+        k = kernel(b, np.asarray(w, dtype=complex))
+        return scale * np.conj(k) * np.abs(k) ** (q - 2.0)
 
-        def cauchy_member(w):
-            w = np.asarray(w, dtype=complex)
-            return scale * (w - b) / np.abs(w - b) ** q
-
-        return cauchy_member
-
-    if b == 0:
-        raise DomainError(
-            "the bounded-kernel extremal families degenerate at b = 0 "
-            "(their profile vanishes there); pick a nonzero anchor"
-        )
-
-    # the unimodular p = infinity members are the finite-p ones at e = 1, scale 1
-    bc = np.conj(b)
-    e = 1.0 if p == _INF else (p - 2.0) / (p - 1.0)
-    if op is Operator.J0:
-        # the member is scale |b|^-e conj(b) |d|^e / d; a subnormal M(|b|) ~ |b|^q loses its digits
-        mass = 1.0 if p == _INF else profile_M(q, abs(b))
-        if not (mass >= np.finfo(float).tiny and 1.0 / abs(b) ** e < _INF):
-            raise DomainError(f"the analytic-kernel family degenerates at |b| = {abs(b):.3g}: its profile vanishes")
-        scale = mass ** (-1.0 / p)
-
-        def j0_member(w):
-            w = np.asarray(w, dtype=complex)
-            d = 1.0 - w * bc
-            return scale * (bc / d) * np.abs(d / bc) ** e
-
-        return j0_member
-
-    scale = 1.0 if p == _INF else profile_N(q, abs(b), 1e-12).value ** (-1.0 / p)
-
-    def j0star_member(w):
-        w = np.asarray(w, dtype=complex)
-        d = 1.0 - bc * w
-        return scale * (w / d) * np.abs(d / w) ** e
-
-    return j0star_member
+    return member
 
 
 def lower_bound_via_extremal(op: Operator, p: float, b: complex) -> NormResult:
@@ -390,12 +371,16 @@ def lower_bound_via_extremal(op: Operator, p: float, b: complex) -> NormResult:
     else:
         result = apply(op, f, b, rule)
         family = "bounded-kernel"
+    estimate = result.abs_error_estimate
+    if op is Operator.J0:
+        # its member and M(|b|) raise numbers of size |b| to rounded exponents
+        estimate += _EPS * -math.log(abs(b)) * abs(result.value)
     return NormResult(
         abs(result.value),
         NormKind.LOWER_BOUND,
         f"operator value on the unit-norm {family} extremal family anchored at "
         f"|b| = {abs(b):.6g}; equals the kernel profile there",
-        result.abs_error_estimate,
+        estimate,
     )
 
 

@@ -407,15 +407,20 @@ def dbar_identity_residual(
     quadrature noise of four operator evaluations divided by 4h.  When that
     noise term alone exceeds half the comparison scale the step cannot
     resolve the identity and a PrecisionError is raised instead of returning
-    a meaningless number.  An explicit rule goes to ``apply`` as given at
-    each shifted point.
+    a meaningless number; z or a shifted point past ``apply``'s reach
+    raises DomainError first.  An explicit rule goes to ``apply`` as given.
     """
     op = Operator(op)
     if not 0.0 < h < math.inf:
         raise DomainError(f"finite-difference step h must satisfy 0 < h < inf, got {h}")
-    z = complex(z)
+    z = _check_point(op, z)
 
     shifts = (z + h, z - h, z + 1j * h, z - 1j * h)
+    for point in shifts:
+        try:
+            _check_point(op, point)
+        except DomainError as exc:
+            raise DomainError(f"step h = {h:.6g} at z = {z:.6g} puts a stencil point out of reach: {exc}") from None
     values = []
     noise = 0.0
     for point in shifts:

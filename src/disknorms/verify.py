@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -580,8 +580,8 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 42, tol_override: Optional[float] = None) -> List[ReportRow]:
-    """Run one suite (or 'all'); optionally override every row tolerance."""
+def run_suite(name: str, seed: int = 42) -> List[ReportRow]:
+    """Run one suite (or 'all'), each row judged by its own tolerance."""
     if name == "all":
         names = SUITE_NAMES
     elif name in _SUITES:
@@ -591,9 +591,4 @@ def run_suite(name: str, seed: int = 42, tol_override: Optional[float] = None) -
     rows: List[ReportRow] = []
     for n in names:
         rows.extend(_SUITES[n](seed))
-    if tol_override is not None:
-        rows = [
-            replace(r, tolerance=tol_override, status=_status(r.abs_err, tol_override))
-            for r in rows
-        ]
     return rows

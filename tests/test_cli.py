@@ -18,7 +18,7 @@ from disknorms.profiles import profile_K, profile_M, profile_N
 
 
 # the verify subcommand's option strings, in the order the parser adds them
-VERIFY_OPTIONS = ["-h", "--help", "--suite", "--format", "--tol", "--seed", "--out"]
+VERIFY_OPTIONS = ["-h", "--help", "--suite", "--format", "--seed", "--out"]
 
 
 def run_cli(capsys, *argv):
@@ -133,20 +133,12 @@ class TestVerifyCommand:
         assert payload["rows"][0]["status"] == "PASS"
         assert isinstance(payload["rows"][0]["claimed"], str)
 
-    def test_tol_override_forces_failures(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "specfun", "--tol", "1e-300")
-        assert code == 1
-        assert "FAIL" in out
-
     @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--seed", "-3", "--seed must be an integer >= 0, got '-3'"),
-            ("--tol", "nan", "--tol must be a finite number >= 0, got 'nan'"),
-            ("--tol", "inf", "--tol must be a finite number >= 0, got 'inf'"),
-            ("--tol", "-1", "--tol must be a finite number >= 0, got '-1'"),
         ],
-        ids=["seed-negative", "tol-nan", "tol-inf", "tol-negative"],
+        ids=["seed-negative"],
     )
     def test_bad_seed_or_tol_is_a_usage_error(self, capsys, flag, value, message):
         # exit 1 means "some row failed"; a bad option must not read as one
@@ -252,6 +244,34 @@ class TestTableCommand:
         assert code == 2
         assert out == ""
         assert f"requires p > 2 so all three profiles exist, got p = {float(p)!r}" in err
+
+    @pytest.mark.parametrize(
+        "kind, op, reads",
+        [
+            ("interpolation", "cauchy", "it reads --op j0star only"),
+            ("interpolation", "j0", "it reads --op j0star only"),
+            ("profiles", "bergman", "it reads no --op"),
+            ("profiles", "j0star", "it reads no --op"),
+        ],
+    )
+    def test_op_the_kind_does_not_read_is_refused(self, capsys, kind, op, reads):
+        # the j0star Riesz-Thorin table and the three profiles never read --op
+        code, out, err = run_cli(capsys, "table", kind, "--op", op)
+        assert code == 2
+        assert out == ""
+        assert f"table {kind} does not read --op {op}; {reads}" in err
+
+    @pytest.mark.parametrize(
+        "argv, default",
+        [
+            (("table", "interpolation", "--op", "j0star"), ("table", "interpolation")),
+            (("table", "lp_linf_curves", "--op", "cauchy"), ("table", "lp_linf_curves")),
+        ],
+    )
+    def test_op_the_kind_reads_matches_its_default(self, capsys, argv, default):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (code, out) == run_cli(capsys, *default)[:2]
 
     def test_json_table(self, capsys):
         code, out, _ = run_cli(capsys, "table", "interpolation", "--p", "2", "--format", "json")

@@ -282,10 +282,11 @@ class TestExtremalFamilies:
     def test_rejects_bad_anchor(self):
         with pytest.raises(DomainError):
             extremal_function(Operator.CAUCHY, 3.0, 1.0)
-        with pytest.raises(DomainError):
-            extremal_function(Operator.J0, 3.0, 0.0)
-        with pytest.raises(DomainError):
-            extremal_function(Operator.J0_STAR, INF, 0.0)
+        # the j0 kernel b/(1 - conj(w) b) vanishes at b = 0; j0star's is conj(w) there
+        for p in (3.0, INF):
+            with pytest.raises(DomainError, match="its profile vanishes"):
+                extremal_function(Operator.J0, p, 0.0)
+            assert np.isfinite(extremal_function(Operator.J0_STAR, p, 0.0)(np.array([0.5j]))).all()
         # at p = infinity no profile reads |b|, so only the anchor check sees a NaN
         for op in (Operator.CAUCHY, Operator.J0, Operator.J0_STAR):
             with pytest.raises(DomainError):
@@ -303,11 +304,27 @@ class TestExtremalFamilies:
             )
             assert mass.value.real == pytest.approx(1.0, abs=1e-6)
 
-    def test_j0star_member_unit_norm(self):
+    def test_bounded_members_unit_norm(self):
         p = 3.0
-        f = extremal_function(Operator.J0_STAR, p, 0.9)
-        mass = integrate_disk(lambda w: np.abs(f(w)) ** p, DiskRule.for_point(0.9))
-        assert mass.value.real == pytest.approx(1.0, abs=1e-6)
+        for op, b in ((Operator.J0_STAR, 0.9), (Operator.J0, 0.5)):
+            f = extremal_function(op, p, b)
+            mass = integrate_disk(lambda w: np.abs(f(w)) ** p, DiskRule.for_point(b))
+            assert mass.value.real == pytest.approx(1.0, abs=1e-6), op
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0, INF])
+    def test_j0star_lower_bound_at_the_center(self, p):
+        # K_0(w) = conj(w), whose profile is N_q(0) = 2/(q+2)
+        q = 1.0 if p == INF else p / (p - 1.0)
+        low = lower_bound_via_extremal(Operator.J0_STAR, p, 0.0)
+        assert abs(low.value - (2.0 / (q + 2.0)) ** (1.0 - 1.0 / p)) <= low.error_estimate
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 10.0, 100.0])
+    @pytest.mark.parametrize("b", [1e-20, 1e-100, 1e-150])
+    def test_j0_estimate_covers_small_anchors(self, b, p):
+        # M_q(b)^(1-1/p) = b 2F1(q/2, q/2; 2; b^2)^(1/q) is b to 1e-40 here,
+        # and the exponents' rounding grows like log(1/b)
+        low = lower_bound_via_extremal(Operator.J0, p, b)
+        assert abs(low.value - b) <= low.error_estimate
 
     def test_sup_members_unimodular(self):
         rng = np.random.default_rng(11)

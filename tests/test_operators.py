@@ -279,6 +279,20 @@ class TestDbarIdentity:
             dbar_identity_residual(f, 0.1, h)
         assert f.sizes == []
 
+    @pytest.mark.parametrize(
+        "z, h, op",
+        [(0.1j, 0.95, Operator.C_DELTA), (0.1, 1e300, Operator.CAUCHY), (0.5, 0.4999999, Operator.J0)],
+        ids=["past-the-rim", "huge-step", "past-the-margin"],
+    )
+    def test_step_past_the_domain_is_refused_before_any_node(self, z, h, op):
+        # a stencil point z +- h, z +- ih out of the open disk, or past the
+        # bounded operators' margin, is refused in the caller's terms, h and z
+        f = CountingField({(1, 0): 1.0})
+        with pytest.raises(DomainError) as exc:
+            dbar_identity_residual(f, z, h, op=op)
+        assert str(exc.value).startswith(f"step h = {h:.6g} at z = {complex(z):.6g} ")
+        assert f.sizes == []
+
     def test_tiny_step_raises_precision_error(self):
         with pytest.raises(PrecisionError):
             dbar_identity_residual(
