@@ -602,6 +602,8 @@ def fatou_limit_integrand(t: float, rho: float, r: float) -> float:
     """
     if not (0.0 < rho < 1.0 and 0.0 < r < 1.0):
         raise DomainError("rho and r must lie strictly between 0 and 1")
+    if not math.isfinite(t):
+        raise DomainError(f"angle t must be finite, got {t!r}")
     ct = math.cos(t)
     d_kernel = 1.0 + (r * rho) ** 2 - 2.0 * r * rho * ct
     d_anchor = 1.0 + rho * rho - 2.0 * rho * ct

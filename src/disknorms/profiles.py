@@ -6,8 +6,9 @@ q-energies of the two fractional-integral kernels, and F/H carry the
 monotonicity structure of K.  F, K, M and N take one radius or an array,
 summed as one grid of ``hyp_pfq`` with every check applied to each entry
 and the closed forms at 0 and 1 kept; each entry equals the lone call on
-it, and a scalar in gives a float out.  N(1) = A(p) is the one series
-summed at unit argument, in Thomae's form by ``specfun._thomae_sum``.
+it, and a scalar in gives a float out.  ``hyp_pfq`` sums below unit
+argument only: N(1) = A(p) is one 4,097-term block of Thomae's form, by
+``specfun._thomae_sum``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .specfun import (
     hyp_pfq,
     ln_gamma,
     riemann_zeta,
+    _check_tol,
     _thomae_sum,
 )
 
@@ -130,17 +132,17 @@ def profile_N(q: float, rho, tol: float) -> SeriesValue:
     like n^-(3-q).  Thomae's relation (Bailey 1935, 3.2; DLMF 16.4) turns it
     into Gamma(b)/Gamma(2-q/2)^2 3F2(-q/2, 1, b; 2-q/2, 2-q/2; 1), whose
     terms decay like n^-(2+q/2) and keep one sign after the first.
-    ``specfun._thomae_sum`` sums it; tail_bound adds its Gamma-ratio bracket
-    of the remaining tail, the rounding of every summed term, and that of
-    the prefactor and a, b, c.
+    ``specfun._thomae_sum`` sums it in one 4,097-term block; tail_bound adds
+    its Gamma-ratio bracket of the remaining tail, the rounding of every
+    summed term, and that of the prefactor and a, b, c.  A tol below the
+    block's bound (none from 1e-12 up) raises PrecisionError.
 
     For an array rho, value and tail_bound are arrays, terms_used the most
     any entry took; a refusal names its series argument rho^2.
     """
     _check_q(q)
     grid = _grid(rho, "radius")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     value, bound, terms = np.empty(grid.shape), np.empty(grid.shape), 0
     edge = grid == 1.0
     if edge.any():
@@ -169,7 +171,7 @@ def h_coefficient(q: float, m: int) -> float:
     every a_m nonnegative, so only the magnitude is formed.
     """
     _check_q(q)
-    if m < 0:
+    if not isinstance(m, (int, np.integer)) or m < 0:
         raise DomainError(f"m must be a nonnegative integer, got {m}")
     half = 0.5 * q
     log_mag = (
@@ -191,18 +193,17 @@ def a_p_constant(p: float, tol: float) -> SeriesValue:
     as p -> 2+ sits in Gamma(b), so b = 2 - q = (p-2)/(p-1) is computed
     from p rather than from the rounded q: near p = 2 that keeps the
     relative error of b, and of A(p), at a few ulps.  The tail_bound comes
-    from ``specfun._thomae_sum``, the kernel of this one series: a
-    Gamma-ratio bracket of its tail plus every rounding.  Verifies the
-    zeta-function ceiling on the way out; a violation would mean the
-    summation itself went wrong.
+    from ``specfun._thomae_sum``, the kernel of this one series: one
+    4,097-term block, a Gamma-ratio bracket of its tail plus every rounding,
+    at most 1.24e-13 max(1, A).  Verifies the zeta-function ceiling on the
+    way out; a violation would mean the summation itself went wrong.
     """
     if not p > 2:
         raise DomainError(f"a_p_constant requires p > 2, got {p}")
     q = _conjugate_exponent(p)
     b = 1.0 if math.isinf(p) else (p - 2.0) / (p - 1.0)
     _check_blowup(q, "N(1) = A(p)")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     result = _thomae_sum(0.5 * q, b, tol)
     ceiling = a_p_upper_bound(p)
     if result.value - result.tail_bound > ceiling:

@@ -114,6 +114,9 @@ class DiskRule:
     singularity: AnnulusExclude | Mobius | None = None
 
     def __post_init__(self):
+        for name in ("radial_nodes", "angular_nodes"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 8 <= self.radial_nodes <= _MAX_RADIAL:
             bound = ">= 8" if self.radial_nodes < 8 else f"<= {_MAX_RADIAL}"
             raise ConfigurationError(f"radial_nodes must be {bound}, got {self.radial_nodes}")

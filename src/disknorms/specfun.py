@@ -4,14 +4,14 @@ Log-gamma plumbing, generalized hypergeometric series with explicit tail
 bounds, the smallest Bessel J0 zero, Catalan's constant, and Riemann zeta.
 Everything here is pure and thread-safe.
 
-Hypergeometric series are summed in numpy blocks: the exact term ratio of a
-whole block is formed in one expression and the terms are its cumulative
-product, carried on from the block before, one row for each argument of a
-grid, and the tail bound is a geometric tail once the ratio is provably
-monotone.  The one series summed at unit argument, Thomae's form of the
-constant A(p), has its own kernel: its tail is bracketed between two
-Gamma-ratio tails that match the terms through their n^-2 order.  Both
-add a count of every rounding behind the summed terms.
+Hypergeometric series are summed below unit argument in numpy blocks: the
+exact term ratio of a whole block is formed in one expression and the
+terms are its cumulative product, carried on from the block before, one
+row for each argument of a grid, and the tail bound is a geometric tail
+once the ratio is provably monotone.  The one series summed at unit
+argument, Thomae's form of the constant A(p), is one block of 4096 terms
+whose tail is bracketed between two Gamma-ratio tails that match the terms
+through their n^-2 order.  Both add a count of every rounding behind them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ TERM_CAP = 10_000_000
 _EPS = 2.220446049250313e-16
 
 # Interior series are summed in numpy blocks of 64 terms doubling to 2^14,
-# Thomae's series for A(p) in blocks of 4096.  Roundings behind the bound,
+# Thomae's series for A(p) in one block of 4096.  Roundings behind the bound,
 # each counted as eps (twice the unit roundoff, which also covers the
 # higher-order terms): a term t_n carries n ratios, and each ratio step
 # costs one rounding per parameter shift (a+n, b+n), one per product with
@@ -62,7 +62,7 @@ class SeriesValue:
 
 @dataclass(frozen=True)
 class HypergeometricSpec:
-    """Parameters of pFq(upper; lower; argument), each argument in [0, 1].
+    """Parameters of pFq(upper; lower; argument), each argument in [0, 1).
 
     A grid of arguments (any sequence or array) is kept as a flat tuple."""
 
@@ -77,9 +77,9 @@ class HypergeometricSpec:
             if b <= 0 and b == int(b):
                 raise DomainError(f"lower parameter {b} is a nonpositive integer")
         grid = np.asarray(self.argument, dtype=float)
-        outside = ~((grid >= 0.0) & (grid <= 1.0))
+        outside = ~((grid >= 0.0) & (grid < 1.0))
         if outside.any():
-            raise DomainError(f"argument {float(grid[outside][0])!r} outside [0, 1]")
+            raise DomainError(f"argument {float(grid[outside][0])!r} outside [0, 1)")
         object.__setattr__(self, "argument", tuple(grid.ravel().tolist()) if grid.ndim else float(grid))
 
 
@@ -90,9 +90,10 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _stops(upper):
-    """The k of every upper parameter -k: each makes t_k the last nonzero term."""
-    return [int(-a) for a in upper if a <= 0.0 and a.is_integer()]
+def _check_tol(tol) -> None:
+    """Refuse a tolerance that is not positive, NaN among them, before any term."""
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
 
 
 def _thomae_sum(a, b, tol):
@@ -102,20 +103,18 @@ def _thomae_sum(a, b, tol):
     r(n) = (n-a)(n+b)/(n+c)^2 (the upper 1 cancels the factorial), keep the
     sign of t_1 after t_0 = 1, never exceed 1 in size, since |(n-a)(n+b)| <
     (n+c)^2, and decay like n^-s, s = 1 + 2c - (1 - a + b) = 2 + q/2 >= 2.5.
-    The tail past the last summed term is bracketed against g_n =
-    Gamma(n+beta)/Gamma(n+beta+s): its ratio (n+beta)/(n+beta+s) matches
-    r(n) through the 1/n^2 term, its tail from N sums exactly to
+    One block, t_0 and 4096 terms, is summed, and its tail is bracketed
+    against g_n = Gamma(n+beta)/Gamma(n+beta+s): its ratio (n+beta)/(n+beta+s)
+    matches r(n) through the 1/n^2 term, its tail from N sums exactly to
     g_N (N+beta+s-1)/(s-1), and past N, t_n/g_n moves by at most a factor
     exp(+-drift), where drift bounds the summed remainders |log r(n) -
     log(g_{n+1}/g_n)| = O(n^-3).  Every shift -a, b, c, beta, beta+s is at
-    most 1.9 in size, below every N, and after the first block of 4096 terms
-    drift is at most 1.5e-7 for every q in [1, 2), so each block brackets
-    its tail.  Rounding in s tilts the tail by at most 52 eps, below the
-    (10 N + 8) eps that the ratios' roundings add to the bracket from the
-    first block on.  The bracket's width shrinks with the drift like N^-2
-    while its rounding slack grows like N, so each block also bounds from
-    below the bound of every later block up to TERM_CAP, and a tolerance
-    below all of them is refused at once.
+    most 1.9 in size, below N = 4097, where drift is at most 1.5e-7 for
+    every q in [1, 2), so the block brackets its tail.  Rounding in s tilts
+    the tail by at most 52 eps, below the (10 N + 8) eps that the ratios'
+    roundings add.  The bound is at most 1.24e-13 max(1, A) on q in [1, 2 -
+    1e-6] (20,001 values); a tol it misses raises PrecisionError with the
+    block as ``best``.
     """
     c = a + b
     scale = math.gamma(b) / math.gamma(c) ** 2
@@ -124,66 +123,41 @@ def _thomae_sum(a, b, tol):
     beta = (down_sq - up_sq - s * s) / (2.0 * s)
     # log(1 + x/n) terms of log r(n) - log(g_{n+1}/g_n), as (x, multiplicity)
     shifts = ((-a, 1), (b, 1), (c, 2), (beta, 1), (beta + s, 1))
-    cubes = sum(m * abs(x) ** 3 / 3.0 for x, m in shifts)
     roundings = _RATIO_ROUNDINGS + 2 * (2 + 2)  # 2(p+q) + 2 with p = q = 2
     # rounding in beta leaves a 1/n^2 mismatch of at most `mismatch`, which
-    # sums to mismatch/n0 past N
+    # sums to mismatch/B past N
     mismatch = 8 * _EPS * max(s * s, down_sq + up_sq)
 
     def ratio(n):
         return (n - a) * (n + b) / ((n + c) * (n + c))
 
-    total = carry = 1.0  # t_0
-    n0 = 0
-    sum_err = weighted = 0.0  # summation rounding; sum of n |t_n|
-    while True:
-        n = np.arange(n0, n0 + _UNIT_BLOCK, dtype=float)
-        terms = ratio(n).cumprod()  # t_{n0+1} .. t_{n0+B}
-        terms *= carry
-        mags = np.abs(terms)
-        n += 1.0
-        total += float(terms.sum())
-        sum_err += _EPS * (_SUM_ROUNDINGS * float(mags.sum()) + abs(total))
-        weighted += float(np.dot(n, mags))
-        n0 += _UNIT_BLOCK
-        carry = float(terms[-1])
-        big_n = n0 + 1
-        # sum of n^-3 over n >= N is below 1/(2 n0^2)
-        drift = mismatch / n0 + sum(
-            m * abs(x) ** 3 / (3.0 * (1.0 - abs(x) / big_n)) for x, m in shifts
-        ) / (2.0 * n0 * n0)
-        next_term = carry * ratio(float(n0))
-        slack = (roundings * big_n + 8) * _EPS
-        mid = next_term * (big_n + beta + s - 1.0) / (s - 1.0)
-        lo = mid * math.exp(-drift) * (1.0 - slack)
-        hi = mid * math.exp(drift) * (1.0 + slack)
-        value = scale * (total + 0.5 * (lo + hi))
-        floor = scale * (sum_err + roundings * _EPS * weighted)
-        floor += _SCALE_ROUNDINGS * _EPS * abs(value)
-        bound = scale * 0.5 * abs(hi - lo) + floor
-        target = tol * max(1.0, abs(value))
-        if bound <= target:
-            return SeriesValue(value, big_n, bound)
-        if big_n <= TERM_CAP:
-            # The least bound a later block can reach.  At its N' the half
-            # width of the bracket is at least |mid'| (drift' + slack'),
-            # drift' is at least cubes / (2 (N'-1)^2), and |mid'| is at least
-            # `share` of |mid|: Gamma(x)/Gamma(x+u) is in [(x+u)^-u,
-            # x^-u (1+1/x)] for x > 0.
-            later = np.arange(
-                big_n + _UNIT_BLOCK, TERM_CAP + _UNIT_BLOCK + 1, _UNIT_BLOCK, dtype=float
-            )
-            x0 = big_n + beta
-            share = (x0 / (later + beta + s - 1.0)) ** (s - 1.0)
-            share *= math.exp(-drift) / (1.0 + 1.0 / x0)
-            width = cubes / (2.0 * (later - 1.0) ** 2) + (roundings * later + 8) * _EPS
-            floor = max(floor, scale * abs(mid) * float(np.min(share * width)))
-        if floor > target or big_n > TERM_CAP:
-            raise PrecisionError(
-                f"tolerance {tol:g} unreachable for A(p): bound {bound:g} after "
-                f"{big_n} terms, least reachable bound {floor:g}",
-                best=SeriesValue(value, big_n, bound),
-            )
+    n = np.arange(_UNIT_BLOCK, dtype=float)
+    terms = ratio(n).cumprod()  # t_1 .. t_B, B = 4096
+    mags = np.abs(terms)
+    n += 1.0
+    total = 1.0 + float(terms.sum())  # t_0 = 1
+    sum_err = _EPS * (_SUM_ROUNDINGS * float(mags.sum()) + abs(total))
+    weighted = float(np.dot(n, mags))  # sum of n |t_n|
+    big_n = _UNIT_BLOCK + 1
+    # sum of n^-3 over n >= N is below 1/(2 B^2)
+    drift = mismatch / _UNIT_BLOCK + sum(
+        m * abs(x) ** 3 / (3.0 * (1.0 - abs(x) / big_n)) for x, m in shifts
+    ) / (2.0 * _UNIT_BLOCK * _UNIT_BLOCK)
+    next_term = float(terms[-1]) * ratio(float(_UNIT_BLOCK))
+    slack = (roundings * big_n + 8) * _EPS
+    mid = next_term * (big_n + beta + s - 1.0) / (s - 1.0)
+    lo = mid * math.exp(-drift) * (1.0 - slack)
+    hi = mid * math.exp(drift) * (1.0 + slack)
+    value = scale * (total + 0.5 * (lo + hi))
+    floor = scale * (sum_err + roundings * _EPS * weighted)
+    floor += _SCALE_ROUNDINGS * _EPS * abs(value)
+    bound = scale * 0.5 * abs(hi - lo) + floor
+    result = SeriesValue(value, big_n, bound)
+    if bound > tol * max(1.0, abs(value)):
+        raise PrecisionError(
+            f"tolerance {tol:g} unreachable for A(p): bound {bound:g} after {big_n} terms", best=result
+        )
+    return result
 
 
 def _sum_blocked(upper, lower, x, tol):
@@ -199,9 +173,8 @@ def _sum_blocked(upper, lower, x, tol):
     denominators = sorted(lower + (1.0,))
     pairs = list(zip(sorted(upper), denominators))
     unpaired = denominators[len(pairs):]
-    last = min(_stops(upper), default=math.inf)
     values, used, bounds = np.ones(x.size), np.ones(x.size, dtype=int), np.zeros(x.size)
-    live = np.flatnonzero(x != 0.0) if last > 0 else np.empty(0, dtype=int)
+    live = np.flatnonzero(x != 0.0)
     settled = max(-c for c in upper + tuple(denominators))
     roundings = _RATIO_ROUNDINGS + 2 * (len(upper) + len(lower))
     total, carry = np.ones(live.size), np.ones(live.size)  # t_0
@@ -210,7 +183,7 @@ def _sum_blocked(upper, lower, x, tol):
     weighted = np.zeros(live.size)  # sum of n |t_n|: t_n carries n ratios
     while live.size:
         blocks += 1
-        n = np.arange(n0, min(n0 + size, last), dtype=float)
+        n = np.arange(n0, n0 + size, dtype=float)
         den = n + 1.0
         for b in lower:
             den *= b + n
@@ -233,8 +206,8 @@ def _sum_blocked(upper, lower, x, tol):
             raise PrecisionError(f"series terms overflow double precision within {n0 + len(n)} terms")
         n0 += len(n)
         floor = _EPS * (sum_err + roundings * weighted)
-        tail = np.full(live.size, 0.0 if n0 == last else math.inf)
-        if n0 != last and n0 > settled:
+        tail = np.full(live.size, math.inf)
+        if n0 > settled:
             # R, raised past the roundings of its own evaluation
             ratio_sup = x[live]
             for a, c in pairs:
@@ -271,7 +244,7 @@ def _sum_blocked(upper, lower, x, tol):
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused, not warned
 def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
-    """Sum pFq(upper; lower; x) for x in [0, 1] with an honest tail bound.
+    """Sum pFq(upper; lower; x) for x in [0, 1) with an honest tail bound.
 
     The terms are built in numpy blocks of 64 to 2^14 as cumulative products
     of the exact ratio x prod(a+n) / (prod(b+n) (n+1)); signs follow from
@@ -282,27 +255,22 @@ def hyp_pfq(spec: HypergeometricSpec, tol: float) -> SeriesValue:
     counting every rounding of the running product and of the block sums.  A
     tolerance that the floor alone provably exceeds raises PrecisionError at
     once, with the partial sum as ``best``.  A series with an upper
-    parameter -k stops after k+1 terms.  Terms that overflow double
-    precision raise PrecisionError.  At x = 1 a series with p = q + 1 that
-    does not terminate raises DomainError, and p > q + 1 diverges
-    (DivergenceError) at every x > 0.
+    parameter -k has exact zero terms past t_k and is summed like any
+    other.  Terms that overflow double precision raise PrecisionError, and
+    p > q + 1 diverges (DivergenceError) at every x > 0.
 
     A grid of arguments is summed in one pass: value and tail_bound are
     arrays, each entry bit-identical to a call on that argument alone, and
     terms_used is the most terms any entry took.  Every check applies to
     each entry; a refusal names the entry's argument.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     p, q = len(spec.upper), len(spec.lower)
     x = np.atleast_1d(np.asarray(spec.argument, dtype=float))
     if p > q + 1 and (x > 0.0).any():
         raise DivergenceError(
             f"{p}F{q} has zero radius of convergence for positive argument"
         )
-    # a terminating series is a polynomial, summed to its last term
-    if p == q + 1 and (x == 1.0).any() and not _stops(spec.upper):
-        raise DomainError(f"{p}F{q} is summed at unit argument only when it terminates")
     value, used, bound = _sum_blocked(spec.upper, spec.lower, x, tol)
     if isinstance(spec.argument, tuple):
         return SeriesValue(value, int(used.max()), bound)
@@ -389,15 +357,14 @@ def _sum_alternating(term, tol):
 
 def catalan_constant(tol: float) -> SeriesValue:
     """Catalan's constant sum_k (-1)^k / (2k+1)^2 with tail_bound <= tol."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     value, n, bound = _sum_alternating(lambda k: 1.0 / (2 * k + 1.0) ** 2, tol)
     return SeriesValue(value, n, bound)
 
 
 def riemann_zeta(s: float) -> float:
     """zeta(s) for s > 1 via the accelerated alternating eta series."""
-    if s <= 1:
+    if not s > 1:
         raise DomainError(f"zeta requires s > 1, got {s}")
     eta, _, _ = _sum_alternating(lambda k: (k + 1.0) ** (-s), 1e-14)
     return eta / (1.0 - 2.0 ** (1.0 - s))

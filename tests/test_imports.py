@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, every private
 top-level name is read somewhere in the package, the public names are
-the pinned list below, and a process that runs the package never loads
-``numpy.polynomial`` or ``numpy.random``.
+the pinned list below with the pinned signatures, and a process that runs
+the package never loads ``numpy.polynomial`` or ``numpy.random``.
 
 A deletion that leaves its imports or its private helpers behind fails here.
 The scans use only the standard library ``ast`` module.  An imported name
@@ -13,6 +13,8 @@ module imports it from there, or any module reads an attribute of that name.
 """
 
 import ast
+import enum
+import inspect
 import os
 import subprocess
 import sys
@@ -131,6 +133,57 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert disknorms.__all__ == PUBLIC_NAMES
     assert all(hasattr(disknorms, name) for name in PUBLIC_NAMES)
+
+
+# str(inspect.signature(...)) of every public function and dataclass (enums,
+# exceptions and constants left out): a parameter comes or goes only with
+# an edit here
+PUBLIC_SIGNATURES = {
+    "AnnulusExclude": "(epsilon: 'float') -> None",
+    "DiskRule": "(radial_nodes: 'int' = 256, angular_nodes: 'int' = 512, "
+    "singularity: 'AnnulusExclude | Mobius | None' = None) -> None",
+    "Integral": "(value: 'complex', abs_error_estimate: 'float') -> None",
+    "Mobius": "() -> None",
+    "NormQuery": "(operator: 'Operator', source_p: 'float', "
+    "target: 'Target' = <Target.SAME_P: 'same'>) -> None",
+    "NormResult": "(value: 'float', kind: 'NormKind', provenance: 'str', "
+    "error_estimate: 'float' = 0.0) -> None",
+    "adjoint_pairing_residual": "(f: 'FieldFn', g: 'FieldFn', rule: 'Optional[DiskRule]' = None) -> 'float'",
+    "apply": "(op: 'Operator', f: 'FieldFn', z: 'complex', rule: 'Optional[DiskRule]' = None) -> 'Integral'",
+    "closed_form_norm": "(query: 'NormQuery') -> 'NormResult'",
+    "counterexample": "(name: 'str') -> 'Tuple[FieldFn, float, str]'",
+    "counterexample_l2_mass": "(name: 'str', epsilon: 'float' = 0.05) -> 'float'",
+    "dbar_identity_residual": "(f: 'FieldFn', z: 'complex', h: 'float', rule: 'Optional[DiskRule]' = None, "
+    "op: 'Operator' = <Operator.C_DELTA: 'cdelta'>) -> 'float'",
+    "divergence_ladder": "(name: 'str', epsilons: 'Tuple[float, ...]' = (0.01, 0.001, 0.0001, 1e-05, 1e-06)) "
+    "-> 'Tuple[np.ndarray, np.ndarray]'",
+    "divergence_slope": "(name: 'str', epsilons: 'Tuple[float, ...]' = (0.01, 0.001, 0.0001, 1e-05, 1e-06)) "
+    "-> 'float'",
+    "extremal_function": "(op: 'Operator', p: 'float', b: 'complex') -> 'FieldFn'",
+    "fatou_limit_integrand": "(t: 'float', rho: 'float', r: 'float') -> 'float'",
+    "fatou_limit_integrand_adjoint": "(t: 'float', rho: 'float', r: 'float') -> 'float'",
+    "integrate_disk": "(f: 'FieldFn', rule: 'DiskRule') -> 'Integral'",
+    "integrate_disk_singular": "(g: 'FieldFn', b: 'complex', s: 'float', rule: 'DiskRule') -> 'Integral'",
+    "l2_norm_numeric": "(max_d: 'int') -> 'NormResult'",
+    "lower_bound_via_extremal": "(op: 'Operator', p: 'float', b: 'complex') -> 'NormResult'",
+    "mode_best_constant": "(d: 'int') -> 'Tuple[float, Callable]'",
+    "mode_rayleigh_maximum": "(d: 'int') -> 'float'",
+    "mode_reduce": "(d: 'int', f_d: 'Callable') -> 'Union[float, complex]'",
+    "riesz_thorin_bound": "(p: 'float') -> 'NormResult'",
+    "truncated_singular_integral": "(f: 'FieldFn', b: 'complex', epsilon_list: 'Sequence[float]', "
+    "rule: 'DiskRule | None' = None) -> 'list[float]'",
+}
+
+
+def test_public_signatures_are_pinned():
+    signatures = {}
+    for name in disknorms.__all__:
+        obj = getattr(disknorms, name)
+        if isinstance(obj, type) and issubclass(obj, (enum.Enum, BaseException)):
+            continue
+        if callable(obj):
+            signatures[name] = str(inspect.signature(obj))
+    assert signatures == PUBLIC_SIGNATURES
 
 
 def test_a_default_apply_and_every_suite_load_no_polynomial_or_random_module():

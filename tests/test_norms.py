@@ -729,6 +729,13 @@ class TestCounterexamples:
         with pytest.raises(DomainError):
             fatou_limit_integrand(0.1, 0.5, 1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("integrand", [fatou_limit_integrand, fatou_limit_integrand_adjoint])
+    def test_fatou_integrand_refuses_a_non_finite_angle(self, integrand, t):
+        # NaN passes the radius checks, and math.cos raises ValueError at inf
+        with pytest.raises(DomainError, match=f"angle t must be finite, got {t!r}"):
+            integrand(t, 0.5, 0.5)
+
     def test_radial_divergence_of_bounded_transforms(self):
         g_j0, _, _ = counterexample("J0_P2")
         vals = [apply(Operator.J0, g_j0, r).value.real for r in (0.9, 0.99)]

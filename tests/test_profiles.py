@@ -12,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-import disknorms.specfun as sf
 from disknorms import profiles as pf
 from disknorms.errors import DomainError, PrecisionError
 from disknorms.specfun import catalan_constant, gauss_2f1_at_1, ln_gamma
@@ -237,6 +236,14 @@ def test_h_coefficients():
         pf.h_coefficient(1.5, -1)
 
 
+def test_h_coefficient_refuses_a_non_integer_index():
+    # a_m is defined for integer m only
+    for m in (1.5, 3.0, math.nan):
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            pf.h_coefficient(1.5, m)
+    assert pf.h_coefficient(1.5, np.int64(3)) == pf.h_coefficient(1.5, 3)
+
+
 def test_monotonicity_grids():
     # 100-point grids for each exponent in the standard sample set
     rhos = np.linspace(0.0, 1.0, 100)
@@ -329,10 +336,9 @@ def test_a_p_is_the_n_series_at_unit_argument(p, tol):
         assert abs(got.value - ref) <= got.tail_bound <= tol * max(1.0, ref)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
 @pytest.mark.parametrize("p", list(A_AT_P), ids=str)
 def test_a_p_covers_thirty_digit_literals(p, tol):
-    # at p = 1e6 and inf a tolerance of 1e-13 takes a second block
     got = pf.a_p_constant(p, tol)
     ref = A_AT_P[p]
     assert abs(got.value - ref) <= got.tail_bound <= tol * max(1.0, ref)
@@ -340,23 +346,40 @@ def test_a_p_covers_thirty_digit_literals(p, tol):
 
 def test_a_p_refuses_an_unreachable_tolerance_at_once():
     for p, ref in ((3.0, A_AT_3), *A_AT_P.items()):
-        with pytest.raises(PrecisionError, match="least reachable bound") as exc:
+        with pytest.raises(PrecisionError, match="unreachable for A\\(p\\)") as exc:
             pf.a_p_constant(p, 1e-17)
-        # the rounding floor is known after the first block, so no second one runs
         best = exc.value.best
         assert best.terms_used == 4097
         assert abs(best.value - ref) <= best.tail_bound
 
 
-def test_a_p_term_cap_carries_best(monkeypatch):
-    # the first block's bound at p = inf is 1.4e-13 relative; a second block
-    # would reach 1e-13, but the cap forbids it
-    monkeypatch.setattr(sf, "TERM_CAP", 300)
-    with pytest.raises(PrecisionError) as exc:
-        pf.a_p_constant(math.inf, 1e-13)
-    best = exc.value.best
-    assert best.terms_used == 4097
-    assert abs(best.value - A_AT_P[math.inf]) <= best.tail_bound
+# every q of the supported range: 2,001 even steps from 1 to the cutoff
+BLOCK_QS = np.linspace(1.0, pf.Q_BLOWUP_CUTOFF, 2001)
+
+
+def test_a_p_is_one_block_for_every_supported_q():
+    # the block's bound is at most 1.24e-13 max(1, A), largest at q = 1
+    # (p = inf), so the catalog's 1e-12 never needs a second block
+    # p = q/(q-1) at the cutoff rounds back to a q past it; 2.0000011 stands in
+    ps = [math.inf] + [q / (q - 1.0) for q in BLOCK_QS[1:-1]] + [2.0000011]
+    results = [pf.profile_N(float(q), 1.0, 1e-12) for q in BLOCK_QS]
+    results += [pf.a_p_constant(p, 1e-12) for p in ps]
+    for got in results:
+        assert got.terms_used == 4097
+        assert got.tail_bound <= 1.3e-13 * max(1.0, got.value)
+
+
+@pytest.mark.parametrize(
+    "p, tol", [(1e6, 1e-13), (math.inf, 1e-13)] + [(p, 1e-17) for p in A_AT_P], ids=str
+)
+def test_a_p_below_the_block_bound_refuses_after_one_block(p, tol):
+    q = pf._conjugate_exponent(p)
+    for call in (lambda: pf.a_p_constant(p, tol), lambda: pf.profile_N(q, [0.5, 1.0], tol)):
+        with pytest.raises(PrecisionError, match="after 4097 terms") as exc:
+            call()
+        best = exc.value.best
+        assert best.terms_used == 4097
+        assert abs(best.value - A_AT_P[p]) <= best.tail_bound
 
 
 def test_a_p_limit_is_the_catalan_constant_value():

@@ -42,6 +42,14 @@ def test_rule_validation():
     with pytest.raises(ConfigurationError, match="radial_nodes must be <= 2048, got 2049"):
         DiskRule(radial_nodes=2049)
     DiskRule(8, 16, AnnulusExclude(0.1))
+    # a count that is not an integer is refused before any range check: the
+    # radial rule needs an integer, a fractional angular count rounds to an
+    # odd one that breaks the half-rule estimate, and NaN fails every range
+    for field in ("radial_nodes", "angular_nodes"):
+        for bad in (8.5, 64.0, 16.5, math.nan, math.inf, "64"):
+            with pytest.raises(ConfigurationError, match=f"{field} must be an integer, got {bad!r}"):
+                DiskRule(**{field: bad})
+    assert DiskRule(np.int64(64), np.int32(64)) == DiskRule(64, 64)
 
 
 @pytest.mark.parametrize(

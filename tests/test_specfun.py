@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import disknorms.profiles as pf
 import disknorms.specfun as sf
 from disknorms.errors import DivergenceError, DomainError, PrecisionError
 
@@ -120,6 +121,29 @@ def test_spec_validation():
         sf.hyp_pfq(sf.HypergeometricSpec((0.5,), (1.0,), 0.5), 0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: sf.hyp_pfq(sf.HypergeometricSpec((0.5, 0.5), (1.0,), [0.2, 0.5]), tol),
+        sf.catalan_constant,
+        lambda tol: pf.profile_N(1.5, [0.5, 1.0], tol),
+        lambda tol: pf.a_p_constant(3.0, tol),
+    ],
+    ids=["hyp_pfq", "catalan_constant", "profile_N", "a_p_constant"],
+)
+def test_bad_tolerance_is_refused_before_any_term(monkeypatch, call, tol):
+    # NaN fails every comparison, `tol <= 0` too; it would be summed to
+    # TERM_CAP terms if it were not refused before the first
+    def summed(*args):
+        raise AssertionError("terms were summed")
+
+    for module, name in ((sf, "_sum_blocked"), (sf, "_thomae_sum"), (pf, "_thomae_sum"), (sf, "_sum_alternating")):
+        monkeypatch.setattr(module, name, summed)
+    with pytest.raises(DomainError, match=f"tol must be positive, got {tol!r}"):
+        call(tol)
+
+
 def test_hyp_pfq_interior_values():
     r = sf.hyp_pfq(sf.HypergeometricSpec((0.5, 0.5), (1.0,), 0.25), 1e-13)
     assert abs(r.value - F21_QUARTER) <= max(r.tail_bound, 1e-13)
@@ -132,9 +156,8 @@ def test_hyp_pfq_interior_values():
 def test_hyp_pfq_zero_argument_and_terminating():
     r = sf.hyp_pfq(sf.HypergeometricSpec((0.7, 1.3), (2.0,), 0.0), 1e-12)
     assert r.value == 1.0 and r.tail_bound == 0.0
-    # 2F1(-2,1;1;x) = (1-x)^2 terminates after three terms
+    # 2F1(-2,1;1;x) = (1-x)^2: every term past t_2 is exactly 0
     r = sf.hyp_pfq(sf.HypergeometricSpec((-2.0, 1.0), (1.0,), 0.3), 1e-12)
-    assert r.terms_used == 3
     assert r.value == pytest.approx(0.49, abs=1e-14)
 
 
@@ -158,14 +181,14 @@ def test_interior_work_is_whole_blocks():
 
 def test_argument_grid_sums_each_entry_as_a_lone_call():
     # one grid, entries leaving at different blocks (0 at once, 0.999 after
-    # about 2^15 terms), a terminating series, and x = 1 where it is summed
+    # about 2^15 terms), a terminating series and one with p < q + 1
     xs = [0.0, 0.25, 0.9, 0.999, 0.5, 1e-300]
     for upper, lower, grid in (
         ((0.5, 0.5), (1.0,), xs),
         ((-0.5, 1.5), (1.0,), xs),
-        ((-3.0, 0.7), (1.2,), xs + [1.0]),  # terminating: a polynomial at 1 too
+        ((-3.0, 0.7), (1.2,), xs),
         ((0.5, 0.5, 1.5), (1.0, 2.5), xs),
-        ((), (1.5,), xs + [1.0]),  # p < q + 1 sums at 1 in blocks
+        ((), (1.5,), xs),
     ):
         spec = sf.HypergeometricSpec(upper, lower, np.array(grid))
         assert spec.argument == tuple(grid)
@@ -196,11 +219,11 @@ def test_interior_sign_changes_and_lower_order_series():
     # 2F1(-1/2, 3/2; 1; x): t_1 < 0 and every later term keeps that sign
     r = sf.hyp_pfq(sf.HypergeometricSpec((-0.5, 1.5), (1.0,), 0.49), 1e-13)
     assert abs(r.value - F21_NEG_UPPER) <= r.tail_bound <= 1e-13
-    # 0F1(; 3/2; x^2/4) = sinh(x)/x; p < q + 1 also sums at x = 1
+    # 0F1(; 3/2; x^2/4) = sinh(x)/x
     r = sf.hyp_pfq(sf.HypergeometricSpec((), (1.5,), 0.25), 1e-14)
     assert abs(r.value - math.sinh(1.0)) <= r.tail_bound + 1e-16
-    r = sf.hyp_pfq(sf.HypergeometricSpec((), (1.5,), 1.0), 1e-14)
-    assert abs(r.value - math.sinh(2.0) / 2.0) <= r.tail_bound + 2e-16
+    r = sf.hyp_pfq(sf.HypergeometricSpec((), (1.5,), 0.5625), 1e-14)
+    assert abs(r.value - math.sinh(1.5) / 1.5) <= r.tail_bound + 2e-16
 
 
 def test_interior_refuses_an_unreachable_tolerance_at_once():
@@ -255,14 +278,6 @@ def test_interior_brackets_agree_across_identities(a, b, c, x):
     assert _overlap(_series((a, b), (c,), x), euler)
 
 
-def test_unit_argument_polynomial_sums_to_its_last_term():
-    # Chu-Vandermonde: 2F1(-2, 3; 1; 1) = (1-3)_2 / (1)_2 = 1, although the
-    # decay exponent of a non-terminating series with these sums would be 1
-    r = sf.hyp_pfq(sf.HypergeometricSpec((-2.0, 3.0), (1.0,), 1.0), 1e-12)
-    assert r.value == pytest.approx(1.0, abs=1e-14)
-    assert r.terms_used == 3
-
-
 @pytest.mark.parametrize("upper, lower, x", [((-1e5, 1.0), (1.0,), 0.3)], ids=["interior"])
 def test_overflowing_terms_are_refused(upper, lower, x):
     # RuntimeWarnings are errors under the test configuration, so this also
@@ -276,24 +291,27 @@ def test_hyp_pfq_divergence_detected():
     with pytest.raises(DivergenceError):
         sf.hyp_pfq(sf.HypergeometricSpec((1.0, 1.0, 1.0), (1.5,), 0.5), 1e-8)
     with pytest.raises(DivergenceError):
-        sf.hyp_pfq(sf.HypergeometricSpec((1.0, 1.0), (), 1.0), 1e-8)
+        sf.hyp_pfq(sf.HypergeometricSpec((1.0, 1.0), (), 0.5), 1e-8)
 
 
 @pytest.mark.parametrize("argument", [1.0, [0.2, 1.0]], ids=["scalar", "grid"])
 @pytest.mark.parametrize(
     "upper, lower",
-    [((1.0, 1.0), (1.5,)), ((0.5, 0.5), (2.0,)), ((1.75, 0.75, 0.75), (1.0, 2.75))],
-    ids=["divergent", "convergent", "N-series"],
+    [
+        ((1.0, 1.0), (1.5,)),
+        ((0.5, 0.5), (2.0,)),
+        ((1.75, 0.75, 0.75), (1.0, 2.75)),
+        ((-2.0, 3.0), (1.0,)),
+        ((), (1.5,)),
+    ],
+    ids=["divergent", "convergent", "N-series", "terminating", "lower-order"],
 )
-def test_unit_argument_is_refused_before_any_term(monkeypatch, upper, lower, argument):
-    # a non-terminating series with p = q + 1 is not summed at x = 1, whether
-    # it converges there or not; A(p) has its own kernel in ``_thomae_sum``
-    def summed(*args):
-        raise AssertionError("terms were summed")
-
-    monkeypatch.setattr(sf, "_sum_blocked", summed)
-    with pytest.raises(DomainError, match="unit argument only when it terminates"):
-        sf.hyp_pfq(sf.HypergeometricSpec(upper, lower, argument), 1e-8)
+def test_unit_argument_is_refused_before_any_term(upper, lower, argument):
+    # no series is summed at x = 1, whether it converges there, terminates
+    # or has p < q + 1: the spec refuses it before ``hyp_pfq`` is called;
+    # A(p) has its own kernel in ``_thomae_sum``
+    with pytest.raises(DomainError, match=r"argument 1.0 outside \[0, 1\)"):
+        sf.HypergeometricSpec(upper, lower, argument)
 
 
 def test_gauss_2f1_at_1_gamma_formula():
@@ -374,6 +392,12 @@ def test_catalan_partial_sums_bracket():
         s += (-1.0) ** k / (2 * k + 1.0) ** 2
         if k >= 1:
             assert min(prev, s) <= value <= max(prev, s)
+
+
+def test_riemann_zeta_refuses_nan():
+    # NaN fails `s <= 1` as well as `s > 1`
+    with pytest.raises(DomainError, match="nan"):
+        sf.riemann_zeta(math.nan)
 
 
 def test_riemann_zeta():
