@@ -5,8 +5,8 @@ The package is organized bottom-up:
 - ``specfun``: series machinery (hypergeometric sums, Catalan's constant,
   the first Bessel zero) with explicit tail bounds.
 - ``profiles``: the radial kernel-energy profiles behind every norm here.
-- ``quadrature``: polar disk quadrature, including two independent routes
-  for point singularities.
+- ``quadrature``: polar disk quadrature, Mobius substitution for point
+  singularities, and truncation ladders around them.
 - ``operators``: the five integral transforms and their structural
   identities (adjointness, Wirtinger derivatives).
 - ``norms``: the catalog of exact norms and proved bounds, extremal
@@ -51,7 +51,6 @@ from .operators import (
     dbar_identity_residual,
 )
 from .quadrature import (
-    AnnulusExclude,
     DiskRule,
     Integral,
     Mobius,
@@ -63,7 +62,6 @@ from .quadrature import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnulusExclude",
     "COUNTEREXAMPLE_NAMES",
     "ConfigurationError",
     "DiskNormsError",

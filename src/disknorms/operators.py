@@ -68,7 +68,6 @@ from .quadrature import (
     DiskRule,
     FieldFn,
     Integral,
-    Mobius,
     _angles,
     _EPS,
     _eval_nodes,
@@ -286,7 +285,7 @@ def _mode_integral(op: Operator, f: FieldFn, z: complex) -> tuple[Integral, bool
 def _quadrature(op: Operator, f: FieldFn, z: complex, rule: DiskRule) -> Integral:
     """The quadrature route; the sum it takes checks the rest of the rule."""
     if op in _SINGULAR_OPS:
-        if not isinstance(rule.singularity, Mobius):
+        if rule.singularity is None:
             raise ConfigurationError(f"{op.value} takes a Mobius rule")
         return _mobius_integral(f, z, 1.0, rule, _mobius_weigh(op, z))
     inner = _tensor_integral(_bounded_integrand(op, f, z), rule, z)

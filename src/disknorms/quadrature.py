@@ -1,14 +1,13 @@
 """Polar quadrature on the unit disk with normalized area measure.
 
 The plain rule is a tensor product of Gauss-Kronrod rings in radius against
-a uniform trapezoid in angle.  Singular integrals g(w) |w - b|^{-s} get one
-of two dedicated strategies, each of which supplies the factor |w - b|^{-s}
-in its own coordinates, so that no caller forms w - b by subtraction: a
-Mobius change of variables that flattens the singularity exactly, or
-exclusion of a small ball around b followed by Richardson extrapolation in
-the exclusion radius.  Every rule shares one ring sum (``_polar_sum``) and
-one radial rule (``_nested``); the annulus grid, centered at the singular
-point, sums each of its radial ranges through them too.
+a uniform trapezoid in angle.  Singular integrals g(w) |w - b|^{-s} take the
+Mobius strategy, a change of variables that flattens the singularity
+exactly and supplies the factor |w - b|^{-s} in its own coordinates, so that
+no caller forms w - b by subtraction.  Truncation ladders sum the disk
+outside shrinking balls around b on a polar grid centered there.  Every rule
+shares one ring sum (``_polar_sum``) and one radial rule (``_nested``); the
+truncation grid sums each of its radial ranges through them too.
 
 The nested rule's radial nodes are the (2m+1)-node Gauss-Kronrod rule, m =
 (radial_nodes - 1)//2 (255 rings for the default 256), which holds the
@@ -79,19 +78,6 @@ _SHELL_NODES = 16
 
 
 @dataclass(frozen=True)
-class AnnulusExclude:
-    """Integrate over the disk minus a ball of radius epsilon around the center."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.5:
-            raise ConfigurationError(
-                f"exclusion radius must lie in (0, 0.5), got {self.epsilon}"
-            )
-
-
-@dataclass(frozen=True)
 class Mobius:
     """Pull the integrand back through the disk automorphism that sends 0 to
     the singular point the sum is given."""
@@ -101,19 +87,21 @@ class Mobius:
 class DiskRule:
     """Node counts of a polar rule and its singularity strategy.
 
-    Every strategy sums on the 2m+1 Gauss-Kronrod rings that extend the
-    m-node Gauss rule, m = (radial_nodes - 1)//2, with every ring count
-    rounded up to even; annulus exclusion sums each radial range on such
-    rings, its shells on fewer.  angular_nodes is the outermost ring's
-    count; rules sized for a point past |z| = 0.9 give inner rings fewer.
-    radial_nodes is 8 to 2048.
+    Every rule sums on the 2m+1 Gauss-Kronrod rings that extend the m-node
+    Gauss rule, m = (radial_nodes - 1)//2, with every ring count rounded up
+    to even; truncation ladders sum each radial range on such rings, their
+    shells on fewer.  angular_nodes is the outermost ring's count; rules
+    sized for a point past |z| = 0.9 give inner rings fewer.  radial_nodes
+    is 8 to 2048; the strategy is None or a ``Mobius()`` instance.
     """
 
     radial_nodes: int = DEFAULT_RADIAL
     angular_nodes: int = DEFAULT_ANGULAR
-    singularity: AnnulusExclude | Mobius | None = None
+    singularity: Mobius | None = None
 
     def __post_init__(self):
+        if self.singularity is not None and not isinstance(self.singularity, Mobius):
+            raise ConfigurationError(f"singularity strategy must be None or Mobius(), got {self.singularity!r}")
         for name in ("radial_nodes", "angular_nodes"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -554,67 +542,30 @@ def _annulus_stages(
 def integrate_disk_singular(
     g: FieldFn, b: complex, s: float, rule: DiskRule
 ) -> Integral:
-    """Integral of g(w) |w - b|^{-s} over the disk, s in (0, 2).
+    """Integral of g(w) |w - b|^{-s} over the disk, s in (0, 2), on a Mobius rule.
 
-    The rule supplies the singular factor in its own coordinates, and its
-    strategy picks the method.  Mobius substitution at b flattens the
-    singularity exactly: each node weighs g by c^(2-s) |D|^(s-4), c = 1 -
-    |b|^2, D = 1 - conj(b) a, on the nested rule.  Its outermost ring must
-    carry the angles of b's boundary layer, as in ``DiskRule.for_point(b)``;
-    fewer raise ``ConfigurationError`` before any field evaluation.
-    Annulus exclusion at epsilon, epsilon/2, epsilon/4 applies two-stage
-    Richardson extrapolation on the expansion exponents 2-s and 4-s, which
-    hold for a g smooth at b.  The stages share the nested sum outside
-    epsilon and add the two shells down to epsilon/4 on their own shorter
-    nested rules (``_annulus_stages``).  The estimate is the last
-    extrapolation step plus A times the last stage's estimate, where A =
-    (1 + r1)(1 + r2)/((1 - r1)(1 - r2)), r1 = 2^(s-2), r2 = 2^(s-4), is
-    the absolute sum of the Richardson weights: each stage's estimate adds
-    to the one before, so the last bounds them all.  The exponents are
-    checked on the stage ratio (t1 - t0)/(t2 - t1), which is 1/r1 when the
-    first leads: if the differences stand 100 times above the last stage's
-    estimate and the ratio is further than 3/5 of 1/r1 from it, the 4-s
-    term would carry more of t1 - t0 than the 2-s term, and the estimate
-    is widened by |t2 - t1|, which covers any single exponent at or above
-    2-s.  A g whose angular factor cancels the 2-s term, such as f(w) |w -
-    b|/(w - b) at s = 1, has ratio 4, not 2.
+    The substitution at b flattens the singularity exactly: each node weighs
+    g by c^(2-s) |D|^(s-4), c = 1 - |b|^2, D = 1 - conj(b) a, on the nested
+    rule.  Its outermost ring must carry the angles of b's boundary layer,
+    as in ``DiskRule.for_point(b)``; fewer raise ``ConfigurationError``
+    before any field evaluation, as does a rule without a strategy.
     """
     if not 0.0 < s < 2.0:
         raise DomainError(f"singularity exponent s = {s:g} is not integrable")
     b = complex(b)
     if not abs(b) <= 1.0:
         raise DomainError(f"singular point must lie in the closed disk, |b| = {abs(b):g}")
-    sing = rule.singularity
-    if sing is None:
+    if rule.singularity is None:
         raise ConfigurationError(
             "integrate_disk_singular requires a rule with a singularity strategy"
         )
-    if isinstance(sing, Mobius):
-        gap = _unit_gap(b) ** (2.0 - s)
+    gap = _unit_gap(b) ** (2.0 - s)
 
-        def substitution(vals, r, phase, denom):
-            d2 = denom.real**2 + denom.imag**2
-            return vals * (gap * d2 ** (0.5 * s - 2.0))
+    def substitution(vals, r, phase, denom):
+        d2 = denom.real**2 + denom.imag**2
+        return vals * (gap * d2 ** (0.5 * s - 2.0))
 
-        return _mobius_integral(g, b, s, rule, substitution)
-    # annulus exclusion
-    eps = sing.epsilon
-    if eps >= 1.0 - abs(b):
-        raise ConfigurationError(
-            f"excluded ball of radius {eps:g} does not fit inside the disk "
-            f"around b with |b| = {abs(b):g}"
-        )
-    stages = _annulus_stages(g, b, s, (eps, eps / 2.0, eps / 4.0), rule)
-    t0, t1, t2 = (stage.value for stage in stages)
-    r1, r2 = 2.0 ** (s - 2.0), 2.0 ** (s - 4.0)
-    first = [(t1 - r1 * t0) / (1.0 - r1), (t2 - r1 * t1) / (1.0 - r1)]
-    value = (first[1] - r2 * first[0]) / (1.0 - r2)
-    amplification = (1.0 + r1) * (1.0 + r2) / ((1.0 - r1) * (1.0 - r2))
-    estimate = abs(value - first[1]) + amplification * stages[-1].abs_error_estimate
-    d1, d2 = t1 - t0, t2 - t1
-    if abs(d2) > 100.0 * stages[-1].abs_error_estimate and abs(r1 * d1 - d2) > 0.6 * abs(d2):
-        estimate += abs(d2)
-    return Integral(value, estimate)
+    return _mobius_integral(g, b, s, rule, substitution)
 
 
 def truncated_singular_integral(

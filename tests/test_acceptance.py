@@ -41,9 +41,9 @@ from disknorms.profiles import (
     profile_N,
 )
 from disknorms.quadrature import (
-    AnnulusExclude,
     DiskRule,
     Mobius,
+    _annulus_stages,
     integrate_disk,
     integrate_disk_singular,
 )
@@ -213,7 +213,9 @@ def test_criterion_11_quadrature_exactness():
 
 
 def _assert_substitution_and_exclusion_agree(seed):
-    # the verify row's check on ten integrands drawn from numpy's generator
+    # the verify row's check on ten integrands drawn from numpy's generator:
+    # the disk outside the ball of radius 0.05 around b on the truncation
+    # grid, the ball by the mean-value property of the harmonic g
     rng = np.random.default_rng(seed)
     for _ in range(10):
         b = complex(*(0.6 * rng.uniform(-1, 1, 2) / math.sqrt(2.0)))
@@ -225,18 +227,19 @@ def _assert_substitution_and_exclusion_agree(seed):
             return c0 + c1 * w + c2 * np.conj(w)
 
         via_mobius = integrate_disk_singular(g, b, s, DiskRule(192, 96, Mobius()))
-        via_annulus = integrate_disk_singular(g, b, s, DiskRule(192, 96, AnnulusExclude(0.05)))
-        budget = via_mobius.abs_error_estimate + via_annulus.abs_error_estimate
-        assert abs(via_mobius.value - via_annulus.value) <= budget
+        outside = _annulus_stages(g, b, s, (0.05,), DiskRule(192, 96))[0]
+        via_exclusion = outside.value + 2.0 * complex(g(b)) * 0.05 ** (2.0 - s) / (2.0 - s)
+        budget = via_mobius.abs_error_estimate + outside.abs_error_estimate
+        assert abs(via_mobius.value - via_exclusion) <= budget
 
 
 @pytest.mark.parametrize("seed", [0, 11, 13, 16, 20])
 def test_substitution_and_exclusion_agree_at_seeds_that_once_failed(seed):
-    # the annulus route errs by about 2e-14 relative whatever its counts;
-    # a floor of 1e-14 (1 + |value|) in its estimate missed that on the
-    # integrands the verify row drew from numpy's generator at these seeds.
-    # The row now draws from the standard library, so its seeds name other
-    # integrands; these are kept here
+    # the retired Richardson route erred by about 2e-14 relative whatever its
+    # counts; a floor of 1e-14 (1 + |value|) in its estimate missed that on
+    # the integrands the verify row drew from numpy's generator at these
+    # seeds.  The row now draws from the standard library, so its seeds name
+    # other integrands; these are kept here
     _assert_substitution_and_exclusion_agree(seed)
 
 

@@ -114,10 +114,10 @@ def test_package_has_no_unread_private_names():
     assert unread_private_names(sources) == []
 
 
-# 37 public names and __version__; the README and ROADMAP count them, so a
+# 36 public names and __version__; the README and ROADMAP count them, so a
 # name comes or goes only with an edit here
 PUBLIC_NAMES = [
-    "AnnulusExclude", "COUNTEREXAMPLE_NAMES", "ConfigurationError",
+    "COUNTEREXAMPLE_NAMES", "ConfigurationError",
     "DiskNormsError", "DiskRule", "DivergenceError", "DomainError", "EvaluationError",
     "Integral", "Mobius", "NormKind", "NormQuery", "NormResult", "Operator",
     "PrecisionError", "Target", "UnsupportedQueryError", "adjoint_pairing_residual",
@@ -139,9 +139,8 @@ def test_public_names_are_pinned():
 # exceptions and constants left out): a parameter comes or goes only with
 # an edit here
 PUBLIC_SIGNATURES = {
-    "AnnulusExclude": "(epsilon: 'float') -> None",
     "DiskRule": "(radial_nodes: 'int' = 256, angular_nodes: 'int' = 512, "
-    "singularity: 'AnnulusExclude | Mobius | None' = None) -> None",
+    "singularity: 'Mobius | None' = None) -> None",
     "Integral": "(value: 'complex', abs_error_estimate: 'float') -> None",
     "Mobius": "() -> None",
     "NormQuery": "(operator: 'Operator', source_p: 'float', "

@@ -14,10 +14,10 @@ from disknorms import profiles as pf
 from disknorms.errors import ConfigurationError, DomainError, EvaluationError
 from disknorms.quadrature import (
     DEFAULT_ANGULAR,
-    AnnulusExclude,
     DiskRule,
     Mobius,
     _angles,
+    _annulus_stages,
     _gauss01,
     _kronrod01,
     _laurie_b,
@@ -34,14 +34,10 @@ def test_rule_validation():
         DiskRule(radial_nodes=4)
     with pytest.raises(ConfigurationError):
         DiskRule(angular_nodes=8)
-    with pytest.raises(ConfigurationError):
-        AnnulusExclude(0.6)
-    with pytest.raises(ConfigurationError):
-        AnnulusExclude(0.0)
     # the Kronrod rule's Jacobi matrix is dense, about radial_nodes^2 entries
     with pytest.raises(ConfigurationError, match="radial_nodes must be <= 2048, got 2049"):
         DiskRule(radial_nodes=2049)
-    DiskRule(8, 16, AnnulusExclude(0.1))
+    DiskRule(8, 16, Mobius())
     # a count that is not an integer is refused before any range check: the
     # radial rule needs an integer, a fractional angular count rounds to an
     # odd one that breaks the half-rule estimate, and NaN fails every range
@@ -147,7 +143,7 @@ def test_evaluation_error_names_node():
 
 def test_integrate_disk_rejects_singular_rule():
     with pytest.raises(ConfigurationError):
-        integrate_disk(lambda w: w, DiskRule(8, 16, AnnulusExclude(0.1)))
+        integrate_disk(lambda w: w, DiskRule(8, 16, Mobius()))
 
 
 def test_singular_requires_strategy_and_valid_exponent():
@@ -159,9 +155,6 @@ def test_singular_requires_strategy_and_valid_exponent():
         integrate_disk_singular(f, 0.0, 2.0, rule)
     with pytest.raises(DomainError):
         integrate_disk_singular(f, 0.0, -0.5, rule)
-    with pytest.raises(ConfigurationError):
-        # excluded ball pokes out of the disk
-        integrate_disk_singular(f, 0.8, 1.0, DiskRule(8, 16, AnnulusExclude(0.3)))
 
 
 def test_singular_radial_powers_at_origin():
@@ -179,14 +172,21 @@ def test_singular_off_center_matches_profile():
     expected = pf.profile_K(math.inf, 0.3)
     got = integrate_disk_singular(np.ones_like, 0.3, 1.0, DiskRule(64, 64, Mobius()))
     assert abs(got.value - expected) <= 1e-5
-    got = integrate_disk_singular(np.ones_like, 0.3, 1.0, DiskRule(64, 128, AnnulusExclude(0.05)))
-    assert abs(got.value - expected) <= 1e-5
     # and the q = 3/2 case against the closed form
     got = integrate_disk_singular(np.ones_like, 0.3, 1.5, DiskRule(64, 64, Mobius()))
     assert abs(got.value - pf.profile_K(3.0, 0.3)) <= 1e-6
 
 
-def test_mobius_annulus_agreement_seeded():
+def excluded_ball_route(g, b, s, eps, rule):
+    """Integral of g(w) |w - b|^-s for a g harmonic near b: the disk outside
+    the ball of radius eps around b on the truncation grid, the ball by the
+    mean-value property, 2 g(b) eps^(2-s)/(2-s); the estimate is the grid's."""
+    outside = _annulus_stages(g, b, s, (eps,), rule)[0]
+    ball = 2.0 * complex(g(b)) * eps ** (2.0 - s) / (2.0 - s)
+    return outside.value + ball, outside.abs_error_estimate
+
+
+def test_mobius_and_excluded_ball_agree_seeded():
     rng = np.random.default_rng(42)
     for _ in range(10):
         radius = float(rng.uniform(0.0, 0.6))
@@ -201,9 +201,9 @@ def test_mobius_annulus_agreement_seeded():
 
         eps = min(0.05, (1.0 - abs(b)) / 3.0)
         via_m = integrate_disk_singular(g, b, s, DiskRule(96, 128, Mobius()))
-        via_a = integrate_disk_singular(g, b, s, DiskRule(96, 128, AnnulusExclude(eps)))
-        tol = max(via_m.abs_error_estimate, via_a.abs_error_estimate) + 1e-10
-        assert abs(via_m.value - via_a.value) <= tol
+        value, estimate = excluded_ball_route(g, b, s, eps, DiskRule(96, 128))
+        tol = max(via_m.abs_error_estimate, estimate) + 1e-10
+        assert abs(via_m.value - value) <= tol
 
 
 def test_truncated_bounded_integrand_converges():
@@ -250,13 +250,12 @@ def test_truncated_validation():
         truncated_singular_integral(f, 2.0, [0.1])
 
 
-@pytest.mark.parametrize("strategy", [Mobius(), AnnulusExclude(0.4)])
-def test_truncation_refuses_a_rule_with_a_strategy(strategy):
+def test_truncation_refuses_a_rule_with_a_strategy():
     # the ladder reads only the rule's node counts, so a strategy would go
-    # unheeded: both rules would return the plain rule's T(0.1) = 0.99
+    # unheeded: the rule would return the plain rule's T(0.1) = 0.99
     f = CountingField(np.ones_like)
     with pytest.raises(ConfigurationError, match="no singularity strategy"):
-        truncated_singular_integral(f, 0.0, [0.1], DiskRule(64, 32, strategy))
+        truncated_singular_integral(f, 0.0, [0.1], DiskRule(64, 32, Mobius()))
     assert f.sizes == []
 
 
@@ -288,8 +287,8 @@ def test_truncation_at_any_quarter_turn_of_the_circle_agrees(na):
 
 # Frozen from the route that summed every epsilon on the full radial rule:
 # the truncated ladders of the counterexamples at 256 x 512, and the three
-# Richardson stages T(0.05), T(0.025), T(0.0125) of one singular integrand
-# at 192 x 96 (value, mass)
+# stages T(0.05), T(0.025), T(0.0125) of one singular integrand at 192 x 96
+# (value, mass)
 LADDERS = {
     "CAUCHY_P2": [3.247937411396056, 3.926152659863081, 4.431703733909276, 4.83490249718079, 5.170295529962137],
     "J0_P2": [1.8860980997225136, 2.223881084798864, 2.4756692173804637, 2.6764811014317105, 2.8435225533052075],
@@ -310,9 +309,7 @@ def test_truncation_ladders_match_the_full_rule_on_every_epsilon(name):
     assert np.allclose(got, LADDERS[name], rtol=1e-13, atol=0.0)
 
 
-def test_richardson_stages_match_the_full_rule_on_every_epsilon():
-    from disknorms.quadrature import _annulus_stages
-
+def test_singular_stages_match_the_full_rule_on_every_epsilon():
     def g(w):
         return (0.3 - 1.1j) + (0.7 + 0.2j) * np.asarray(w) - 0.4j * np.conj(w)
 
@@ -321,7 +318,7 @@ def test_richardson_stages_match_the_full_rule_on_every_epsilon():
         assert abs(stage.value - ref_value) <= 1e-13 * abs(ref_value)
 
 
-def test_annulus_error_within_its_estimate_against_a_fine_mobius_rule():
+def test_excluded_ball_error_within_its_estimate_against_a_fine_mobius_rule():
     # the verify row's integrands, against 512 radial nodes on the exact route
     rng = np.random.default_rng(7)
     for _ in range(10):
@@ -332,30 +329,29 @@ def test_annulus_error_within_its_estimate_against_a_fine_mobius_rule():
         def g(w, c0=c0, c1=c1, c2=c2):
             return c0 + c1 * np.asarray(w) + c2 * np.conj(w)
 
-        annulus = integrate_disk_singular(g, b, s, DiskRule(192, 96, AnnulusExclude(0.05)))
+        value, estimate = excluded_ball_route(g, b, s, 0.05, DiskRule(192, 96))
         fine = integrate_disk_singular(g, b, s, DiskRule(512, 96, Mobius())).value
-        assert abs(annulus.value - fine) <= annulus.abs_error_estimate
+        assert abs(value - fine) <= estimate
 
 
-def test_annulus_memory_does_not_grow_with_the_angular_count():
+def test_truncation_memory_does_not_grow_with_the_angular_count():
     # angles are taken in chunks of at most 8192: 250,000 angles at once
     # took 22 MB
     import tracemalloc
 
-    rule = DiskRule(8, 250_000, AnnulusExclude(0.05))
     tracemalloc.start()
     try:
-        got = integrate_disk_singular(np.ones_like, 0.3, 1.0, rule)
+        got = truncated_singular_integral(np.ones_like, 0.3, [0.05], DiskRule(16, 250_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4e6
-    assert abs(got.value - pf.profile_K(math.inf, 0.3)) <= got.abs_error_estimate
+    assert abs(got[0] - (1.0 - 0.05**2)) <= 1e-12
 
 
-# Rules too coarse for the field: before the annulus stages summed on the
-# nested rule, their estimate had no quadrature term and missed the error
-# by 5x to 3e12x on each of these cases
+# Rules too coarse for the field, on the excluded-ball route: the fields are
+# analytic, so the ball's closed form is exact, and the truncation grid's
+# estimate must cover the whole error
 UNDER_RESOLVED_FIELDS = {
     "exp(3w)": lambda w: np.exp(3.0 * np.asarray(w)),
     "w^9": lambda w: np.asarray(w) ** 9,
@@ -371,9 +367,6 @@ UNDER_RESOLVED = [
     ("w^9", 8, 16, 0.5 + 0.2j, 0.6), ("w^9", 16, 16, 0.5 + 0.2j, 0.6),
     ("w^9", 16, 64, 0.5 + 0.2j, 0.6), ("w^9", 32, 32, 0.5 + 0.2j, 0.6),
     ("w^9", 64, 16, 0.5 + 0.2j, 0.6),
-    ("|w|^12", 8, 16, 0.3, 1.0), ("|w|^12", 8, 16, 0.5 + 0.2j, 0.6), ("|w|^12", 8, 16, 0.0, 1.5),
-    ("|w|^12", 16, 16, 0.0, 1.5), ("|w|^12", 16, 64, 0.0, 1.5),
-    ("cos(6 Re w)", 8, 16, 0.3, 1.0), ("cos(6 Re w)", 8, 16, 0.5 + 0.2j, 0.6),
 ]
 
 
@@ -384,32 +377,25 @@ def _fine_mobius(name, b, s):
 
 
 @pytest.mark.parametrize("name, nr, na, b, s", UNDER_RESOLVED)
-def test_annulus_estimate_covers_under_resolved_rules(name, nr, na, b, s):
-    got = integrate_disk_singular(UNDER_RESOLVED_FIELDS[name], b, s, DiskRule(nr, na, AnnulusExclude(0.05)))
+def test_excluded_ball_estimate_covers_under_resolved_rules(name, nr, na, b, s):
+    value, estimate = excluded_ball_route(UNDER_RESOLVED_FIELDS[name], b, s, 0.05, DiskRule(nr, na))
+    assert abs(value - _fine_mobius(name, b, s)) <= estimate
+
+
+# Fields that are not harmonic, so the ball has no closed form and only the
+# Mobius rule takes them: its own estimate must cover an under-resolved
+# rule's error (measured worst err/estimate 0.34, cos(6 Re w) off center)
+UNDER_RESOLVED_NON_HARMONIC = [
+    ("|w|^12", 8, 16, 0.3, 1.0), ("|w|^12", 8, 16, 0.5 + 0.2j, 0.6), ("|w|^12", 8, 16, 0.0, 1.5),
+    ("|w|^12", 16, 16, 0.0, 1.5), ("|w|^12", 16, 64, 0.0, 1.5),
+    ("cos(6 Re w)", 8, 16, 0.3, 1.0), ("cos(6 Re w)", 8, 16, 0.5 + 0.2j, 0.6),
+]
+
+
+@pytest.mark.parametrize("name, nr, na, b, s", UNDER_RESOLVED_NON_HARMONIC)
+def test_mobius_estimate_covers_under_resolved_rules(name, nr, na, b, s):
+    got = integrate_disk_singular(UNDER_RESOLVED_FIELDS[name], b, s, DiskRule(nr, na, Mobius()))
     assert abs(got.value - _fine_mobius(name, b, s)) <= got.abs_error_estimate
-
-
-def test_annulus_estimate_widens_when_the_stage_ratio_refutes_its_exponents():
-    # g = f(w) |w - z|/(w - z) at s = 1 integrates the Cauchy transform of a
-    # degree-1 f; its angular factor cancels the eps^(2-s) term, the stage
-    # ratio is 4 instead of 2^(2-s) = 2, and the extrapolation missed by 4/3
-    # of its estimate before the estimate was widened by |t2 - t1|.  f itself
-    # follows the exponents, and its estimate stays at the rounding level
-    rule = DiskRule(192, 96, AnnulusExclude(0.05))
-    rng = np.random.default_rng(24)
-    for _ in range(4):
-        c0, c1, c2 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        z = complex(*(0.4 * rng.uniform(-1.0, 1.0, 2)))
-
-        def f(w, c0=c0, c1=c1, c2=c2):
-            w = np.asarray(w, dtype=complex)
-            return c0 + c1 * w + c2 * np.conj(w)
-
-        # the integrals of 1, w and conj(w) against 1/(w - z)
-        want = -c0 * z.conjugate() + c1 * (1.0 - abs(z) ** 2) - c2 * z.conjugate() ** 2 / 2.0
-        got = integrate_disk_singular(lambda w: f(w) * np.abs(w - z) / (w - z), z, 1.0, rule)
-        assert abs(got.value - want) <= got.abs_error_estimate, (got, want)
-        assert integrate_disk_singular(f, z, 1.0, rule).abs_error_estimate < 1e-12
 
 
 def test_every_rule_sums_through_the_nested_ring_sum(monkeypatch):
@@ -438,7 +424,6 @@ def test_every_rule_sums_through_the_nested_ring_sum(monkeypatch):
     runs = {
         "tensor": (lambda: integrate_disk(field, DiskRule(16, 32)), 1),
         "mobius": (lambda: integrate_disk_singular(field, 0.3, 1.0, DiskRule(16, 32, Mobius())), 1),
-        "annulus": (lambda: integrate_disk_singular(field, 0.3, 1.0, DiskRule(16, 32, AnnulusExclude(0.05))), 3),
         "truncated": (lambda: truncated_singular_integral(field, 1.0, [0.1, 0.01], DiskRule(16, 32)), 2),
         "apply": (lambda: apply("j0", field, 0.3, DiskRule(16, 32)), 1),
     }
@@ -514,11 +499,10 @@ def test_non_finite_points_are_refused_before_any_field_call(b):
     # truncation ladder returned [0.0]
     with pytest.raises(DomainError):
         _required_angular_nodes(b)
-    for rule in (DiskRule(64, 64, Mobius()), DiskRule(64, 64, AnnulusExclude(0.1))):
-        f = CountingField(np.ones_like)
-        with pytest.raises(DomainError):
-            integrate_disk_singular(f, b, 1.0, rule)
-        assert f.sizes == []
+    f = CountingField(np.ones_like)
+    with pytest.raises(DomainError):
+        integrate_disk_singular(f, b, 1.0, DiskRule(64, 64, Mobius()))
+    assert f.sizes == []
     f = CountingField(np.ones_like)
     with pytest.raises(DomainError):
         truncated_singular_integral(f, b, [0.1])
@@ -589,7 +573,7 @@ def test_integrate_disk_keeps_the_full_count_on_every_ring():
 
 def test_rings_wider_than_a_block_are_summed_in_chunks():
     # 20000 angles per ring: each ring is split into angular chunks of at
-    # most 8192 nodes, in the tensor rule and in annulus exclusion alike,
+    # most 8192 nodes, in the tensor rule and in the truncation ladders alike,
     # on the nested rule's 2m+1 rings: 7 for 8 radial nodes, 15 for 16
     f = CountingField(lambda w: (w * np.conj(w)) ** 2 + w**3)
     got = integrate_disk(f, DiskRule(8, 20000))
